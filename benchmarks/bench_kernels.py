@@ -3,11 +3,12 @@
 
 Run after an editable install:
 
-    python benchmarks/bench_kernels.py [--repeats 5]
+    python benchmarks/bench_kernels.py [--number 2000]
 
-The conjugated-norm kernel is the one that dominates the extremum search
-(30 finite-difference probes per iteration), so that row is the figure of
-merit.
+Each iteration of the extremum search makes one orbit-gradient call (one
+components evaluation plus a few contractions) and one or more
+conjugated-norm calls in its line search.  The last row times the
+gradient with the active backend.
 """
 
 import argparse
@@ -16,7 +17,9 @@ import timeit
 
 import numpy as np
 
+from twistorz import kernels
 from twistorz.acs import _vertex_matrix, haar_rotation
+from twistorz.search import _norm_grad
 
 
 def load_backends():
@@ -61,6 +64,8 @@ def main():
             f"speedup (pure/compiled): components {pure[1]/comp[1]:.1f}x, "
             f"norm {pure[2]/comp[2]:.1f}x, conjugated {pure[3]/comp[3]:.1f}x"
         )
+    t_grad = bench(lambda: _norm_grad(q, j_ref), args.number)
+    print(f"orbit gradient ({kernels.BACKEND} backend): {t_grad*1e6:.2f}us")
 
 
 if __name__ == "__main__":

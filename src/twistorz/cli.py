@@ -40,6 +40,19 @@ def _fmt_opt(x: float | None) -> str:
     return "-" if x is None else _fmt(x)
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value: 'x'"
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -112,8 +125,11 @@ def _cmd_sample(args) -> int:
     if args.out == "-":
         sys.stdout.write(payload)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     return 0
 
 
@@ -137,7 +153,11 @@ def _load_structure(args) -> ACS:
         if len(parts) != 4:
             raise ParseError("--cp3 needs four comma-separated complex coordinates")
         coords = np.array([_parse_complex(p) for p in parts])
-        return cp3_to_acs(CP3Point(coords))
+        try:
+            point = CP3Point(coords)
+        except ValueError as exc:
+            raise ParseError(f"--cp3: {exc}") from exc
+        return cp3_to_acs(point)
     try:
         with open(args.infile, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -235,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full verification report")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sample = sub.add_parser("sample", help="export a tetrahedron point cloud as CSV")
@@ -246,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="set",
     )
     p_sample.add_argument("--count", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sample.add_argument("--out", default="-")
     p_sample.set_defaults(func=_cmd_sample)
 
@@ -259,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="extremize the Nijenhuis norm")
     p_opt.add_argument("--direction", choices=("max", "min"), default="max")
-    p_opt.add_argument("--restarts", type=int, default=20)
-    p_opt.add_argument("--seed", type=int, default=0)
-    p_opt.add_argument("--max-iters", type=int, default=500)
+    p_opt.add_argument("--restarts", type=_int_at_least(1), default=20)
+    p_opt.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_opt.add_argument("--max-iters", type=_int_at_least(1), default=500)
     p_opt.add_argument("--json", action="store_true")
     p_opt.set_defaults(func=_cmd_optimize)
 

@@ -1,10 +1,15 @@
 """Numerical extremization of the Nijenhuis norm over Z.
 
-The space is swept by conjugation, J = Q J_ref Q^T with Q in SO(6);
-steepest ascent/descent moves Q by exponentials of skew matrices.  The
-gradient comes from central finite differences along the 15 coordinate
-rotations, so the search never touches the closed-form norm law and its
-outcome is an independent confirmation of it.
+The space is swept by conjugation, J = Q J_ref Q^T with Q in SO(6).
+Steepest ascent/descent of the norm |N| moves Q along the orbit by the
+Cayley retraction Q -> Q (I - t W/2)^{-1} (I + t W/2) of a skew direction
+W (Absil, Mahony and Sepulchre, *Optimization Algorithms on Matrix
+Manifolds*, 2008).  The gradient is analytic: one evaluation of the
+Nijenhuis components, the adjoint of the tensor definition for
+d|N|^2/dJ, and its pull-back to the 15 coordinate-plane generators of
+so(6).  It is built from the tensor definition alone, so the search never
+touches the closed-form norm law and its outcome is an independent
+confirmation of it.
 """
 
 from __future__ import annotations
@@ -12,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import kernels
 from .acs import ACS, _vertex_matrix, haar_rotation
+from .algebra import STRUCTURE_CONSTANTS as _CT
 
-FD_STEP = 1e-6
 INITIAL_STEP = 0.1
 MIN_STEP = 1e-10
 GRAD_TOL = 1e-8
@@ -26,6 +30,8 @@ GRAD_TOL = 1e-8
 _PLANES: tuple[tuple[int, int], ...] = tuple(
     (p, q) for p in range(6) for q in range(p + 1, 6)
 )
+_ROWS, _COLS = (np.array(ix) for ix in zip(*_PLANES))
+_EYE = np.eye(6)
 
 
 @dataclass
@@ -37,18 +43,38 @@ class SearchReport:
     converged: bool
 
 
-def _givens(p: int, q: int, h: float) -> np.ndarray:
-    r = np.eye(6)
-    c, s = np.cos(h), np.sin(h)
-    r[p, p] = c
-    r[q, q] = c
-    r[p, q] = s
-    r[q, p] = -s
-    return r
-
-
 def _objective(q: np.ndarray, j_ref: np.ndarray) -> float:
     return float(np.sqrt(kernels.conjugated_norm_sq(q, j_ref)))
+
+
+def _norm_grad(q: np.ndarray, j_ref: np.ndarray) -> np.ndarray:
+    """Gradient of |N| at Q J_ref Q^T along the 15 plane rotations Q exp(t E_pr).
+
+    E_pr has +1 at (p, r) and -1 at (r, p).  Zero where |N| vanishes (the
+    norm is not differentiable there).
+    """
+    j = q @ j_ref @ q.T
+    n = kernels.nijenhuis_components(j)
+    norm = float(np.sqrt(np.sum(n * n)))
+    if norm == 0.0:
+        return np.zeros(len(_PLANES))
+    # G = dF/dJ for F = |N|^2 is the adjoint of the bilinear terms of
+    # N = c(J., J.) - c - J c(., J.) - J c(J., .) applied to dF/dN = 2N.
+    # N and c are antisymmetric in their last two slots, so the two J slots
+    # of c(J., J.) contribute equally, and so do the outer J factors of the
+    # last two terms and their inner J factors: three contractions, each
+    # counted twice.
+    u = np.tensordot(_CT, j, axes=([2], [0]))  # u[k,a,j] = c[k,a,q] J[q,j]
+    w = np.tensordot(j, n, axes=([0], [0]))  # w[m,i,b] = J[k,m] N[k,i,b]
+    g = 4.0 * (
+        np.tensordot(u, n, axes=([0, 2], [0, 2]))  # c(J., J.)
+        - np.tensordot(n, u, axes=([1, 2], [1, 2]))  # outer J of J c(., J.), J c(J., .)
+        - np.tensordot(_CT, w, axes=([0, 1], [0, 1]))  # their inner J
+    )
+    # dJ = Q (E J_ref - J_ref E) Q^T, so dF = <E, S> with M = Q^T G Q
+    m = q.T @ g @ q
+    s = m @ j_ref.T - j_ref.T @ m
+    return (s[_ROWS, _COLS] - s[_COLS, _ROWS]) / (2.0 * norm)
 
 
 def _ascend(q: np.ndarray, j_ref: np.ndarray, sign: float, max_iters: int,
@@ -59,21 +85,16 @@ def _ascend(q: np.ndarray, j_ref: np.ndarray, sign: float, max_iters: int,
     if on_iterate is not None:
         on_iterate(q @ j_ref @ q.T, sign * f)
     for it in range(1, max_iters + 1):
-        grad = np.empty(len(_PLANES))
-        for k, (p, r) in enumerate(_PLANES):
-            f_plus = sign * _objective(q @ _givens(p, r, +FD_STEP), j_ref)
-            f_minus = sign * _objective(q @ _givens(p, r, -FD_STEP), j_ref)
-            grad[k] = (f_plus - f_minus) / (2.0 * FD_STEP)
+        grad = sign * _norm_grad(q, j_ref)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < GRAD_TOL:
             return q, f, it, True
-        direction = np.zeros((6, 6))
-        for k, (p, r) in enumerate(_PLANES):
-            direction[p, r] = grad[k] / grad_norm
-            direction[r, p] = -grad[k] / grad_norm
+        half = np.zeros((6, 6))  # half the unit skew direction
+        half[_ROWS, _COLS] = 0.5 * grad / grad_norm
+        half[_COLS, _ROWS] = -half[_ROWS, _COLS]
         moved = False
         while step >= MIN_STEP:
-            q_new = q @ expm(step * direction)
+            q_new = q @ np.linalg.solve(_EYE - step * half, _EYE + step * half)
             f_new = sign * _objective(q_new, j_ref)
             if f_new > f:
                 q, f = q_new, f_new

@@ -16,6 +16,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _parser_rejects(capsys, *argv):
+    """argparse exits 2 with the usage and exactly one error line on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    return [line for line in captured.err.splitlines() if "error:" in line]
+
+
 # --- verify -------------------------------------------------------------------
 
 
@@ -130,6 +140,25 @@ def test_sample_rejects_bad_count(capsys):
     assert "count" in err
 
 
+def test_sample_unwritable_out(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "sample", "--set", "ank", "--count", "1",
+                             "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
+
+
+def test_verify_rejects_negative_seed(capsys):
+    (line,) = _parser_rejects(capsys, "verify", "--seed", "-1")
+    assert "--seed" in line
+
+
+def test_sample_rejects_negative_seed(capsys):
+    (line,) = _parser_rejects(capsys, "sample", "--set", "ank", "--count", "1", "--seed", "-1")
+    assert "--seed" in line
+
+
 # --- classify -------------------------------------------------------------------
 
 
@@ -183,6 +212,15 @@ def test_classify_cp3_parse_error(capsys):
     assert "four" in err
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("coords", ["0,0,0,0", "nan,1,1,1"])
+def test_classify_cp3_invalid_point(capsys, coords, mode):
+    code, out, err = run_cli(capsys, "classify", "--cp3", coords, *mode)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 # --- optimize -------------------------------------------------------------------
 
 
@@ -202,6 +240,21 @@ def test_optimize_min_report(capsys):
     assert code == 0
     lines = dict(line.split(": ", 1) for line in out.strip().split("\n"))
     assert float(lines["best_value"]) < 1e-6
+
+
+def test_optimize_rejects_zero_restarts(capsys):
+    (line,) = _parser_rejects(capsys, "optimize", "--restarts", "0")
+    assert "--restarts" in line
+
+
+def test_optimize_rejects_negative_seed(capsys):
+    (line,) = _parser_rejects(capsys, "optimize", "--seed", "-3")
+    assert "--seed" in line
+
+
+def test_optimize_rejects_negative_max_iters(capsys):
+    (line,) = _parser_rejects(capsys, "optimize", "--max-iters", "-5")
+    assert "--max-iters" in line
 
 
 def test_optimize_no_convergence_exit(capsys):

@@ -1,11 +1,74 @@
 """Extremization of the norm functional by conjugation ascent."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from twistorz.acs import ACS, ank_reference_acs, blocks, hopf_acs
-from twistorz.nijenhuis import closed_form_norm, max_norm
-from twistorz.search import maximize, minimize
+from twistorz.acs import ACS, _vertex_matrix, ank_reference_acs, blocks, haar_rotation, hopf_acs
+from twistorz.nijenhuis import closed_form_norm, max_norm, nijenhuis_norm
+from twistorz import search
+from twistorz.search import _norm_grad, maximize, minimize
+
+PLANES = [(p, r) for p in range(6) for r in range(p + 1, 6)]
+
+
+def _plane_rotation(p, r, h):
+    """exp(h E) with E = e_p e_r^T - e_r e_p^T."""
+    rot = np.eye(6)
+    rot[p, p] = rot[r, r] = np.cos(h)
+    rot[p, r] = np.sin(h)
+    rot[r, p] = -np.sin(h)
+    return rot
+
+
+def _norm_at(q, j_ref):
+    return nijenhuis_norm(ACS(q @ j_ref @ q.T))
+
+
+@pytest.mark.parametrize("sign", [+1.0, -1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradient_matches_central_differences(seed, sign):
+    q = haar_rotation(6, np.random.default_rng([seed, 77]))
+    j_ref = _vertex_matrix(0)
+    h = 1e-5
+    fd = np.array([
+        (sign * _norm_at(q @ _plane_rotation(p, r, h), j_ref)
+         - sign * _norm_at(q @ _plane_rotation(p, r, -h), j_ref)) / (2.0 * h)
+        for p, r in PLANES
+    ])
+    analytic = sign * _norm_grad(q, j_ref)
+    assert np.max(np.abs(analytic - fd)) <= 1e-7
+    assert np.linalg.norm(fd) > 1e-2  # a generic point, not a critical one
+
+
+def test_gradient_vanishes_at_hopf():
+    grad = _norm_grad(np.eye(6), hopf_acs().matrix)
+    assert grad.shape == (15,)
+    assert np.all(grad == 0.0)
+
+
+def test_search_rotation_stays_orthogonal(monkeypatch):
+    finals = []
+    ascend = search._ascend
+
+    def record(*args, **kwargs):
+        finals.append(ascend(*args, **kwargs))
+        return finals[-1]
+
+    monkeypatch.setattr(search, "_ascend", record)
+    report = maximize(seed=1, restarts=5)
+    assert len(finals) == 5
+    assert max(f for _, f, _, _ in finals) == pytest.approx(report.best_value, rel=1e-12)
+    for q, _, _, _ in finals:
+        assert np.linalg.norm(q.T @ q - np.eye(6)) <= 1e-12
+
+
+def test_import_does_not_load_scipy():
+    code = "import twistorz, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_maximize_from_the_maximum():
