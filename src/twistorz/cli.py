@@ -27,7 +27,8 @@ from .cp3 import CP3Point, acs_to_cp3, cp3_to_acs, tetra_coords
 from .exceptions import NotInZError, ParseError, TwistorError
 from .exterior import TwoForm
 from .nearly_kaehler import is_ank
-from .nijenhuis import integrable_acs, is_integrable, max_norm, nijenhuis_norm
+from .nijenhuis import DEFAULT_TOL as NIJENHUIS_TOL
+from .nijenhuis import integrable_acs, max_norm, nijenhuis_norm
 
 CSV_HEADER = "b0,b1,b2,b3,nijenhuis_norm,integrable,ank"
 
@@ -67,6 +68,8 @@ def _cmd_verify(args) -> int:
             line = f"{r.name:<{width}}  {r.status:<4}  residual={_fmt(r.residual)}"
             if r.paper_value is not None or r.measured_value is not None:
                 line += f"  paper={_fmt_opt(r.paper_value)}  measured={_fmt_opt(r.measured_value)}"
+            if r.error is not None:
+                line += f"  error={r.error}"
             print(line)
         n_fail = sum(0 if r.passed else 1 for r in results)
         print(f"{len(results) - n_fail}/{len(results)} checks passed")
@@ -111,25 +114,29 @@ def _sample_structures(set_name: str, count: int, seed: int):
 def _cloud_row(acs: ACS) -> str:
     b = tetra_coords(acs_to_cp3(acs))
     norm = nijenhuis_norm(acs)
-    integrable = is_integrable(acs)
+    integrable = norm < NIJENHUIS_TOL
     ank = is_ank(acs)
     cols = [_fmt(v) for v in b] + [_fmt(norm), str(integrable).lower(), str(ank).lower()]
     return ",".join(cols)
 
 
+def _cloud(args) -> str:
+    rows = [_cloud_row(acs) for acs in _sample_structures(args.set, args.count, args.seed)]
+    return "\n".join([CSV_HEADER] + rows) + "\n"
+
+
 def _cmd_sample(args) -> int:
     if args.count < 1:
         raise ParseError("--count must be at least 1")
-    rows = [_cloud_row(acs) for acs in _sample_structures(args.set, args.count, args.seed)]
-    payload = "\n".join([CSV_HEADER] + rows) + "\n"
     if args.out == "-":
-        sys.stdout.write(payload)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise ParseError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+        sys.stdout.write(_cloud(args))
+        return 0
+    # the file is opened before any row is computed, so a bad path fails fast
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(_cloud(args))
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     return 0
 
 
@@ -181,6 +188,7 @@ def _cmd_classify(args) -> int:
         return 1
 
     b = blocks(acs)
+    norm = nijenhuis_norm(acs)
     point = acs_to_cp3(acs)
     coords = point.normalized().coords
     sigma = TwoForm.basis(4, 5)
@@ -192,8 +200,8 @@ def _cmd_classify(args) -> int:
             "B": [_fmt(v) for v in b.B.flatten()],
             "C": [_fmt(v) for v in b.C.flatten()],
         },
-        "nijenhuis_norm": _fmt(nijenhuis_norm(acs)),
-        "integrable": is_integrable(acs),
+        "nijenhuis_norm": _fmt(norm),
+        "integrable": norm < NIJENHUIS_TOL,
         "ank": is_ank(acs),
         "cp3": [f"{_fmt(z.real)}{z.imag:+.17g}i" for z in coords],
         "tetra": [_fmt(v) for v in tetra_coords(point)],

@@ -9,11 +9,20 @@ bivectors ordered [01, 02, 03, 23, 31, 12]:
     2 v0^v3 = e5 + i e6      2 v1^v2 = e5 - i e6
 
 A point [u] corresponds to the 3-space V_u = {u ^ v} of bivectors; its
-image W under the identification is the +i eigenspace of the covector
-action of the matching structure (the covector action is the transpose
-of the stored vector action).  Given J instead, W is spanned by the
-vectors  alpha - i J^T alpha,  and [u] is recovered as the unique
-direction annihilated by wedging against the bivectors of W.
+image under the identification is the +i eigenspace of the covector
+action (the transpose of the stored vector action) of the structure.
+With w_a = identify(u ^ v^a) and |u| = 1, the fundamental form is
+omega = 4 sum_a Im(conj(w_a) w_a^T) (summed term by term in
+:func:`twistorz.zgeom.form_from_bivectors`).  Each w_a is linear in u,
+so omega = F(u u*) is LINEAR in the projector: the so(6) = su(4) of the
+Klein correspondence.  F kills the identity and scales the Frobenius
+norm of traceless Hermitian matrices by sqrt(8), so on Z
+
+    u u* = I/4 + F^T(omega) / 8,
+
+and u is read off the dominant column.  F is a 36 x 32 matrix with
+entries in {-1, 0, 1}, built once at import from the table, so exact
+fixture points map to exact structures and back, zeros included.
 
 Convention pinning: with the basis above and the phase normalization
 below, the integrable reference structure maps to [1, 0, 0, -1] and the
@@ -28,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acs import ACS
-from .exceptions import DegenerateSubspaceError, KernelRankError
 
 #: ordered bivector index pairs
 BIVECTOR_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -42,24 +50,29 @@ class CP3Point:
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=complex).copy()
-        if c.shape != (4,) or not np.all(np.isfinite(c)):
+        if c.shape != (4,) or not np.isfinite(c).all():
             raise ValueError("expected 4 finite complex coordinates")
-        if np.max(np.abs(c)) == 0.0:
+        if np.abs(c).max() == 0.0:
             raise ValueError("homogeneous coordinates cannot all vanish")
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
+    def scaled(self) -> np.ndarray:
+        """Coordinates divided by their largest modulus (no overflow in norms)."""
+        return self.coords / np.abs(self.coords).max()
+
     def normalized(self) -> "CP3Point":
         """Unit norm, largest-modulus coordinate real positive (ties: lowest index)."""
-        c = self.coords / np.linalg.norm(self.coords)
+        c = self.scaled()
+        c = c / np.sqrt(np.vdot(c, c).real)
         mags = np.abs(c)
-        k = int(np.argmax(mags > np.max(mags) - 1e-12))
-        return CP3Point(c * (abs(c[k]) / c[k]))
+        k = int(np.argmax(mags > mags.max() - 1e-12))
+        return CP3Point(c * (mags[k] / c[k]))
 
     def projective_residual(self, other: "CP3Point") -> float:
         """1 - |<p, q>| / (|p| |q|); zero exactly on projective equality."""
-        p = self.coords
-        q = other.coords
+        p = self.scaled()
+        q = other.scaled()
         return float(1.0 - abs(np.vdot(p, q)) / (np.linalg.norm(p) * np.linalg.norm(q)))
 
     def projective_distance(self, other: "CP3Point") -> float:
@@ -108,67 +121,42 @@ def identify_inverse(w) -> np.ndarray:
     )
 
 
+def _correspondence_maps(identify_fn=identify) -> tuple[np.ndarray, np.ndarray]:
+    """F and F^T / 8 on row-major omega and the interleaved parts of P.
+
+    With M_a[:, c] = identify_fn(v^c ^ v^a), so that w_a = M_a u:
+    omega_ij = sum_bc Im(T_ijbc P_cb),  T_ijbc = 4 sum_a conj(M_a[i, b]) M_a[j, c].
+    """
+    basis4 = np.eye(4, dtype=complex)
+    m = np.array([[identify_fn(wedge4(basis4[c], basis4[a])) for c in range(4)] for a in range(4)])
+    t = 4.0 * np.einsum("abi,acj->ijcb", m.conj(), m).reshape(36, 16)
+    forward = np.stack([t.imag, t.real], axis=-1).reshape(36, 32)
+    return forward, forward.T / 8.0
+
+
+_FORWARD, _INVERSE = _correspondence_maps()
+_QUARTER_EYE = np.eye(4, dtype=complex) / 4.0
+
+
 def cp3_to_acs(point: CP3Point | np.ndarray) -> ACS:
     """Structure whose covector-action +i eigenspace is the image of V_u."""
     if not isinstance(point, CP3Point):
         point = CP3Point(np.asarray(point, dtype=complex))
-    u = point.coords / np.linalg.norm(point.coords)
-    # u ^ v^a for the three a away from the dominant coordinate span V_u
-    a_star = int(np.argmax(np.abs(u)))
-    basis4 = np.eye(4, dtype=complex)
-    ws = [identify(wedge4(u, basis4[a])) for a in range(4) if a != a_star]
-
-    # solve I* alpha_k = -beta_k, I* beta_k = alpha_k on the real 6-space
-    m = np.empty((6, 6))
-    t = np.empty((6, 6))
-    for k, w in enumerate(ws):
-        m[:, 2 * k] = w.real
-        m[:, 2 * k + 1] = w.imag
-        t[:, 2 * k] = -w.imag
-        t[:, 2 * k + 1] = w.real
-    if abs(np.linalg.det(m)) < 1e-12:
-        raise DegenerateSubspaceError("real and imaginary parts do not span the dual space")
-    i_star = t @ np.linalg.inv(m)
-    return ACS.validate(i_star.T)
+    c = point.scaled()
+    proj = np.outer(c, c.conj()) / np.vdot(c, c).real
+    omega = (_FORWARD @ proj.view(float).ravel()).reshape(6, 6)
+    return ACS.validate(omega.T)
 
 
 def acs_to_cp3(acs: ACS) -> CP3Point:
     """Inverse of :func:`cp3_to_acs`; output is phase-normalized."""
-    i_star = acs.matrix.T
-    eye = np.eye(6)
-    # +i eigenspace of the covector action, spanned by alpha - i I* alpha
-    spanning = [eye[:, k] - 1j * (i_star @ eye[:, k]) for k in range(6)]
-    basis: list[np.ndarray] = []
-    for w in spanning:
-        for b in basis:
-            w = w - np.vdot(b, w) * b
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            basis.append(w / nrm)
-        if len(basis) == 3:
-            break
-    if len(basis) != 3:
-        raise DegenerateSubspaceError("eigenspace did not have complex dimension 3")
-
-    rows = []
-    for w in basis:
-        b01, b02, b03, b23, b31, b12 = identify_inverse(w)
-        # components of u ^ beta over v^{012}, v^{013}, v^{023}, v^{123}
-        rows.append([b12, -b02, b01, 0.0])
-        rows.append([-b31, -b03, 0.0, b01])
-        rows.append([b23, 0.0, -b03, b02])
-        rows.append([0.0, b23, b31, b12])
-    kernel_map = np.array(rows, dtype=complex)
-    _, sing, vh = np.linalg.svd(kernel_map)
-    if sing[2] < 1e-6 or sing[3] > 1e-8 * max(1.0, sing[0]):
-        raise KernelRankError(
-            f"wedge annihilator is not one-dimensional (singular values {sing})"
-        )
-    u = np.conj(vh[-1])
-    return CP3Point(u).normalized()
+    proj = _QUARTER_EYE + (_INVERSE @ acs.matrix.T.ravel()).view(complex).reshape(4, 4)
+    # u u* has trace 1, so its largest diagonal entry is at least 1/4
+    k = int(np.argmax(proj.diagonal().real))
+    return CP3Point(proj[:, k] / np.sqrt(proj[k, k].real)).normalized()
 
 
 def tetra_coords(point: CP3Point) -> np.ndarray:
     """Barycentric tetrahedron coordinates |u_a|^2 / sum |u_b|^2."""
-    mags = np.abs(point.coords) ** 2
+    mags = np.abs(point.scaled()) ** 2
     return mags / mags.sum()

@@ -31,18 +31,6 @@ class WrongOrientationError(NotInZError):
     """J induces the opposite orientation from the reference structure."""
 
 
-class DegenerateFrameError(TwistorError):
-    """No adapted frame with independent X_i, J X_i could be built."""
-
-
-class DegenerateSubspaceError(TwistorError):
-    """A candidate eigenspace does not split the complexified space."""
-
-
-class KernelRankError(TwistorError):
-    """The wedge-annihilator kernel is not one-dimensional."""
-
-
 class ParamDomainError(TwistorError):
     """Parameters violate their unit-sphere or domain constraint."""
 

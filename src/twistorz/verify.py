@@ -50,19 +50,23 @@ class CheckResult:
     residual: float
     paper_value: float | None = None
     measured_value: float | None = None
+    error: str | None = None  # "<ExceptionType>: <message>" when the check raised
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "name": self.name,
             "status": self.status,
             "residual": self.residual,
             "paper_value": self.paper_value,
             "measured_value": self.measured_value,
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 def _result(name: str, residual: float, threshold: float,
@@ -355,8 +359,8 @@ def _guard(name: str, fn, *args) -> CheckResult:
     """A check that raises is reported as failed, not as a crashed report."""
     try:
         return fn(*args)
-    except Exception:  # noqa: BLE001 - the report must survive any check
-        return CheckResult(name, "fail", float("inf"))
+    except Exception as exc:  # noqa: BLE001 - the report must survive any check
+        return CheckResult(name, "fail", float("inf"), error=f"{type(exc).__name__}: {exc}")
 
 
 def run_all_checks(seed: int = 0) -> list[CheckResult]:

@@ -60,9 +60,9 @@ def edge_point(edge: Edge, alpha: complex, beta: complex) -> CP3Point:
     """alpha z + beta u with unit-norm endpoint representatives."""
     if abs(alpha) + abs(beta) == 0.0:
         raise ZeroCombinationError("alpha and beta cannot both vanish")
-    z = edge.z.coords / np.linalg.norm(edge.z.coords)
-    u = edge.u.coords / np.linalg.norm(edge.u.coords)
-    return CP3Point(alpha * z + beta * u)
+    z = edge.z.scaled()
+    u = edge.u.scaled()
+    return CP3Point(alpha * z / np.linalg.norm(z) + beta * u / np.linalg.norm(u))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +214,13 @@ def circle_form(p: PolarPairParams, theta: float) -> TwoForm:
 def form_from_bivectors(point: CP3Point) -> TwoForm:
     """Fundamental form assembled directly from the bivector family of a point.
 
-    Independent of the endomorphism solve in :func:`cp3_to_acs`: maps the
-    four bivectors u ^ v^a through the identification and wedges real
-    against imaginary parts.  For a unit representative the result is the
-    fundamental form itself.
+    Independent of the precomputed linear map in :func:`cp3_to_acs`: maps
+    the four bivectors u ^ v^a of the unit representative through the
+    identification and wedges real against imaginary parts, one term at a
+    time.
     """
-    u = point.coords / np.linalg.norm(point.coords)
+    u = point.scaled()
+    u = u / np.linalg.norm(u)
     basis4 = np.eye(4, dtype=complex)
     om = np.zeros((6, 6))
     for a in range(4):
@@ -372,8 +373,8 @@ def invert_circle(point: CP3Point) -> tuple[PolarPairParams, float]:
     Valid for points with equal mass on coordinates {0, 3} and {1, 2}
     (equivalently, fundamental form orthogonal to e5^e6).
     """
-    z = point.coords / np.linalg.norm(point.coords)
-    z0, z1, z2, z3 = z
+    z = point.scaled()
+    z0, z1, z2, z3 = z / np.linalg.norm(z)
 
     if abs(z1) < 1e-10:
         rm, xm, um = -1.0, 0.0, 0.0

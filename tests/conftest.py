@@ -3,12 +3,18 @@
 The oracles here deliberately avoid the library's vectorized code paths:
 the bracket is a literal structure-constant table lookup and the
 Nijenhuis tensor is expanded term by term, so every comparison against
-them is a genuine dual-route check.
+them is a genuine dual-route check.  The projective correspondence and
+the orientation test are checked against the eigenspace constructions
+the library's linear maps replaced: a 6x6 solve for the structure of a
+point, Gram-Schmidt plus an SVD annihilator for the point of a
+structure, and the adapted-frame determinant for the orientation.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from twistorz.cp3 import identify, identify_inverse, wedge4
 
 settings.register_profile(
     "ci",
@@ -61,6 +67,76 @@ def oracle_nijenhuis(matrix):
 def oracle_nijenhuis_norm_sq(matrix):
     n = oracle_nijenhuis(matrix)
     return float(np.sum(n * n))
+
+
+def oracle_cp3_to_acs(coords):
+    """Vector action J whose covector-action +i eigenspace is identify(u ^ C^4).
+
+    Spans that eigenspace by u ^ v^a for the three a away from the dominant
+    coordinate and solves I* alpha_k = -beta_k, I* beta_k = alpha_k on the
+    real and imaginary parts.
+    """
+    u = np.asarray(coords, dtype=complex)
+    u = u / np.linalg.norm(u)
+    a_star = int(np.argmax(np.abs(u)))
+    basis4 = np.eye(4, dtype=complex)
+    ws = [identify(wedge4(u, basis4[a])) for a in range(4) if a != a_star]
+    m = np.empty((6, 6))
+    t = np.empty((6, 6))
+    for k, w in enumerate(ws):
+        m[:, 2 * k] = w.real
+        m[:, 2 * k + 1] = w.imag
+        t[:, 2 * k] = -w.imag
+        t[:, 2 * k + 1] = w.real
+    return (t @ np.linalg.inv(m)).T
+
+
+def oracle_acs_to_cp3(matrix):
+    """Point u annihilated by wedging against the +i eigenspace of J^T.
+
+    Orthonormalizes alpha - i J^T alpha over the basis alpha (Gram-Schmidt),
+    maps the three eigenvectors to bivectors and takes the null vector of
+    the 12x4 wedge map from its SVD.
+    """
+    i_star = np.asarray(matrix, dtype=float).T
+    basis = []
+    for k in range(6):
+        w = EYE6[:, k] - 1j * i_star[:, k]
+        for b in basis:
+            w = w - np.vdot(b, w) * b
+        nrm = np.linalg.norm(w)
+        if nrm > 1e-8:
+            basis.append(w / nrm)
+        if len(basis) == 3:
+            break
+    assert len(basis) == 3, "eigenspace did not have complex dimension 3"
+    rows = []
+    for w in basis:
+        b01, b02, b03, b23, b31, b12 = identify_inverse(w)
+        # components of u ^ beta over v^{012}, v^{013}, v^{023}, v^{123}
+        rows.append([b12, -b02, b01, 0.0])
+        rows.append([-b31, -b03, 0.0, b01])
+        rows.append([b23, 0.0, -b03, b02])
+        rows.append([0.0, b23, b31, b12])
+    sing, vh = np.linalg.svd(np.array(rows, dtype=complex))[1:]
+    assert sing[2] > 1e-6 and sing[3] < 1e-8 * sing[0], f"annihilator not 1-dimensional: {sing}"
+    return np.conj(vh[-1])
+
+
+def oracle_orientation_sign(matrix):
+    """Sign of det[X1 X2 X3 JX1 JX2 JX3] over an adapted frame built from the basis."""
+    m = np.asarray(matrix, dtype=float)
+    xs = []
+    for k in range(6):
+        trial = np.column_stack([c for x in xs + [EYE6[:, k]] for c in (x, m @ x)])
+        if np.linalg.matrix_rank(trial, tol=1e-6) == trial.shape[1]:
+            xs.append(EYE6[:, k])
+        if len(xs) == 3:
+            break
+    assert len(xs) == 3, "no adapted frame found"
+    det = np.linalg.det(np.column_stack(xs + [m @ x for x in xs]))
+    assert abs(det) > 1e-12, "adapted frame is numerically singular"
+    return 1 if det > 0 else -1
 
 
 def unit3(rng):

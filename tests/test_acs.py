@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_rotation3
+from conftest import oracle_orientation_sign, random_rotation3
 from twistorz.acs import (
     ACS,
     Blocks,
@@ -195,3 +195,17 @@ def test_block_conjugation_rotates_a_and_c(rng):
         assert np.max(np.abs(axial_vector(b_new.C) - o2 @ axial_vector(b_old.C))) < 1e-12
         assert abs(np.linalg.norm(b_new.a) - np.linalg.norm(b_old.a)) < 1e-12
         assert abs(np.linalg.norm(b_new.c) - np.linalg.norm(b_old.c)) < 1e-12
+
+
+def test_orientation_matches_adapted_frame_oracle():
+    # Haar samples of J and of the orientation-reversed -J
+    for seed in range(2000):
+        m = random_acs([seed, 3]).matrix
+        for sample in (m, -m):
+            assert orientation_sign(sample) == oracle_orientation_sign(sample)
+
+
+def test_orientation_sign_outside_the_domain():
+    assert orientation_sign(-vertex_acs(0).matrix) == 1
+    # outside J in O(6) with J^2 = -1 the Pfaffian can vanish
+    assert orientation_sign(np.zeros((6, 6))) == 0

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import twistorz.cli
 import twistorz.cp3
+import twistorz.verify
 from twistorz.acs import ank_reference_acs
 from twistorz.cli import CSV_HEADER, main
 
@@ -55,12 +57,33 @@ def test_verify_reports_literature_values(capsys):
 
 
 def test_verify_negative_control(capsys, monkeypatch):
-    # corrupt the identification table: the fixture points land elsewhere
-    original = twistorz.cp3.identify_inverse
-    monkeypatch.setattr(twistorz.cp3, "identify_inverse", lambda w: -original(np.conj(w)))
+    # corrupt the identification table (swap e1, e2 with e3, e4) and rebuild
+    # the linear maps from it: the fixture points land elsewhere
+    original = twistorz.cp3.identify
+    forward, inverse = twistorz.cp3._correspondence_maps(lambda b: original(b)[[2, 3, 0, 1, 4, 5]])
+    monkeypatch.setattr(twistorz.cp3, "_FORWARD", forward)
+    monkeypatch.setattr(twistorz.cp3, "_INVERSE", inverse)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "fail" in out
+
+
+def test_verify_reports_why_a_check_raised(capsys, monkeypatch):
+    def boom():
+        raise RuntimeError("table missing")
+
+    monkeypatch.setattr(twistorz.verify, "check_cp3_fixtures", boom)
+    code, out, _ = run_cli(capsys, "verify", "--json")
+    assert code == 1
+    records = {r["name"]: r for r in json.loads(out)}
+    assert records["cp3_fixture_points"]["status"] == "fail"
+    assert records["cp3_fixture_points"]["error"] == "RuntimeError: table missing"
+    # only the check that raised carries the field
+    assert all("error" not in r for name, r in records.items() if name != "cp3_fixture_points")
+    code, out, _ = run_cli(capsys, "verify")
+    (line,) = [line for line in out.splitlines() if line.startswith("cp3_fixture_points")]
+    assert line.endswith("error=RuntimeError: table missing")
+    assert sum("error=" in line for line in out.splitlines()) == 1
 
 
 # --- sample -------------------------------------------------------------------
@@ -149,6 +172,21 @@ def test_sample_unwritable_out(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
 
 
+def test_sample_unwritable_out_fails_before_any_row(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = twistorz.cli._cloud_row
+    monkeypatch.setattr(twistorz.cli, "_cloud_row", lambda acs: calls.append(1) or original(acs))
+    code, _, err = run_cli(capsys, "sample", "--set", "ank", "--count", "50",
+                           "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2
+    assert err.startswith("error: cannot write")
+    assert calls == []
+    code, _, _ = run_cli(capsys, "sample", "--set", "ank", "--count", "3",
+                         "--out", str(tmp_path / "x.csv"))
+    assert code == 0
+    assert len(calls) == 3
+
+
 def test_verify_rejects_negative_seed(capsys):
     (line,) = _parser_rejects(capsys, "verify", "--seed", "-1")
     assert "--seed" in line
@@ -167,6 +205,20 @@ def test_classify_cp3_hopf_point(capsys):
     assert code == 0
     assert "integrable: true" in out
     assert "tetra: (0.5, 0, 0, 0.5)" in out
+
+
+def test_classify_cp3_is_scale_invariant(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--cp3", "1e308,1e308,1,1", "--json")
+    assert code == 0
+    big = json.loads(out)
+    code, out, _ = run_cli(capsys, "classify", "--cp3", "1,1,0,0", "--json")
+    assert code == 0
+    small = json.loads(out)
+    for key in ("A", "B", "C"):
+        assert np.max(np.abs(np.array(big["blocks"][key], dtype=float)
+                             - np.array(small["blocks"][key], dtype=float))) <= 1e-12
+    assert np.max(np.abs(np.array(big["tetra"], dtype=float)
+                         - np.array(small["tetra"], dtype=float))) <= 1e-12
 
 
 def test_classify_swap_matrix(tmp_path, capsys):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_rotation3
+from conftest import oracle_acs_to_cp3, oracle_cp3_to_acs, random_rotation3
 from twistorz.acs import ank_reference_acs, hopf_acs, random_acs, vertex_acs
 from twistorz.cp3 import (
+    _FORWARD,
+    _INVERSE,
     CP3Point,
     acs_to_cp3,
     cp3_to_acs,
@@ -140,3 +142,61 @@ def test_conjugation_equivariance(rng):
         mapped = CP3Point(m @ p.coords)
         worst = max(worst, direct.projective_residual(mapped))
     assert worst < 1e-6
+
+
+# --- the linear maps against the eigenspace oracles ---------------------------
+
+
+def test_linear_maps_are_exact_and_conformal(rng):
+    assert set(np.unique(_FORWARD)) <= {-1.0, 0.0, 1.0}
+    assert np.array_equal(_INVERSE, _FORWARD.T / 8.0)
+    # F kills the identity and scales traceless Hermitian matrices by sqrt(8)
+    assert np.max(np.abs(_FORWARD @ np.eye(4, dtype=complex).view(float).ravel())) == 0.0
+    for _ in range(20):
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = h + h.conj().T
+        h -= np.trace(h) / 4.0 * np.eye(4)
+        x = h.view(float).ravel()
+        assert np.max(np.abs(_FORWARD.T @ (_FORWARD @ x) - 8.0 * x)) < 1e-12
+
+
+def test_forward_matches_eigenspace_solve(rng):
+    worst = 0.0
+    for _ in range(300):
+        coords = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        acs = cp3_to_acs(CP3Point(coords))
+        worst = max(worst, float(np.max(np.abs(acs.matrix - oracle_cp3_to_acs(coords)))))
+    assert worst <= 1e-12
+
+
+def test_inverse_matches_annihilator(rng):
+    worst = 0.0
+    for seed in range(300):
+        acs = random_acs([seed, 7])
+        target = CP3Point(oracle_acs_to_cp3(acs.matrix))
+        worst = max(worst, acs_to_cp3(acs).projective_residual(target))
+    assert worst <= 1e-12
+
+
+def test_fixture_points_have_literal_zeros():
+    for k in range(4):
+        corner = np.zeros(4, dtype=complex)
+        corner[k] = 1.0
+        assert np.array_equal(acs_to_cp3(vertex_acs(k)).coords, corner)
+        assert np.array_equal(cp3_to_acs(CP3Point(corner)).matrix, vertex_acs(k).matrix)
+    hopf = acs_to_cp3(hopf_acs())
+    assert np.array_equal(hopf.coords[1:3], [0.0, 0.0])
+    assert np.array_equal(tetra_coords(hopf), [0.5, 0.0, 0.0, 0.5])
+    assert np.array_equal(cp3_to_acs(HOPF_POINT).matrix, hopf_acs().matrix)
+    assert np.array_equal(cp3_to_acs(SWAP_POINT).matrix, ank_reference_acs().matrix)
+    assert np.array_equal(tetra_coords(acs_to_cp3(ank_reference_acs())), [0.25] * 4)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300, 5e307])
+def test_projective_input_is_scale_invariant(scale):
+    coords = np.array([1, 1 + 2j, 0.5, -3j])
+    small, big = CP3Point(coords), CP3Point(scale * coords)
+    assert big.projective_residual(small) <= 1e-15
+    assert np.max(np.abs(big.normalized().coords - small.normalized().coords)) <= 1e-15
+    assert np.max(np.abs(tetra_coords(big) - tetra_coords(small))) <= 1e-15
+    assert np.max(np.abs(cp3_to_acs(big).matrix - cp3_to_acs(small).matrix)) <= 1e-15

@@ -1,7 +1,9 @@
 """Extremization of the norm functional by conjugation ascent."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,7 +69,9 @@ def test_search_rotation_stays_orthogonal(monkeypatch):
 
 def test_import_does_not_load_scipy():
     code = "import twistorz, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # the child imports the package under test, however this run found it
+    env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -337,3 +337,16 @@ def test_polar_members_invert_to_circles(rng):
         params, theta = invert_circle(point)
         worst = max(worst, circle_point(params, theta).projective_distance(point))
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_bivector_route_and_inversion_are_scale_invariant(rng, scale):
+    for _ in range(10):
+        point = sample_polar_point(rng)
+        big = CP3Point(scale * point.coords)
+        assert form_from_bivectors(big).allclose(form_from_bivectors(point), tol=1e-14)
+        params, theta = invert_circle(point)
+        params_big, theta_big = invert_circle(big)
+        assert np.allclose(
+            [*vars(params_big).values(), theta_big], [*vars(params).values(), theta], rtol=0, atol=1e-12
+        )
