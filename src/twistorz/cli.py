@@ -126,8 +126,6 @@ def _cloud(args) -> str:
 
 
 def _cmd_sample(args) -> int:
-    if args.count < 1:
-        raise ParseError("--count must be at least 1")
     if args.out == "-":
         sys.stdout.write(_cloud(args))
         return 0
@@ -171,9 +169,18 @@ def _load_structure(args) -> ACS:
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read structure document: {exc}") from exc
     matrix = doc.get("matrix") if isinstance(doc, dict) else doc
+    shape_error = "structure document needs a row-major list of 36 floats under 'matrix'"
     if not isinstance(matrix, list) or len(matrix) != 36:
-        raise ParseError("structure document needs a row-major list of 36 floats under 'matrix'")
-    return ACS.validate(np.array(matrix, dtype=float).reshape(6, 6))
+        raise ParseError(shape_error)
+    try:
+        values = np.array(matrix, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{shape_error}: {exc}") from exc
+    if values.shape != (36,):
+        raise ParseError(shape_error)
+    if not np.isfinite(values).all():
+        raise ParseError("structure document has a non-finite matrix entry")
+    return ACS.validate(values.reshape(6, 6))
 
 
 def _cmd_classify(args) -> int:
@@ -273,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("ank", "integrable", "random", "polar", "edge01"),
         dest="set",
     )
-    p_sample.add_argument("--count", type=int, required=True)
+    p_sample.add_argument("--count", type=_int_at_least(1), required=True)
     p_sample.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sample.add_argument("--out", default="-")
     p_sample.set_defaults(func=_cmd_sample)
@@ -301,9 +308,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TwistorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

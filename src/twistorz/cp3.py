@@ -70,10 +70,16 @@ class CP3Point:
         return CP3Point(c * (mags[k] / c[k]))
 
     def projective_residual(self, other: "CP3Point") -> float:
-        """1 - |<p, q>| / (|p| |q|); zero exactly on projective equality."""
+        """1 - |<p, q>| / (|p| |q|); zero exactly on projective equality.
+
+        The ratio is formed from squared moduli, which round alike for a
+        point against itself, and is clamped at 1 so the result is never
+        negative.
+        """
         p = self.scaled()
         q = other.scaled()
-        return float(1.0 - abs(np.vdot(p, q)) / (np.linalg.norm(p) * np.linalg.norm(q)))
+        ratio = abs(np.vdot(p, q)) ** 2 / (np.vdot(p, p).real * np.vdot(q, q).real)
+        return float(1.0 - np.sqrt(min(ratio, 1.0)))
 
     def projective_distance(self, other: "CP3Point") -> float:
         """Sine of the Fubini-Study angle."""

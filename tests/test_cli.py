@@ -54,6 +54,8 @@ def test_verify_reports_literature_values(capsys):
     mixed = records["nk_mixed_direction"]
     assert mixed["paper_value"] == -1.0
     assert mixed["measured_value"] == pytest.approx(-0.5)
+    # the fixture points map exactly, so their residual is an exact zero
+    assert records["cp3_fixture_points"]["residual"] == 0.0
 
 
 def test_verify_negative_control(capsys, monkeypatch):
@@ -158,9 +160,8 @@ def test_sample_rows_revalidate_on_ingestion(tmp_path, capsys):
 
 
 def test_sample_rejects_bad_count(capsys):
-    code, _, err = run_cli(capsys, "sample", "--set", "ank", "--count", "0")
-    assert code == 2
-    assert "count" in err
+    (line,) = _parser_rejects(capsys, "sample", "--set", "ank", "--count", "0")
+    assert "--count" in line
 
 
 def test_sample_unwritable_out(tmp_path, capsys):
@@ -256,6 +257,22 @@ def test_classify_parse_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", "--in", str(path))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"matrix": ["a"] * 36}),
+    json.dumps({"matrix": [[1, 2]] * 36}),
+    json.dumps({"matrix": [None] * 36}),
+    '{"matrix": [NaN' + ", 0" * 35 + "]}",
+    '{"matrix": [1' + "0" * 400 + ", 0" * 35 + "]}",
+], ids=["string", "pair", "null", "nan", "huge-int"])
+def test_classify_malformed_matrix_entries(tmp_path, capsys, text):
+    path = tmp_path / "malformed.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_classify_cp3_parse_error(capsys):

@@ -200,3 +200,15 @@ def test_projective_input_is_scale_invariant(scale):
     assert np.max(np.abs(big.normalized().coords - small.normalized().coords)) <= 1e-15
     assert np.max(np.abs(tetra_coords(big) - tetra_coords(small))) <= 1e-15
     assert np.max(np.abs(cp3_to_acs(big).matrix - cp3_to_acs(small).matrix)) <= 1e-15
+
+
+def test_projective_residual_is_exact_and_nonnegative(rng):
+    points = [HOPF_POINT, SWAP_POINT, CP3Point(np.array([1, 2j, 0.3, -1]))]
+    points += [CP3Point(np.eye(4)[k]) for k in range(4)]
+    for p in points:
+        assert p.projective_residual(p) == 0.0
+        assert p.projective_residual(CP3Point((0.5 - 2j) * p.coords)) >= 0.0
+    for _ in range(500):
+        p, q = (CP3Point(rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(2))
+        assert p.projective_residual(q) >= 0.0
+        assert p.projective_residual(p) >= 0.0
