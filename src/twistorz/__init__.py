@@ -20,9 +20,9 @@ from .acs import (
     random_acs,
     vertex_acs,
 )
-from .algebra import bracket, metric, nabla
+from .algebra import bracket, nabla
 from .cp3 import CP3Point, acs_to_cp3, cp3_to_acs, tetra_coords
-from .exterior import TwoForm, eval_form, form_inner, wedge
+from .exterior import TwoForm, wedge
 from .kernels import BACKEND
 from .nearly_kaehler import ank_form, is_ank, nabla_omega, nk_defect
 from .nijenhuis import (
@@ -32,8 +32,8 @@ from .nijenhuis import (
     integrable_acs,
     is_integrable,
     max_norm,
-    nijenhuis,
     nijenhuis_norm,
+    nijenhuis_tensor,
 )
 from .search import SearchReport, maximize, minimize
 from .zgeom import (
@@ -80,8 +80,6 @@ __all__ = [
     "edge01_closed_form",
     "edge01_form",
     "edge_point",
-    "eval_form",
-    "form_inner",
     "fundamental_form",
     "generalized_edge_contains",
     "hopf_acs",
@@ -92,12 +90,11 @@ __all__ = [
     "is_integrable",
     "max_norm",
     "maximize",
-    "metric",
     "minimize",
     "nabla",
     "nabla_omega",
-    "nijenhuis",
     "nijenhuis_norm",
+    "nijenhuis_tensor",
     "nk_defect",
     "orientation_sign",
     "polar_contains",

@@ -18,15 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    NotComplexError,
-    NotInZError,
-    NotOrthogonalError,
-    WrongOrientationError,
-)
+from .algebra import DIM
+from .exceptions import NotComplexError, NotOrthogonalError, WrongOrientationError
 from .exterior import TwoForm
 
-DIM = 6
 DEFAULT_TOL = 1e-9
 _EYE = np.eye(DIM)
 
@@ -67,20 +62,10 @@ class ACS:
         # this makes the block decomposition reassemble bit-for-bit
         return cls(0.5 * (m - m.T))
 
-    def apply(self, x) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float)
-
     def conjugate(self, q) -> "ACS":
         """Q J Q^T for Q in SO(6); stays in Z, no re-validation."""
         q = np.asarray(q, dtype=float)
         return ACS(q @ self.matrix @ q.T)
-
-    def residuals(self) -> dict[str, float]:
-        m = self.matrix
-        return {
-            "complex": float(np.max(np.abs(m @ m + np.eye(DIM)))),
-            "orthogonal": float(np.max(np.abs(m.T @ m - np.eye(DIM)))),
-        }
 
 
 def _perfect_matchings(idx: tuple[int, ...]):
@@ -170,12 +155,7 @@ def fundamental_form(acs: ACS) -> TwoForm:
 def acs_from_form(w: TwoForm, tol: float = DEFAULT_TOL) -> ACS:
     """Inverse of :func:`fundamental_form`; raises NotInZError when the
     induced endomorphism fails validation."""
-    try:
-        return ACS.validate(w.matrix().T, tol=tol)
-    except NotInZError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise NotInZError(f"form does not induce a twistor-space member: {exc}")
+    return ACS.validate(w.matrix().T, tol=tol)
 
 
 @dataclass(frozen=True)

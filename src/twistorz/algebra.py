@@ -29,6 +29,7 @@ STRUCTURE_CONSTANTS: np.ndarray = _structure_constants()
 
 
 def basis_vector(i: int) -> np.ndarray:
+    """e_i, which is also the coefficient array of the dual covector e^i."""
     e = np.zeros(DIM)
     e[i] = 1.0
     return e
@@ -44,11 +45,6 @@ def bracket(x, y) -> np.ndarray:
     return out
 
 
-def metric(x, y) -> float:
-    """Inner product with e_1..e_6 orthonormal."""
-    return float(np.dot(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-
-
 def nabla(x, y) -> np.ndarray:
     """Levi-Civita connection of the bi-invariant metric: half the bracket."""
     return 0.5 * bracket(x, y)
@@ -56,15 +52,6 @@ def nabla(x, y) -> np.ndarray:
 
 def jacobi_residual() -> float:
     """Max-abs Jacobi residual over all basis triples."""
-    worst = 0.0
-    eye = np.eye(DIM)
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(DIM):
-                r = (
-                    bracket(bracket(eye[i], eye[j]), eye[k])
-                    + bracket(bracket(eye[j], eye[k]), eye[i])
-                    + bracket(bracket(eye[k], eye[i]), eye[j])
-                )
-                worst = max(worst, float(np.max(np.abs(r))))
-    return worst
+    # t[n, i, j, k] = [[e_i, e_j], e_k]_n; the other two terms are its cyclic shifts
+    t = np.einsum("mij,nmk->nijk", STRUCTURE_CONSTANTS, STRUCTURE_CONSTANTS)
+    return float(np.max(np.abs(t + t.transpose(0, 3, 1, 2) + t.transpose(0, 2, 3, 1))))

@@ -80,35 +80,34 @@ def _cmd_verify(args) -> int:
 # sample
 
 
+def _unit3(rng: np.random.Generator) -> tuple[float, float, float]:
+    v = rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    return float(v[0]), float(v[1]), float(v[2])
+
+
+def _angle(rng: np.random.Generator) -> float:
+    return float(rng.uniform(0.0, 2.0 * np.pi))
+
+
+#: per sample set, one structure from the set's rng and the row seed [seed, k];
+#: arguments are evaluated left to right, which fixes the order of the draws
+_SAMPLERS = {
+    "ank": lambda rng, _: zgeom.ank_circle_acs(*_unit3(rng), _angle(rng)),
+    "integrable": lambda rng, _: integrable_acs(haar_rotation(3, rng), haar_rotation(3, rng)),
+    "random": lambda _, row_seed: random_acs(row_seed),
+    "polar": lambda rng, _: cp3_to_acs(
+        zgeom.circle_point(zgeom.PolarPairParams(*_unit3(rng), *_unit3(rng)), _angle(rng))
+    ),
+    "edge01": lambda rng, _: acs_from_form(zgeom.edge01_form(*_unit3(rng))),
+}
+
+
 def _sample_structures(set_name: str, count: int, seed: int):
     rng = np.random.default_rng([seed, sum(map(ord, set_name))])
+    draw = _SAMPLERS[set_name]
     for k in range(count):
-        if set_name == "ank":
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            theta = float(rng.uniform(0.0, 2.0 * np.pi))
-            yield zgeom.ank_circle_acs(float(v[0]), float(v[1]), float(v[2]), theta)
-        elif set_name == "integrable":
-            yield integrable_acs(haar_rotation(3, rng), haar_rotation(3, rng))
-        elif set_name == "random":
-            yield random_acs([seed, k])
-        elif set_name == "polar":
-            vp = rng.standard_normal(3)
-            vp /= np.linalg.norm(vp)
-            vm = rng.standard_normal(3)
-            vm /= np.linalg.norm(vm)
-            params = zgeom.PolarPairParams(
-                float(vp[0]), float(vp[1]), float(vp[2]),
-                float(vm[0]), float(vm[1]), float(vm[2]),
-            )
-            theta = float(rng.uniform(0.0, 2.0 * np.pi))
-            yield cp3_to_acs(zgeom.circle_point(params, theta))
-        elif set_name == "edge01":
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            yield acs_from_form(zgeom.edge01_form(float(v[0]), float(v[1]), float(v[2])))
-        else:
-            raise ParseError(f"unknown sample set {set_name!r}")
+        yield draw(rng, [seed, k])
 
 
 def _cloud_row(acs: ACS) -> str:
@@ -198,8 +197,6 @@ def _cmd_classify(args) -> int:
     norm = nijenhuis_norm(acs)
     point = acs_to_cp3(acs)
     coords = point.normalized().coords
-    sigma = TwoForm.basis(4, 5)
-    w = fundamental_form(acs)
     report = {
         "in_z": True,
         "blocks": {
@@ -212,7 +209,7 @@ def _cmd_classify(args) -> int:
         "ank": is_ank(acs),
         "cp3": [f"{_fmt(z.real)}{z.imag:+.17g}i" for z in coords],
         "tetra": [_fmt(v) for v in tetra_coords(point)],
-        "polar_e5e6": bool(abs(sigma.inner(w)) <= 1e-9),
+        "polar_e5e6": zgeom.polar_contains(TwoForm.basis(4, 5), fundamental_form(acs)),
         "max_constraint_residual": _fmt(float(np.max(constraint_residuals(b)))),
     }
     if args.json:
@@ -274,12 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sample = sub.add_parser("sample", help="export a tetrahedron point cloud as CSV")
-    p_sample.add_argument(
-        "--set",
-        required=True,
-        choices=("ank", "integrable", "random", "polar", "edge01"),
-        dest="set",
-    )
+    p_sample.add_argument("--set", required=True, choices=tuple(_SAMPLERS), dest="set")
     p_sample.add_argument("--count", type=_int_at_least(1), required=True)
     p_sample.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sample.add_argument("--out", default="-")

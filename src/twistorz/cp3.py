@@ -86,9 +86,6 @@ class CP3Point:
         r = self.projective_residual(other)
         return float(np.sqrt(max(0.0, 1.0 - (1.0 - r) ** 2)))
 
-    def isclose(self, other: "CP3Point", tol: float = 1e-9) -> bool:
-        return self.projective_residual(other) <= tol
-
 
 def wedge4(u, v) -> np.ndarray:
     """Bivector coefficients of u ^ v over BIVECTOR_PAIRS."""

@@ -59,9 +59,5 @@ class NotRotationError(TwistorError):
     """A 3x3 block is not a rotation matrix."""
 
 
-class NoConvergenceError(TwistorError):
-    """No search restart met the convergence criteria."""
-
-
 class ParseError(TwistorError):
     """Command-line or file input could not be parsed."""

@@ -18,14 +18,19 @@ from itertools import combinations
 
 import numpy as np
 
-DIM = 6
+from .algebra import DIM
 
 #: ordered index pairs (i, j), i < j, for the 15 basis 2-forms
 PAIRS: tuple[tuple[int, int], ...] = tuple(combinations(range(DIM), 2))
 PAIR_INDEX: dict[tuple[int, int], int] = {p: k for k, p in enumerate(PAIRS)}
+_ROWS, _COLS = np.array(PAIRS).T
 
 #: ordered index quadruples for the 15 basis 4-forms
 QUADS: tuple[tuple[int, int, int, int], ...] = tuple(combinations(range(DIM), 4))
+#: per quad (i, j, k, l), the coefficient indices of its pairs ij, ik, il, jk, jl, kl
+_IJ, _IK, _IL, _JK, _JL, _KL = np.array(
+    [[PAIR_INDEX[p] for p in combinations(quad, 2)] for quad in QUADS]
+).T
 
 
 def covector(coeffs) -> np.ndarray:
@@ -33,12 +38,6 @@ def covector(coeffs) -> np.ndarray:
     if a.shape != (DIM,) or not np.all(np.isfinite(a)):
         raise ValueError("covector needs 6 finite coefficients")
     return a
-
-
-def basis_covector(i: int) -> np.ndarray:
-    e = np.zeros(DIM)
-    e[i] = 1.0
-    return e
 
 
 @dataclass(frozen=True)
@@ -89,13 +88,12 @@ class TwoForm:
             raise ValueError("expected a 6x6 matrix")
         if np.max(np.abs(m + m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
             raise ValueError("matrix is not antisymmetric")
-        return cls(np.array([m[i, j] for i, j in PAIRS]))
+        return cls(m[_ROWS, _COLS])
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((DIM, DIM))
-        for k, (i, j) in enumerate(PAIRS):
-            m[i, j] = self.coeffs[k]
-            m[j, i] = -self.coeffs[k]
+        m[_ROWS, _COLS] = self.coeffs
+        m[_COLS, _ROWS] = -self.coeffs
         return m
 
     def coeff(self, i: int, j: int) -> float:
@@ -114,10 +112,7 @@ class TwoForm:
     def evaluate(self, x, y) -> float:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        s = 0.0
-        for k, (i, j) in enumerate(PAIRS):
-            s += self.coeffs[k] * (x[i] * y[j] - x[j] * y[i])
-        return float(s)
+        return float(self.coeffs @ (x[_ROWS] * y[_COLS] - x[_COLS] * y[_ROWS]))
 
     def allclose(self, other: "TwoForm", tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
@@ -141,17 +136,7 @@ def wedge(a, b) -> TwoForm:
     """Wedge product of two covectors: (a^b)(X, Y) = a(X)b(Y) - a(Y)b(X)."""
     a = covector(a)
     b = covector(b)
-    return TwoForm(np.array([a[i] * b[j] - a[j] * b[i] for i, j in PAIRS]))
-
-
-def form_inner(a: TwoForm, b: TwoForm) -> float:
-    """Inner product sum_{i<j} a_ij b_ij (basis 2-forms orthonormal)."""
-    return a.inner(b)
-
-
-def eval_form(w: TwoForm, x, y) -> float:
-    """Evaluate w on a pair of vectors."""
-    return w.evaluate(x, y)
+    return TwoForm(a[_ROWS] * b[_COLS] - a[_COLS] * b[_ROWS])
 
 
 def wedge_two_forms(a: TwoForm, b: TwoForm) -> np.ndarray:
@@ -160,18 +145,15 @@ def wedge_two_forms(a: TwoForm, b: TwoForm) -> np.ndarray:
     Used for decomposability: a 2-form s is a single wedge e ^ f
     exactly when s ^ s = 0.
     """
-    out = np.zeros(len(QUADS))
-    for q, quad in enumerate(QUADS):
-        i, j, k, l = quad
-        out[q] = (
-            a.coeff(i, j) * b.coeff(k, l)
-            - a.coeff(i, k) * b.coeff(j, l)
-            + a.coeff(i, l) * b.coeff(j, k)
-            + a.coeff(k, l) * b.coeff(i, j)
-            - a.coeff(j, l) * b.coeff(i, k)
-            + a.coeff(j, k) * b.coeff(i, l)
-        )
-    return out
+    a, b = a.coeffs, b.coeffs
+    return (
+        a[_IJ] * b[_KL]
+        - a[_IK] * b[_JL]
+        + a[_IL] * b[_JK]
+        + a[_KL] * b[_IJ]
+        - a[_JL] * b[_IK]
+        + a[_JK] * b[_IL]
+    )
 
 
 def decomposability_residual(w: TwoForm) -> float:

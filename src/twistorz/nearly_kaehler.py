@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .acs import ACS, acs_from_form, blocks, fundamental_form
-from .algebra import STRUCTURE_CONSTANTS, bracket
+from .algebra import STRUCTURE_CONSTANTS, basis_vector, bracket
 from .exceptions import NotInZError, WrongOrientationError
-from .exterior import TwoForm, basis_covector, wedge
+from .exterior import TwoForm, wedge
 
 DEFAULT_TOL = 1e-9
 
@@ -81,5 +81,5 @@ def ank_form(f1, f2, f3, tol: float = DEFAULT_TOL) -> ACS:
         )
     w = TwoForm.zero()
     for i, f in enumerate(fs):
-        w = w + wedge(basis_covector(3 + i), f)
+        w = w + wedge(basis_vector(3 + i), f)
     return acs_from_form(w, tol=tol)

@@ -22,7 +22,7 @@ from .exceptions import DomainError, NotRotationError
 DEFAULT_TOL = 1e-9
 
 
-def nijenhuis(acs: ACS) -> np.ndarray:
+def nijenhuis_tensor(acs: ACS) -> np.ndarray:
     """Components N[k, i, j] of the Nijenhuis tensor on the basis."""
     return kernels.nijenhuis_components(acs.matrix)
 
@@ -84,12 +84,8 @@ def cofactor_checks(b: Blocks) -> np.ndarray:
 
 
 def _cofactor_matrix(m: np.ndarray) -> np.ndarray:
-    out = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
-            out[i, j] = (-1.0) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
-    return out
+    # row i of the cofactor matrix is the cross product of the other two rows
+    return np.cross(m[[1, 2, 0]], m[[2, 0, 1]])
 
 
 def is_integrable(acs: ACS, tol: float = DEFAULT_TOL) -> bool:

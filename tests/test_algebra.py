@@ -10,7 +10,6 @@ from twistorz.algebra import (
     basis_vector,
     bracket,
     jacobi_residual,
-    metric,
     nabla,
 )
 
@@ -58,9 +57,9 @@ def test_jacobi_random(x, y, z):
 
 def test_metric_examples():
     e = np.eye(6)
-    assert metric(e[0], e[0]) == 1.0
-    assert metric(e[0], e[3]) == 0.0
-    assert metric(e[0] + e[1], e[0] - e[1]) == 0.0
+    assert np.dot(e[0], e[0]) == 1.0
+    assert np.dot(e[0], e[3]) == 0.0
+    assert np.dot(e[0] + e[1], e[0] - e[1]) == 0.0
 
 
 def _koszul_nabla(x, y):
@@ -73,9 +72,9 @@ def _koszul_nabla(x, y):
     for k in range(6):
         z = basis_vector(k)
         comps[k] = 0.5 * (
-            metric(oracle_bracket(x, y), z)
-            - metric(oracle_bracket(x, z), y)
-            - metric(oracle_bracket(y, z), x)
+            np.dot(oracle_bracket(x, y), z)
+            - np.dot(oracle_bracket(x, z), y)
+            - np.dot(oracle_bracket(y, z), x)
         )
     return comps
 
@@ -93,13 +92,27 @@ def test_nabla_examples_via_koszul():
 
 @given(vec_st, vec_st, vec_st)
 def test_metric_compatibility(x, y, z):
-    r = metric(nabla(x, y), z) + metric(y, nabla(x, z))
+    r = np.dot(nabla(x, y), z) + np.dot(y, nabla(x, z))
     scale = max(1.0, float(np.max(np.abs(x))) * float(np.max(np.abs(y))) * float(np.max(np.abs(z))))
     assert abs(r) < 1e-10 * scale
 
 
 @given(vec_st, vec_st, vec_st)
 def test_ad_invariance(x, y, z):
-    r = metric(bracket(x, y), z) + metric(y, bracket(x, z))
+    r = np.dot(bracket(x, y), z) + np.dot(y, bracket(x, z))
     scale = max(1.0, float(np.max(np.abs(x))) * float(np.max(np.abs(y))) * float(np.max(np.abs(z))))
     assert abs(r) < 1e-10 * scale
+
+
+def test_jacobi_residual_matches_bracket_loop():
+    """Reference: the Jacobi sum through bracket() over all 216 basis triples."""
+    e = np.eye(6)
+    worst = max(
+        float(np.max(np.abs(
+            bracket(bracket(e[i], e[j]), e[k])
+            + bracket(bracket(e[j], e[k]), e[i])
+            + bracket(bracket(e[k], e[i]), e[j])
+        )))
+        for i in range(6) for j in range(6) for k in range(6)
+    )
+    assert jacobi_residual() == worst == 0.0

@@ -159,6 +159,50 @@ def test_sample_rows_revalidate_on_ingestion(tmp_path, capsys):
         assert row[5] in ("true", "false") and row[6] in ("true", "false")
 
 
+#: the first three rows of `sample --set <name> --count 3 --seed 0`, recorded from
+#: the sampler before it became a table; each set must keep the order of its rng draws
+PINNED_ROWS = {
+    "ank": (
+        "0.35051905596592786,0.14948094403407231,0.35051905596592781,0.14948094403407208,6.9282032302755079,false,true",
+        "0.38631086350721838,0.11368913649278156,0.38631086350721838,0.11368913649278171,6.928203230275507,false,true",
+        "0.43774094747634934,0.062259052523650722,0.43774094747634917,0.062259052523650729,6.9282032302755105,false,true",
+    ),
+    "integrable": (
+        "0.52993204912913583,0.16273835903562195,0.072205067329018116,0.23512452450622423,1.0938679816428079e-15,true,false",
+        "0.15670548596844974,0.033580228466986391,0.14289244351796254,0.66682184204660133,9.9508978908478212e-16,true,false",
+        "0.0005379866326417586,0.0019961596345652874,0.78570882030146294,0.21175703343132996,7.9380288850992377e-16,true,false",
+    ),
+    "random": (
+        "0.045757269268237935,0.095716116988810523,0.71935113685711505,0.13917547688583651,1.9054348045318286,false,false",
+        "0.23034293955662918,0.021721181828016915,0.13021577500104334,0.61772010361431051,3.9467256967566438,false,false",
+        "0.45349889881664529,0.071909314944704275,0.31893768050327387,0.15565410573537652,3.8434363045717745,false,false",
+    ),
+    "polar": (
+        "0.31801730551470264,0.24740006559491509,0.25259993440508505,0.18198269448529733,5.8624446092446121,false,false",
+        "0.11577016480516769,0.45871263751838448,0.04128736248161545,0.38422983519483223,5.7816724213749673,false,false",
+        "0.073997517848559971,0.14626503896993334,0.35373496103006663,0.42600248215144004,2.9168408596873214,false,false",
+    ),
+    "edge01": (
+        "0.30860933619786385,0.69139066380213621,0,0,6.7814514044601572e-16,true,false",
+        "0.79286496655016647,0.20713503344983358,0,0,1.1091405085618405e-16,true,false",
+        "0.79551147182707649,0.2044885281729234,0,0,2.3133397402430437e-16,true,false",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_ROWS)
+def test_sample_rows_pinned_across_versions(capsys, name):
+    code, out, _ = run_cli(capsys, "sample", "--set", name, "--count", "3", "--seed", "0")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 4
+    for line, pinned in zip(lines[1:], PINNED_ROWS[name]):
+        got, want = line.split(","), pinned.split(",")
+        assert np.max(np.abs(np.array(got[:5], dtype=float) - np.array(want[:5], dtype=float))) <= 1e-12
+        assert got[5:] == want[5:]
+
+
 def test_sample_rejects_bad_count(capsys):
     (line,) = _parser_rejects(capsys, "sample", "--set", "ank", "--count", "0")
     assert "--count" in line

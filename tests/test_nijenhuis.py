@@ -14,14 +14,15 @@ from twistorz.acs import (
 )
 from twistorz.exceptions import DomainError, NotRotationError
 from twistorz.nijenhuis import (
+    _cofactor_matrix,
     calibration_constant,
     closed_form_norm,
     cofactor_checks,
     integrable_acs,
     is_integrable,
     max_norm,
-    nijenhuis,
     nijenhuis_norm,
+    nijenhuis_tensor,
     norm_law_residual,
 )
 
@@ -31,18 +32,18 @@ KAPPA_MEASURED = 48.0
 
 
 def test_hopf_structure_tensor_vanishes():
-    assert np.max(np.abs(nijenhuis(hopf_acs()))) < 1e-15
+    assert np.max(np.abs(nijenhuis_tensor(hopf_acs()))) < 1e-15
 
 
 def test_swap_structure_pair_fixture():
-    n = nijenhuis(ank_reference_acs())
+    n = nijenhuis_tensor(ank_reference_acs())
     # frozen from the pre-build expansion: N(e1, e2) = -e3 + e6
     assert np.array_equal(n[:, 0, 1], np.array([0.0, 0.0, -1.0, 0.0, 0.0, 1.0]))
     assert n[0, 0, 1] == n[1, 0, 1] == n[3, 0, 1] == n[4, 0, 1] == 0.0
 
 
 def test_antisymmetry_in_arguments():
-    n = nijenhuis(random_acs(3))
+    n = nijenhuis_tensor(random_acs(3))
     assert np.max(np.abs(n + n.transpose(0, 2, 1))) == 0.0
 
 
@@ -177,3 +178,15 @@ def test_singular_b_implies_integrable(rng):
     for acs in candidates:
         assert abs(np.linalg.det(blocks(acs).B)) < 1e-12
         assert is_integrable(acs)
+
+
+def test_cofactor_matrix_matches_minors(rng):
+    """Reference: signed 2x2 minors, the loop the cross products replaced."""
+    for _ in range(100):
+        m = rng.standard_normal((3, 3))
+        expected = np.empty((3, 3))
+        for i in range(3):
+            for j in range(3):
+                minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
+                expected[i, j] = (-1.0) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
+        assert np.array_equal(_cofactor_matrix(m), expected)
