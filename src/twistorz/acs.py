@@ -6,6 +6,9 @@ J e_i).  The induced action on covectors is the transpose, which equals
 -J for members of Z.  The fundamental form w(X, Y) = g(JX, Y) then has
 coefficient matrix J^T, so structures and forms convert by transposition.
 
+Where noted, a function also takes a stack of structures along a leading
+batch axis and returns one value per structure.
+
 The orientation of Z is defined by the reference structure ``vertex_acs(0)``
 (vector action e1 -> e2, e3 -> e4, e5 -> e6); for it the adapted-frame
 determinant sign, which equals the sign of the Pfaffian, is -1, and
@@ -21,6 +24,7 @@ import numpy as np
 from .algebra import DIM
 from .exceptions import NotComplexError, NotOrthogonalError, WrongOrientationError
 from .exterior import TwoForm
+from .kernels import _scalar
 
 DEFAULT_TOL = 1e-9
 _EYE = np.eye(DIM)
@@ -32,7 +36,8 @@ class ACS:
 
     The plain constructor trusts its input (used on hot paths where the
     matrix is a conjugate of a validated one); everything user-facing goes
-    through :meth:`validate`.
+    through :meth:`validate`.  The trusted constructor also takes a stack
+    (..., 6, 6) of such matrices, which the batched functions accept.
     """
 
     matrix: np.ndarray
@@ -63,9 +68,9 @@ class ACS:
         return cls(0.5 * (m - m.T))
 
     def conjugate(self, q) -> "ACS":
-        """Q J Q^T for Q in SO(6); stays in Z, no re-validation."""
+        """Q J Q^T for Q in SO(6), or a stack of them; stays in Z, no re-validation."""
         q = np.asarray(q, dtype=float)
-        return ACS(q @ self.matrix @ q.T)
+        return ACS(q @ self.matrix @ q.mT)
 
 
 def _perfect_matchings(idx: tuple[int, ...]):
@@ -81,11 +86,11 @@ def _perfect_matchings(idx: tuple[int, ...]):
 
 _MATCHINGS = list(_perfect_matchings(tuple(range(DIM))))
 _PF_SIGNS = np.array([sign for sign, _ in _MATCHINGS], dtype=float)
-_PF_ROWS = np.array([[i for i, _ in pairs] for _, pairs in _MATCHINGS])
-_PF_COLS = np.array([[j for _, j in pairs] for _, pairs in _MATCHINGS])
+#: flat (row-major) indices of the three factors of each term
+_PF_FLAT = np.array([[i * DIM + j for i, j in pairs] for _, pairs in _MATCHINGS])
 
 
-def orientation_sign(matrix) -> int:
+def orientation_sign(matrix):
     """Sign of det[X1 X2 X3 JX1 JX2 JX3] for an adapted frame, as sign(Pf J).
 
     Defined for J in O(6) with J^2 = -1 (what :meth:`ACS.validate` passes
@@ -94,11 +99,12 @@ def orientation_sign(matrix) -> int:
     components of that set, flip under J -> -J, and agree on the reference
     structure, so they agree everywhere.  The Pfaffian is the explicit
     15-term sum over the antisymmetric part; where it vanishes (J outside
-    the domain) the result is 0.
+    the domain) the result is 0.  Batched: an int per matrix of a stack.
     """
     m = np.asarray(matrix, dtype=float)
-    a = 0.5 * (m - m.T)
-    return int(np.sign(_PF_SIGNS @ a[_PF_ROWS, _PF_COLS].prod(axis=1)))
+    a = 0.5 * (m - m.mT)
+    pf = np.take(a.reshape(a.shape[:-2] + (DIM * DIM,)), _PF_FLAT, axis=-1).prod(axis=-1) @ _PF_SIGNS
+    return _scalar(np.sign(pf).astype(int))
 
 
 def _vertex_matrix(k: int) -> np.ndarray:
@@ -158,12 +164,17 @@ def acs_from_form(w: TwoForm, tol: float = DEFAULT_TOL) -> ACS:
     return ACS.validate(w.matrix().T, tol=tol)
 
 
+_UPPER = ([0, 0, 1], [1, 2, 2])  # entries (0, 1), (0, 2), (1, 2) of a 3x3 block
+
+
 @dataclass(frozen=True)
 class Blocks:
     """3x3 blocks of the vector action, J = (A B; -B^T C).
 
     A and C are antisymmetric with entry layout
     ``[[0, a1, a2], [-a1, 0, a3], [-a2, -a3, 0]]``; B is b1..b9 row-major.
+    Blocks of a stack of structures are stacks (..., 3, 3), and ``a``,
+    ``c`` and :meth:`reassemble` keep the leading axes.
     """
 
     A: np.ndarray
@@ -172,19 +183,20 @@ class Blocks:
 
     @property
     def a(self) -> np.ndarray:
-        return np.array([self.A[0, 1], self.A[0, 2], self.A[1, 2]])
+        return self.A[..., _UPPER[0], _UPPER[1]]
 
     @property
     def c(self) -> np.ndarray:
-        return np.array([self.C[0, 1], self.C[0, 2], self.C[1, 2]])
+        return self.C[..., _UPPER[0], _UPPER[1]]
 
     def reassemble(self) -> np.ndarray:
-        return np.block([[self.A, self.B], [-self.B.T, self.C]])
+        return np.block([[self.A, self.B], [-self.B.mT, self.C]])
 
 
 def blocks(acs: ACS) -> Blocks:
+    """Block decomposition; batched over a stack of structures."""
     m = acs.matrix
-    return Blocks(A=m[0:3, 0:3].copy(), B=m[0:3, 3:6].copy(), C=m[3:6, 3:6].copy())
+    return Blocks(A=m[..., 0:3, 0:3].copy(), B=m[..., 0:3, 3:6].copy(), C=m[..., 3:6, 3:6].copy())
 
 
 def constraint_residuals(b: Blocks) -> np.ndarray:
@@ -192,34 +204,34 @@ def constraint_residuals(b: Blocks) -> np.ndarray:
 
     Six norm equations (rows of B paired with a-entries, columns of B
     paired with c-entries), the nine entries of AB + BC = 0, and the
-    derived identity |a|^2 = |c|^2.  Returned as absolute residuals.
+    derived identity |a|^2 = |c|^2.  Returned as absolute residuals along
+    the last axis; batched over stacked blocks.
     """
-    a1, a2, a3 = b.a
-    c1, c2, c3 = b.c
-    r = b.B  # rows r[0], r[1], r[2]
-    col = b.B.T
-
+    a_sq = b.a * b.a
+    c_sq = b.c * b.c
+    cols = b.B.mT
+    # row i of B pairs with the two a-entries of row i of A (likewise columns and C)
     norms = [
-        a1 * a1 + a2 * a2 + r[0] @ r[0] - 1.0,
-        a1 * a1 + a3 * a3 + r[1] @ r[1] - 1.0,
-        a2 * a2 + a3 * a3 + r[2] @ r[2] - 1.0,
-        c1 * c1 + c2 * c2 + col[0] @ col[0] - 1.0,
-        c1 * c1 + c3 * c3 + col[1] @ col[1] - 1.0,
-        c2 * c2 + c3 * c3 + col[2] @ col[2] - 1.0,
+        a_sq[..., _UPPER[0]] + a_sq[..., _UPPER[1]] + np.vecdot(b.B, b.B) - 1.0,
+        c_sq[..., _UPPER[0]] + c_sq[..., _UPPER[1]] + np.vecdot(cols, cols) - 1.0,
     ]
-    ortho = (b.A @ b.B + b.B @ b.C).flatten()
-    transfer = [a1 * a1 + a2 * a2 + a3 * a3 - (c1 * c1 + c2 * c2 + c3 * c3)]
-    return np.abs(np.concatenate([norms, ortho, transfer]))
+    ortho = (b.A @ b.B + b.B @ b.C).reshape(b.B.shape[:-2] + (9,))
+    transfer = (a_sq[..., 0] + a_sq[..., 1] + a_sq[..., 2]
+                - (c_sq[..., 0] + c_sq[..., 1] + c_sq[..., 2]))[..., None]
+    return np.abs(np.concatenate(norms + [ortho, transfer], axis=-1))
+
+
+def _haar_rotations(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-uniform elements of SO(dim), drawn as n calls of :func:`haar_rotation` would."""
+    q, r = np.linalg.qr(rng.standard_normal((n, dim, dim)))
+    q = q * np.sign(r.diagonal(axis1=-2, axis2=-1))[:, None, :]
+    q[..., 0] *= np.sign(np.linalg.det(q))[:, None]  # det is +-1: flip column 0 where -1
+    return q
 
 
 def haar_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform element of SO(dim) via QR with sign correction."""
-    a = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
+    return _haar_rotations(1, dim, rng)[0]
 
 
 def random_acs(seed) -> ACS:

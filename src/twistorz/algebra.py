@@ -2,8 +2,9 @@
 
 Basis e_1..e_3 spans the first factor, e_4..e_6 the second (0-based
 indices 0..5 in code).  The working metric makes this basis orthonormal;
-it is half the Killing-Cartan form, which only rescales norms and changes
-no orthogonality, integrability or membership statement.
+it is minus one half of the (negative definite) Killing-Cartan form, which
+only rescales norms and changes no orthogonality, integrability or
+membership statement.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ digits so byte-level determinism is checkable end to end.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -23,12 +24,14 @@ from .acs import (
     haar_rotation,
     random_acs,
 )
-from .cp3 import CP3Point, acs_to_cp3, cp3_to_acs, tetra_coords
+from .cp3 import CP3Point, _point_coords, _tetra_coords, acs_to_cp3, cp3_to_acs, tetra_coords
 from .exceptions import NotInZError, ParseError, TwistorError
 from .exterior import TwoForm
+from .kernels import _chunk_sizes
 from .nearly_kaehler import is_ank
 from .nijenhuis import DEFAULT_TOL as NIJENHUIS_TOL
 from .nijenhuis import integrable_acs, max_norm, nijenhuis_norm
+from .zgeom import _angle, _random_ank, _unit3
 
 CSV_HEADER = "b0,b1,b2,b3,nijenhuis_norm,integrable,ank"
 
@@ -80,20 +83,10 @@ def _cmd_verify(args) -> int:
 # sample
 
 
-def _unit3(rng: np.random.Generator) -> tuple[float, float, float]:
-    v = rng.standard_normal(3)
-    v /= np.linalg.norm(v)
-    return float(v[0]), float(v[1]), float(v[2])
-
-
-def _angle(rng: np.random.Generator) -> float:
-    return float(rng.uniform(0.0, 2.0 * np.pi))
-
-
 #: per sample set, one structure from the set's rng and the row seed [seed, k];
 #: arguments are evaluated left to right, which fixes the order of the draws
 _SAMPLERS = {
-    "ank": lambda rng, _: zgeom.ank_circle_acs(*_unit3(rng), _angle(rng)),
+    "ank": lambda rng, _: _random_ank(rng),
     "integrable": lambda rng, _: integrable_acs(haar_rotation(3, rng), haar_rotation(3, rng)),
     "random": lambda _, row_seed: random_acs(row_seed),
     "polar": lambda rng, _: cp3_to_acs(
@@ -110,18 +103,27 @@ def _sample_structures(set_name: str, count: int, seed: int):
         yield draw(rng, [seed, k])
 
 
-def _cloud_row(acs: ACS) -> str:
-    b = tetra_coords(acs_to_cp3(acs))
-    norm = nijenhuis_norm(acs)
-    integrable = norm < NIJENHUIS_TOL
-    ank = is_ank(acs)
-    cols = [_fmt(v) for v in b] + [_fmt(norm), str(integrable).lower(), str(ank).lower()]
+def _cloud_values(structures: list[ACS]):
+    """(tetra coordinates, norm, ank) per structure, computed on one stack."""
+    stack = ACS(np.stack([acs.matrix for acs in structures]))
+    tetra = _tetra_coords(_point_coords(stack.matrix))
+    return zip(tetra, nijenhuis_norm(stack), is_ank(stack))
+
+
+def _cloud_row(values) -> str:
+    tetra, norm, ank = values
+    cols = [_fmt(v) for v in tetra] + [_fmt(norm), str(norm < NIJENHUIS_TOL).lower(), str(ank).lower()]
     return ",".join(cols)
 
 
 def _cloud(args) -> str:
-    rows = [_cloud_row(acs) for acs in _sample_structures(args.set, args.count, args.seed)]
-    return "\n".join([CSV_HEADER] + rows) + "\n"
+    # rows are built per structure, so each seed keeps its points, and
+    # evaluated a chunk at a time on a stack
+    structures = _sample_structures(args.set, args.count, args.seed)
+    rows = [CSV_HEADER]
+    for n in _chunk_sizes(args.count):
+        rows += map(_cloud_row, _cloud_values(list(itertools.islice(structures, n))))
+    return "\n".join(rows) + "\n"
 
 
 def _cmd_sample(args) -> int:

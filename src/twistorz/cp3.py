@@ -59,15 +59,11 @@ class CP3Point:
 
     def scaled(self) -> np.ndarray:
         """Coordinates divided by their largest modulus (no overflow in norms)."""
-        return self.coords / np.abs(self.coords).max()
+        return _scaled(self.coords)
 
     def normalized(self) -> "CP3Point":
         """Unit norm, largest-modulus coordinate real positive (ties: lowest index)."""
-        c = self.scaled()
-        c = c / np.sqrt(np.vdot(c, c).real)
-        mags = np.abs(c)
-        k = int(np.argmax(mags > mags.max() - 1e-12))
-        return CP3Point(c * (mags[k] / c[k]))
+        return CP3Point(_normalized(self.coords))
 
     def projective_residual(self, other: "CP3Point") -> float:
         """1 - |<p, q>| / (|p| |q|); zero exactly on projective equality.
@@ -85,6 +81,29 @@ class CP3Point:
         """Sine of the Fubini-Study angle."""
         r = self.projective_residual(other)
         return float(np.sqrt(max(0.0, 1.0 - (1.0 - r) ** 2)))
+
+
+def _scaled(c: np.ndarray) -> np.ndarray:
+    """Each row of coordinates (..., 4) divided by its largest modulus."""
+    # complex division by the largest modulus m forms 1/m, which overflows
+    # for subnormal m; an exact power-of-two prescale of both sides first
+    # brings m to its mantissa in [1/2, 1)
+    mantissa, exponent = np.frexp(np.abs(c).max(axis=-1, keepdims=True))
+    return np.ldexp(np.ascontiguousarray(c).view(float), -exponent).view(complex) / mantissa
+
+
+def _normalized(c: np.ndarray) -> np.ndarray:
+    """Phase-normalized unit rows of coordinates (..., 4); see :meth:`CP3Point.normalized`."""
+    c = _scaled(c)
+    c = c / np.sqrt(np.vecdot(c, c).real)[..., None]
+    mags = np.abs(c)
+    pivot = _one_hot((mags > mags.max(axis=-1, keepdims=True) - 1e-12).argmax(axis=-1))
+    return c * (mags[pivot] / c[pivot]).reshape(c.shape[:-1] + (1,))
+
+
+def _one_hot(k: np.ndarray) -> np.ndarray:
+    """Mask (..., 4) selecting coordinate k[...] of each row."""
+    return k[..., None] == np.arange(4)
 
 
 def wedge4(u, v) -> np.ndarray:
@@ -153,13 +172,27 @@ def cp3_to_acs(point: CP3Point | np.ndarray) -> ACS:
 
 def acs_to_cp3(acs: ACS) -> CP3Point:
     """Inverse of :func:`cp3_to_acs`; output is phase-normalized."""
-    proj = _QUARTER_EYE + (_INVERSE @ acs.matrix.T.ravel()).view(complex).reshape(4, 4)
+    return CP3Point(_point_coords(acs.matrix))
+
+
+def _point_coords(matrix: np.ndarray) -> np.ndarray:
+    """Phase-normalized coordinates (..., 4) of structures (..., 6, 6); see :func:`acs_to_cp3`."""
+    batch = matrix.shape[:-2]
+    parts = matrix.mT.reshape(batch + (36,)) @ _INVERSE.T
+    proj = _QUARTER_EYE + parts.view(complex).reshape(batch + (4, 4))
     # u u* has trace 1, so its largest diagonal entry is at least 1/4
-    k = int(np.argmax(proj.diagonal().real))
-    return CP3Point(proj[:, k] / np.sqrt(proj[k, k].real)).normalized()
+    diagonal = proj.reshape(batch + (16,))[..., ::5].real
+    pivot = _one_hot(diagonal.argmax(axis=-1))
+    column = proj.mT[pivot].reshape(batch + (4,))  # column k as row k of the transpose
+    return _normalized(column / np.sqrt(diagonal[pivot]).reshape(batch + (1,)))
 
 
 def tetra_coords(point: CP3Point) -> np.ndarray:
     """Barycentric tetrahedron coordinates |u_a|^2 / sum |u_b|^2."""
-    mags = np.abs(point.scaled()) ** 2
-    return mags / mags.sum()
+    return _tetra_coords(point.coords)
+
+
+def _tetra_coords(coords: np.ndarray) -> np.ndarray:
+    """:func:`tetra_coords` of each row of coordinates (..., 4)."""
+    mags = np.abs(_scaled(coords)) ** 2
+    return mags / mags.sum(axis=-1, keepdims=True)

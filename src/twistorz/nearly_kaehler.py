@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .acs import ACS, acs_from_form, blocks, fundamental_form
+from .acs import ACS, acs_from_form
 from .algebra import STRUCTURE_CONSTANTS, basis_vector, bracket
 from .exceptions import NotInZError, WrongOrientationError
 from .exterior import TwoForm, wedge
+from .kernels import _scalar
 
 DEFAULT_TOL = 1e-9
 
@@ -54,10 +55,15 @@ def nk_defect(acs: ACS) -> float:
     return float(np.sqrt(np.sum(s * s)))
 
 
-def is_ank(acs: ACS, tol: float = DEFAULT_TOL) -> bool:
-    """Blocks A and C vanish: the structure swaps the two su(2) factors."""
-    b = blocks(acs)
-    return float(np.linalg.norm(b.A)) < tol and float(np.linalg.norm(b.C)) < tol
+def is_ank(acs: ACS, tol: float = DEFAULT_TOL):
+    """Blocks A and C vanish: the structure swaps the two su(2) factors.
+
+    Batched: a bool per structure of a stack.
+    """
+    m = acs.matrix
+    a = m[..., 0:3, 0:3].reshape(m.shape[:-2] + (9,))
+    c = m[..., 3:6, 3:6].reshape(m.shape[:-2] + (9,))
+    return _scalar((np.sqrt(np.vecdot(a, a)) < tol) & (np.sqrt(np.vecdot(c, c)) < tol))
 
 
 def ank_form(f1, f2, f3, tol: float = DEFAULT_TOL) -> ACS:

@@ -7,6 +7,10 @@ calibration constant kappa fixed once as |N|^2 of the factor-swapping
 reference structure.  Under the conventions of this package the measured
 value is kappa = 48 exactly (see the verification report for the
 comparison against the literature normalization).
+
+The tensor, the norm, the integrability test, the norm law, the cofactor
+checks and the integrable family are batched: given a stack of structures
+(an :class:`ACS` holding (..., 6, 6)) they return one value per structure.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 from . import kernels
 from .acs import ACS, Blocks, ank_reference_acs, blocks, hopf_acs
 from .exceptions import DomainError, NotRotationError
+from .kernels import _scalar
 
 DEFAULT_TOL = 1e-9
 
@@ -27,12 +32,12 @@ def nijenhuis_tensor(acs: ACS) -> np.ndarray:
     return kernels.nijenhuis_components(acs.matrix)
 
 
-def nijenhuis_norm_sq(acs: ACS) -> float:
+def nijenhuis_norm_sq(acs: ACS):
     return kernels.nijenhuis_norm_sq(acs.matrix)
 
 
-def nijenhuis_norm(acs: ACS) -> float:
-    return float(np.sqrt(kernels.nijenhuis_norm_sq(acs.matrix)))
+def nijenhuis_norm(acs: ACS):
+    return _scalar(np.sqrt(kernels.nijenhuis_norm_sq(acs.matrix)))
 
 
 @lru_cache(maxsize=1)
@@ -60,35 +65,36 @@ def closed_form_norm(b: Blocks, kappa: float | None = None) -> float:
 def cofactor_checks(b: Blocks) -> np.ndarray:
     """Residuals of the cofactor identity chain for the B block.
 
-    Returns three values: (i) max-abs of B^T B - 1 - C^2, (ii) the trace
-    identity |B^a|^2 = (det B)^2 tr((B^T B)^-1) (NaN when det B = 0, where
-    the identity is undefined), (iii) |B^a|^2 against the second symmetric
-    function of the eigenvalues of 1 + C^2.  B^a is the cofactor matrix.
+    Returns three values along the last axis: (i) max-abs of
+    B^T B - 1 - C^2, (ii) the trace identity |B^a|^2 = (det B)^2
+    tr((B^T B)^-1) (NaN where |det B| <= 1e-12, where the identity is
+    undefined), (iii) |B^a|^2 against the second symmetric function of the
+    eigenvalues of 1 + C^2.  B^a is the cofactor matrix.
     """
-    bt_b = b.B.T @ b.B
+    bt_b = b.B.mT @ b.B
     target = np.eye(3) + b.C @ b.C
-    r1 = float(np.max(np.abs(bt_b - target)))
+    r1 = np.max(np.abs(bt_b - target), axis=(-2, -1))
 
     cof = _cofactor_matrix(b.B)
-    cof_sq = float(np.sum(cof * cof))
-    det = float(np.linalg.det(b.B))
-    if abs(det) > 1e-12:
-        r2 = abs(cof_sq - det * det * float(np.trace(np.linalg.inv(bt_b))))
-    else:
-        r2 = float("nan")
+    cof_sq = np.sum(cof * cof, axis=(-2, -1))
+    det = np.linalg.det(b.B)
+    r2 = np.full(det.shape, np.nan)
+    ok = np.abs(det) > 1e-12
+    inv_trace = np.trace(np.linalg.inv(bt_b[ok]), axis1=-2, axis2=-1)
+    r2[ok] = np.abs(cof_sq[ok] - det[ok] * det[ok] * inv_trace)
 
     lam = np.linalg.eigvalsh(target)
-    sym2 = float(lam[0] * lam[1] + lam[1] * lam[2] + lam[0] * lam[2])
-    r3 = abs(cof_sq - sym2)
-    return np.array([r1, r2, r3])
+    sym2 = lam[..., 0] * lam[..., 1] + lam[..., 1] * lam[..., 2] + lam[..., 0] * lam[..., 2]
+    r3 = np.abs(cof_sq - sym2)
+    return np.stack([r1, r2, r3], axis=-1)
 
 
 def _cofactor_matrix(m: np.ndarray) -> np.ndarray:
     # row i of the cofactor matrix is the cross product of the other two rows
-    return np.cross(m[[1, 2, 0]], m[[2, 0, 1]])
+    return np.cross(m[..., [1, 2, 0], :], m[..., [2, 0, 1], :])
 
 
-def is_integrable(acs: ACS, tol: float = DEFAULT_TOL) -> bool:
+def is_integrable(acs: ACS, tol: float = DEFAULT_TOL):
     """Vanishing Nijenhuis tensor within tolerance."""
     return nijenhuis_norm(acs) < tol
 
@@ -97,29 +103,31 @@ def integrable_acs(o1, o2) -> ACS:
     """Conjugate of the integrable reference by block rotations diag(O1, O2).
 
     Every integrable member of Z arises this way, so the family doubles as
-    a sampler for the zero set of the norm functional.
+    a sampler for the zero set of the norm functional.  Batched over stacks
+    of rotation pairs; every block is validated.
     """
     q = _block_rotation(o1, o2)
     return hopf_acs().conjugate(q)
 
 
 def _block_rotation(o1, o2) -> np.ndarray:
-    q = np.zeros((6, 6))
+    o1 = np.asarray(o1, dtype=float)
+    o2 = np.asarray(o2, dtype=float)
+    if o1.shape[-2:] != (3, 3) or o2.shape != o1.shape:
+        raise NotRotationError("blocks must be 3x3")
+    q = np.zeros(o1.shape[:-2] + (6, 6))
     for off, o in ((0, o1), (3, o2)):
-        o = np.asarray(o, dtype=float)
-        if o.shape != (3, 3):
-            raise NotRotationError("blocks must be 3x3")
-        if np.max(np.abs(o.T @ o - np.eye(3))) > DEFAULT_TOL:
+        if np.max(np.abs(o.mT @ o - np.eye(3))) > DEFAULT_TOL:
             raise NotRotationError("block is not orthogonal")
-        if np.linalg.det(o) < 0:
+        if np.any(np.linalg.det(o) < 0):
             raise NotRotationError("block has determinant -1")
-        q[off : off + 3, off : off + 3] = o
+        q[..., off : off + 3, off : off + 3] = o
     return q
 
 
-def norm_law_residual(acs: ACS, kappa: float | None = None) -> float:
-    """|  |N|^2 / kappa - (1 - |c|^2)  | for one structure."""
+def norm_law_residual(acs: ACS, kappa: float | None = None):
+    """|  |N|^2 / kappa - (1 - |c|^2)  | per structure."""
     if kappa is None:
         kappa = calibration_constant()
-    b = blocks(acs)
-    return abs(nijenhuis_norm_sq(acs) / kappa - (1.0 - float(b.c @ b.c)))
+    c = blocks(acs).c
+    return _scalar(np.abs(nijenhuis_norm_sq(acs) / kappa - (1.0 - np.vecdot(c, c))))

@@ -16,27 +16,28 @@ import numpy as np
 from . import search, zgeom
 from .acs import (
     ACS,
+    _haar_rotations,
     ank_reference_acs,
     blocks,
     constraint_residuals,
     fundamental_form,
     haar_rotation,
     hopf_acs,
-    random_acs,
     vertex_acs,
 )
 from .algebra import basis_vector
 from .cp3 import CP3Point, acs_to_cp3, cp3_to_acs
 from .exterior import TwoForm
+from .kernels import _chunk_sizes
 from .nearly_kaehler import _nabla_tensor, nabla_omega, nk_defect
 from .nijenhuis import (
-    calibration_constant,
     cofactor_checks,
     integrable_acs,
     max_norm,
     nijenhuis_norm,
     norm_law_residual,
 )
+from .zgeom import _angle, _random_ank, _unit3
 
 #: literature values reported alongside measurements
 PAPER_MAX_NORM = 8.0 * math.sqrt(3.0)
@@ -76,16 +77,6 @@ def _result(name: str, residual: float, threshold: float,
     return CheckResult(name, status, float(residual), paper_value, measured_value)
 
 
-def _unit3(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
-
-
-def _random_ank(rng: np.random.Generator) -> ACS:
-    r, x, u = _unit3(rng)
-    return zgeom.ank_circle_acs(float(r), float(x), float(u), float(rng.uniform(0.0, 2 * np.pi)))
-
-
 def check_cp3_fixtures() -> CheckResult:
     worst = 0.0
     targets = {
@@ -110,8 +101,8 @@ def check_edge01(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(100):
         s, c1, c2 = _unit3(rng)
-        constructive = zgeom.edge01_form(float(s), float(c1), float(c2))
-        closed = zgeom.edge01_closed_form(float(s), float(c1), float(c2))
+        constructive = zgeom.edge01_form(s, c1, c2)
+        closed = zgeom.edge01_closed_form(s, c1, c2)
         worst = max(worst, float(np.max(np.abs(constructive.coeffs - closed.coeffs))))
     return _result("edge01_family", worst, 1e-9)
 
@@ -131,13 +122,13 @@ def _branch_worst(seed: int, tag: int, param_fn, count: int = 40) -> float:
 
 def check_circle_degenerate(seed: int) -> CheckResult:
     def params(rng):
-        return zgeom.PolarPairParams(-1, 0, 0, -1, 0, 0), float(rng.uniform(0, 2 * np.pi))
+        return zgeom.PolarPairParams(-1, 0, 0, -1, 0, 0), _angle(rng)
 
     worst = _branch_worst(seed, 102, params)
     # degenerate display is also compared verbatim
     rng = np.random.default_rng([seed, 103])
     for _ in range(10):
-        theta = float(rng.uniform(0, 2 * np.pi))
+        theta = _angle(rng)
         p = zgeom.PolarPairParams(-1, 0, 0, -1, 0, 0)
         printed, _ = zgeom.printed_circle_form(p, theta)
         worst = max(
@@ -148,30 +139,17 @@ def check_circle_degenerate(seed: int) -> CheckResult:
 
 def check_circle_generic(seed: int) -> CheckResult:
     def params(rng):
-        rp, xp, up = _unit3(rng)
-        rm, xm, um = _unit3(rng)
-        return (
-            zgeom.PolarPairParams(float(rp), float(xp), float(up), float(rm), float(xm), float(um)),
-            float(rng.uniform(0, 2 * np.pi)),
-        )
+        return zgeom.PolarPairParams(*_unit3(rng), *_unit3(rng)), _angle(rng)
 
     return _result("circle_branch_generic", _branch_worst(seed, 104, params), 1e-9)
 
 
 def check_circle_mixed(seed: int) -> CheckResult:
     def minus_deg(rng):
-        r, x, u = _unit3(rng)
-        return (
-            zgeom.PolarPairParams(float(r), float(x), float(u), -1.0, 0.0, 0.0),
-            float(rng.uniform(0, 2 * np.pi)),
-        )
+        return zgeom.PolarPairParams(*_unit3(rng), -1.0, 0.0, 0.0), _angle(rng)
 
     def plus_deg(rng):
-        r, x, u = _unit3(rng)
-        return (
-            zgeom.PolarPairParams(-1.0, 0.0, 0.0, float(r), float(x), float(u)),
-            float(rng.uniform(0, 2 * np.pi)),
-        )
+        return zgeom.PolarPairParams(-1.0, 0.0, 0.0, *_unit3(rng)), _angle(rng)
 
     worst = max(_branch_worst(seed, 105, minus_deg), _branch_worst(seed, 106, plus_deg))
     return _result("circle_branch_mixed", worst, 1e-9)
@@ -213,8 +191,8 @@ def check_circle_seam(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 107])
     worst = 0.0
     for _ in range(5):
-        fixed = tuple(float(v) for v in _unit3(rng))
-        theta = float(rng.uniform(0, 2 * np.pi))
+        fixed = _unit3(rng)
+        theta = _angle(rng)
         worst = max(worst, _seam_limit_residual(theta, fixed, plus_side=True))
         worst = max(worst, _seam_limit_residual(theta, fixed, plus_side=False))
     return _result("circle_branch_seam", worst, 1e-6)
@@ -223,20 +201,22 @@ def check_circle_seam(seed: int) -> CheckResult:
 def check_integrable_family(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 108])
     worst = 0.0
-    for _ in range(200):
-        acs = integrable_acs(haar_rotation(3, rng), haar_rotation(3, rng))
-        worst = max(worst, nijenhuis_norm(acs))
-        worst = max(worst, abs(float(np.linalg.norm(blocks(acs).c)) - 1.0))
+    for n in _chunk_sizes(200):
+        # one rotation pair per structure, drawn o1, o2, o1, o2, ...
+        rotations = _haar_rotations(2 * n, 3, rng)
+        acs = integrable_acs(rotations[0::2], rotations[1::2])
+        c = blocks(acs).c
+        c_norm = np.sqrt(np.vecdot(c, c))
+        worst = max(worst, float(np.max(nijenhuis_norm(acs))), float(np.max(np.abs(c_norm - 1.0))))
     return _result("integrable_family", worst, 1e-9)
 
 
 def check_proportionality(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 109])
     worst = 0.0
-    for _ in range(1000):
-        q = haar_rotation(6, rng)
-        acs = vertex_acs(0).conjugate(q)
-        worst = max(worst, norm_law_residual(acs))
+    for n in _chunk_sizes(1000):
+        acs = vertex_acs(0).conjugate(_haar_rotations(n, 6, rng))
+        worst = max(worst, float(np.max(norm_law_residual(acs))))
     return _result(
         "norm_proportionality",
         worst,
@@ -344,12 +324,10 @@ def check_nk_defect_floor(seed: int) -> CheckResult:
 def check_constraints(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 115])
     worst = 0.0
-    for _ in range(500):
-        q = haar_rotation(6, rng)
-        b = blocks(vertex_acs(0).conjugate(q))
+    for n in _chunk_sizes(500):
+        b = blocks(vertex_acs(0).conjugate(_haar_rotations(n, 6, rng)))
         worst = max(worst, float(np.max(constraint_residuals(b))))
-        chain = cofactor_checks(b)
-        worst = max(worst, float(np.nanmax(chain)))
+        worst = max(worst, float(np.nanmax(cofactor_checks(b))))
     return _result("constraint_system", worst, 1e-9)
 
 

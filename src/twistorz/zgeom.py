@@ -169,10 +169,13 @@ def _pole_coords(r: float, x: float, u: float, plus: bool) -> np.ndarray:
             if plus
             else np.array([0, 0, 1, 0], dtype=complex)
         )
-    s = np.sqrt((r + 1.0) / 2.0)
-    if plus:
-        return np.array([s, 0.0, 0.0, (-u + 1j * x) / (2.0 * s)])
-    return np.array([0.0, s, (u + 1j * x) / (2.0 * s), 0.0])
+    # [r + 1, (-u + i x)] scaled to unit norm by its own norm: the form
+    # [s, (-u + i x) / (2 s)] with s = sqrt((r + 1) / 2) has unit norm only
+    # when r^2 + x^2 + u^2 = 1 exactly, and misses it by the rounding of that
+    # sum over 2 (r + 1), which put ANK points near a pole 1e-12 off the set
+    norm = np.sqrt((r + 1.0) ** 2 + x * x + u * u)
+    w = ((-u if plus else u) + 1j * x) / norm
+    return np.array([(r + 1.0) / norm, 0.0, 0.0, w]) if plus else np.array([0.0, (r + 1.0) / norm, w, 0.0])
 
 
 def polar_pair_points(p: PolarPairParams) -> tuple[CP3Point, CP3Point]:
@@ -405,6 +408,23 @@ def invert_ank_circle(acs: ACS) -> tuple[float, float, float, float]:
     """(r, x, u, theta) reproducing an ANK structure through the circle map."""
     params, theta = invert_circle(acs_to_cp3(acs))
     return params.r_plus, params.x_plus, params.u_plus, theta
+
+
+def _unit3(rng: np.random.Generator) -> tuple[float, float, float]:
+    """Uniform point of the unit 2-sphere: one normal draw of size 3."""
+    v = rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    return float(v[0]), float(v[1]), float(v[2])
+
+
+def _angle(rng: np.random.Generator) -> float:
+    """Uniform angle in [0, 2 pi): one uniform draw."""
+    return float(rng.uniform(0.0, 2.0 * np.pi))
+
+
+def _random_ank(rng: np.random.Generator) -> ACS:
+    """Random member of the ANK set: a unit pole triple, then an angle."""
+    return ank_circle_acs(*_unit3(rng), _angle(rng))
 
 
 def sample_polar_point(rng: np.random.Generator) -> CP3Point:

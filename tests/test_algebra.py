@@ -55,11 +55,11 @@ def test_jacobi_random(x, y, z):
     assert np.max(np.abs(r)) < 1e-10 * scale
 
 
-def test_metric_examples():
-    e = np.eye(6)
-    assert np.dot(e[0], e[0]) == 1.0
-    assert np.dot(e[0], e[3]) == 0.0
-    assert np.dot(e[0] + e[1], e[0] - e[1]) == 0.0
+def test_metric_is_minus_half_killing_form():
+    # Killing form K(e_i, e_j) = tr(ad e_i ad e_j) = c[k, i, l] c[l, j, k]; the
+    # orthonormal working metric is B = -K / 2
+    killing = np.einsum("kil,ljk->ij", STRUCTURE_CONSTANTS, STRUCTURE_CONSTANTS)
+    assert np.array_equal(killing, -2.0 * np.eye(6))
 
 
 def _koszul_nabla(x, y):

@@ -266,6 +266,16 @@ def test_classify_cp3_is_scale_invariant(capsys):
                          - np.array(small["tetra"], dtype=float))) <= 1e-12
 
 
+@pytest.mark.parametrize("subnormal, normal", [("1e-310,0,0,0", "1,0,0,0"),
+                                               ("1e-320,1e-320,0,0", "1,1,0,0")])
+def test_classify_subnormal_cp3_point(capsys, subnormal, normal):
+    for flags in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "classify", "--cp3", subnormal, *flags)
+        assert code == 0
+        assert err == ""
+        assert (out, err) == run_cli(capsys, "classify", "--cp3", normal, *flags)[1:]
+
+
 def test_classify_swap_matrix(tmp_path, capsys):
     doc = {"matrix": [float(v) for v in ank_reference_acs().matrix.flatten()], "label": "swap"}
     path = tmp_path / "swap.json"

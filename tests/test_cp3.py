@@ -192,9 +192,13 @@ def test_fixture_points_have_literal_zeros():
     assert np.array_equal(tetra_coords(acs_to_cp3(ank_reference_acs())), [0.25] * 4)
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e300, 5e307])
+@pytest.mark.parametrize("scale", [1e-300, 1e300, 5e307, 1e-310, 1e-320, 5e-324])
 def test_projective_input_is_scale_invariant(scale):
     coords = np.array([1, 1 + 2j, 0.5, -3j])
+    if scale < 1e-307:
+        # the same point with integer parts, so scale * coords stays exact
+        # among subnormals (0.5 * 5e-324 rounds to 0)
+        coords = 2 * coords
     small, big = CP3Point(coords), CP3Point(scale * coords)
     assert big.projective_residual(small) <= 1e-15
     assert np.max(np.abs(big.normalized().coords - small.normalized().coords)) <= 1e-15

@@ -14,7 +14,7 @@ from twistorz.exceptions import (
     ZeroFormError,
 )
 from twistorz.exterior import TwoForm
-from twistorz.nearly_kaehler import is_ank
+from twistorz.nearly_kaehler import _nabla_tensor, is_ank
 from twistorz.zgeom import (
     Edge,
     PolarPairParams,
@@ -350,3 +350,23 @@ def test_bivector_route_and_inversion_are_scale_invariant(rng, scale):
         assert np.allclose(
             [*vars(params_big).values(), theta_big], [*vars(params).values(), theta], rtol=0, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+def test_poles_near_the_degenerate_pole_have_unit_norm(eps):
+    # r^2 + x^2 + u^2 rounds off 1 for some angles; a pole written as
+    # [s, (-u + i x) / (2 s)] turns that rounding into a norm error of order
+    # 1e-16 / (r + 1)
+    for t in np.linspace(0.1, 6.0, 25):
+        r = -1.0 + eps
+        x, u = np.sqrt(1.0 - r * r) * np.cos(t), np.sqrt(1.0 - r * r) * np.sin(t)
+        for point in polar_pair_points(PolarPairParams(r, x, u, r, x, u)):
+            assert abs(np.linalg.norm(point.coords) - 1.0) <= 4e-16
+
+
+def test_ank_point_near_a_pole_meets_the_basis_identity():
+    # draw of `verify --seed 745803094` (nk_basis_identity) with r = -0.999995;
+    # with a pole 3.7e-12 off unit norm the identity residual was 1.9e-12
+    acs = ank_circle_acs(-0.999995152807884, -0.0030648158060682935, -0.0005488759529387771, 2.6389773343161007)
+    d = _nabla_tensor(acs)
+    assert np.max(np.abs(d[range(6), range(6)])) < 1e-13
