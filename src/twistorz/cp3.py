@@ -78,9 +78,14 @@ class CP3Point:
         return float(1.0 - np.sqrt(min(ratio, 1.0)))
 
     def projective_distance(self, other: "CP3Point") -> float:
-        """Sine of the Fubini-Study angle."""
-        r = self.projective_residual(other)
-        return float(np.sqrt(max(0.0, 1.0 - (1.0 - r) ** 2)))
+        """Sine of the Fubini-Study angle: |p ^ q| for unit representatives.
+
+        By the Lagrange identity |p ^ q|^2 = |p|^2 |q|^2 - |<p, q>|^2, but
+        the bivector keeps its relative precision for nearby points, where
+        the difference cancels; a point against itself gives exactly zero.
+        """
+        p, q = (c / np.linalg.norm(c) for c in (self.scaled(), other.scaled()))
+        return float(np.linalg.norm(wedge4(p, q)))
 
 
 def _scaled(c: np.ndarray) -> np.ndarray:

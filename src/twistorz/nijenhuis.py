@@ -51,15 +51,13 @@ def max_norm() -> float:
     return float(np.sqrt(calibration_constant()))
 
 
-def closed_form_norm(b: Blocks, kappa: float | None = None) -> float:
+def closed_form_norm(b: Blocks) -> float:
     """sqrt(kappa) * sqrt(1 - |c|^2) from the block decomposition."""
-    if kappa is None:
-        kappa = calibration_constant()
     c = b.c
     rest = 1.0 - float(c @ c)
     if rest < -1e-9:
         raise DomainError(f"1 - |c|^2 = {rest:.3e} < 0: not blocks of a valid structure")
-    return float(np.sqrt(kappa * max(rest, 0.0)))
+    return float(np.sqrt(calibration_constant() * max(rest, 0.0)))
 
 
 def cofactor_checks(b: Blocks) -> np.ndarray:
@@ -125,9 +123,8 @@ def _block_rotation(o1, o2) -> np.ndarray:
     return q
 
 
-def norm_law_residual(acs: ACS, kappa: float | None = None):
+def norm_law_residual(acs: ACS):
     """|  |N|^2 / kappa - (1 - |c|^2)  | per structure."""
-    if kappa is None:
-        kappa = calibration_constant()
     c = blocks(acs).c
-    return _scalar(np.abs(nijenhuis_norm_sq(acs) / kappa - (1.0 - np.vecdot(c, c))))
+    ratio = nijenhuis_norm_sq(acs) / calibration_constant()
+    return _scalar(np.abs(ratio - (1.0 - np.vecdot(c, c))))

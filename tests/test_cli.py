@@ -7,6 +7,7 @@ import pytest
 
 import twistorz.cli
 import twistorz.cp3
+import twistorz.search
 import twistorz.verify
 from twistorz.acs import ank_reference_acs
 from twistorz.cli import CSV_HEADER, main
@@ -383,5 +384,13 @@ def test_optimize_rejects_negative_max_iters(capsys):
 def test_optimize_no_convergence_exit(capsys):
     code, out, _ = run_cli(capsys, "optimize", "--direction", "max",
                            "--restarts", "1", "--seed", "7", "--max-iters", "2")
+    assert code == 3
+    assert "converged: false" in out
+
+
+def test_optimize_step_collapse_exit(capsys, monkeypatch):
+    # a restart whose step collapses before the gradient test passes has not converged
+    monkeypatch.setattr(twistorz.search, "GRAD_TOL", 0.0)
+    code, out, _ = run_cli(capsys, "optimize", "--restarts", "1")
     assert code == 3
     assert "converged: false" in out

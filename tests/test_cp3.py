@@ -216,3 +216,16 @@ def test_projective_residual_is_exact_and_nonnegative(rng):
         p, q = (CP3Point(rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(2))
         assert p.projective_residual(q) >= 0.0
         assert p.projective_residual(p) >= 0.0
+
+
+@pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9])
+def test_projective_distance_resolves_small_offsets(rng, offset):
+    p = rng.normal(size=4) + 1j * rng.normal(size=4)
+    p /= np.linalg.norm(p)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v -= np.vdot(p, v) * p
+    v /= np.linalg.norm(v)
+    # the sine of the angle to p + offset v, orthogonal to p, is offset to first order
+    distance = CP3Point(p).projective_distance(CP3Point(p + offset * v))
+    assert abs(distance - offset) <= 1e-2 * offset
+    assert CP3Point(p).projective_distance(CP3Point((2 - 1j) * p)) <= 1e-15

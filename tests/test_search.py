@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from twistorz.acs import ACS, _vertex_matrix, ank_reference_acs, blocks, haar_rotation, hopf_acs
-from twistorz.nijenhuis import closed_form_norm, max_norm, nijenhuis_norm
+from twistorz.nijenhuis import closed_form_norm, max_norm, nijenhuis_norm_sq
 from twistorz import search
-from twistorz.search import _norm_grad, maximize, minimize
+from twistorz.search import _grad, maximize, minimize
 
 PLANES = [(p, r) for p in range(6) for r in range(p + 1, 6)]
 
@@ -25,8 +25,8 @@ def _plane_rotation(p, r, h):
     return rot
 
 
-def _norm_at(q, j_ref):
-    return nijenhuis_norm(ACS(q @ j_ref @ q.T))
+def _norm_sq_at(q, j_ref):
+    return nijenhuis_norm_sq(ACS(q @ j_ref @ q.T))
 
 
 @pytest.mark.parametrize("sign", [+1.0, -1.0])
@@ -36,17 +36,17 @@ def test_gradient_matches_central_differences(seed, sign):
     j_ref = _vertex_matrix(0)
     h = 1e-5
     fd = np.array([
-        (sign * _norm_at(q @ _plane_rotation(p, r, h), j_ref)
-         - sign * _norm_at(q @ _plane_rotation(p, r, -h), j_ref)) / (2.0 * h)
+        (sign * _norm_sq_at(q @ _plane_rotation(p, r, h), j_ref)
+         - sign * _norm_sq_at(q @ _plane_rotation(p, r, -h), j_ref)) / (2.0 * h)
         for p, r in PLANES
     ])
-    analytic = sign * _norm_grad(q, j_ref)
+    analytic = sign * _grad(q, j_ref)
     assert np.max(np.abs(analytic - fd)) <= 1e-7
     assert np.linalg.norm(fd) > 1e-2  # a generic point, not a critical one
 
 
 def test_gradient_vanishes_at_hopf():
-    grad = _norm_grad(np.eye(6), hopf_acs().matrix)
+    grad = _grad(np.eye(6), hopf_acs().matrix)
     assert grad.shape == (15,)
     assert np.all(grad == 0.0)
 
@@ -62,7 +62,7 @@ def test_search_rotation_stays_orthogonal(monkeypatch):
     monkeypatch.setattr(search, "_ascend", record)
     report = maximize(seed=1, restarts=5)
     assert len(finals) == 5
-    assert max(f for _, f, _, _ in finals) == pytest.approx(report.best_value, rel=1e-12)
+    assert max(np.sqrt(f) for _, f, _, _ in finals) == pytest.approx(report.best_value, rel=1e-12)
     for q, _, _, _ in finals:
         assert np.linalg.norm(q.T @ q - np.eye(6)) <= 1e-12
 
@@ -134,6 +134,33 @@ def test_unconverged_report():
     report = maximize(seed=5, restarts=1, max_iters=2)
     assert not report.converged
     assert report.iterations == 2
+
+
+def test_step_collapse_is_not_convergence(monkeypatch):
+    # with no gradient test the only way out short of max_iters is a collapsed step
+    monkeypatch.setattr(search, "GRAD_TOL", 0.0)
+    report = maximize(seed=0, restarts=1)
+    assert report.iterations < 500
+    assert not report.converged
+
+
+@pytest.mark.parametrize("runner", [maximize, minimize])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_every_restart_stops_on_the_gradient(monkeypatch, seed, runner):
+    stops = []
+    ascend = search._ascend
+
+    def record(q, j_ref, *args, **kwargs):
+        result = ascend(q, j_ref, *args, **kwargs)
+        stops.append((result[3], float(np.linalg.norm(_grad(result[0], j_ref)))))
+        return result
+
+    monkeypatch.setattr(search, "_ascend", record)
+    runner(seed=seed)
+    assert len(stops) == 20
+    for converged, grad_norm in stops:
+        assert converged
+        assert grad_norm < search.GRAD_TOL
 
 
 def test_restarts_must_be_positive():
