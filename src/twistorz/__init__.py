@@ -7,50 +7,31 @@ norm law together with its maximizing (ANK) set, and exports
 tetrahedron-coordinate point clouds of the distinguished subsets.
 """
 
-from .acs import (
-    ACS,
-    Blocks,
-    acs_from_form,
-    ank_reference_acs,
-    blocks,
-    constraint_residuals,
-    fundamental_form,
-    hopf_acs,
-    orientation_sign,
-    random_acs,
-    vertex_acs,
-)
-from .algebra import bracket, nabla
-from .cp3 import CP3Point, acs_to_cp3, cp3_to_acs, tetra_coords
-from .exterior import TwoForm, wedge
-from .kernels import BACKEND
-from .nearly_kaehler import ank_form, is_ank, nabla_omega, nk_defect
-from .nijenhuis import (
-    calibration_constant,
-    closed_form_norm,
-    cofactor_checks,
-    integrable_acs,
-    is_integrable,
-    max_norm,
-    nijenhuis_norm,
-    nijenhuis_tensor,
-)
-from .search import SearchReport, maximize, minimize
-from .zgeom import (
-    Edge,
-    PolarPairParams,
-    ank_circle_acs,
-    circle_form,
-    circle_point,
-    edge01_closed_form,
-    edge01_form,
-    edge_point,
-    generalized_edge_contains,
-    invert_ank_circle,
-    invert_circle,
-    polar_contains,
-    polar_pair_points,
-)
+import importlib
+
+#: submodule of each exported name.  A name's submodule is imported on first
+#: access (PEP 562 module ``__getattr__``), so ``import twistorz`` alone
+#: imports no submodule and not numpy; the command line relies on that to
+#: configure numpy's BLAS before numpy is loaded
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "acs": "ACS Blocks acs_from_form ank_reference_acs blocks constraint_residuals "
+               "fundamental_form hopf_acs orientation_sign random_acs vertex_acs",
+        "algebra": "bracket nabla",
+        "cp3": "CP3Point acs_to_cp3 cp3_to_acs tetra_coords",
+        "exterior": "TwoForm wedge",
+        "kernels": "BACKEND",
+        "nearly_kaehler": "ank_form is_ank nabla_omega nk_defect",
+        "nijenhuis": "calibration_constant closed_form_norm cofactor_checks integrable_acs "
+                     "is_integrable max_norm nijenhuis_norm nijenhuis_tensor",
+        "search": "SearchReport maximize minimize",
+        "zgeom": "Edge PolarPairParams ank_circle_acs circle_form circle_point edge01_closed_form "
+                 "edge01_form edge_point generalized_edge_contains invert_ank_circle invert_circle "
+                 "polar_contains polar_pair_points",
+    }.items()
+    for name in names.split()
+}
 
 __version__ = "0.1.0"
 
@@ -104,3 +85,16 @@ __all__ = [
     "vertex_acs",
     "wedge",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

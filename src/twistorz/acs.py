@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DIM
-from .exceptions import NotComplexError, NotOrthogonalError, WrongOrientationError
+from .exceptions import (
+    NotComplexError,
+    NotOrthogonalError,
+    WrongOrientationError,
+    at_member,
+    first_failure,
+)
 from .exterior import TwoForm
 from .kernels import _scalar
 
@@ -49,28 +55,60 @@ class ACS:
 
     @classmethod
     def validate(cls, matrix, tol: float = DEFAULT_TOL) -> "ACS":
-        """Check J^2 = -1, orthogonality and orientation; raise otherwise."""
+        """Check J^2 = -1, orthogonality and orientation; raise otherwise.
+
+        Takes one matrix or a stack (..., 6, 6) and checks every member; the
+        error names the first member that fails and its residual.
+        """
         m = np.asarray(matrix, dtype=float)
-        if m.shape != (DIM, DIM) or not np.isfinite(m).all():
+        if m.shape[-2:] != (DIM, DIM):
             raise NotComplexError("expected a finite 6x6 matrix")
-        r_complex = float(np.abs(m @ m + _EYE).max())
-        if r_complex > tol:
-            raise NotComplexError("J^2 != -identity", r_complex)
-        r_orth = float(np.abs(m.T @ m - _EYE).max())
-        if r_orth > tol:
-            raise NotOrthogonalError("J^T J != identity", r_orth)
-        if orientation_sign(m) != REFERENCE_ORIENTATION:
-            raise WrongOrientationError(
-                "J induces the opposite orientation from the reference structure"
-            )
+        residuals = _residuals(m)
+        failure = first_failure(*_failed(residuals, tol))
+        if failure is not None:
+            check, member = failure
+            error, message, reports_residual = _FAILURES[check]
+            residual = float(residuals[check][member]) if reports_residual else None
+            raise error(at_member(message, member), residual)
         # project onto exact antisymmetry (members of Z satisfy J^T = -J);
         # this makes the block decomposition reassemble bit-for-bit
-        return cls(0.5 * (m - m.T))
+        return cls(0.5 * (m - m.mT))
 
     def conjugate(self, q) -> "ACS":
         """Q J Q^T for Q in SO(6), or a stack of them; stays in Z, no re-validation."""
         q = np.asarray(q, dtype=float)
         return ACS(q @ self.matrix @ q.mT)
+
+
+#: error, message and whether the residual is reported, per check of
+#: :func:`_residuals`, in check order
+_FAILURES = (
+    (NotComplexError, "expected a finite 6x6 matrix", False),
+    (NotComplexError, "J^2 != -identity", True),
+    (NotOrthogonalError, "J^T J != identity", True),
+    (WrongOrientationError, "J induces the opposite orientation from the reference structure", False),
+)
+
+
+def _residuals(m: np.ndarray):
+    """(finite, J^2 + 1, J^T J - 1, orientation) per matrix of a stack (..., 6, 6)."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    m = np.where(finite[..., None, None], m, 0.0)  # a non-finite member fails as finite only
+    r_complex = np.abs(m @ m + _EYE).max(axis=(-2, -1))
+    r_orth = np.abs(m.mT @ m - _EYE).max(axis=(-2, -1))
+    return finite, r_complex, r_orth, orientation_sign(m)
+
+
+def _failed(residuals, tol: float):
+    """Failure masks of the checks of :meth:`ACS.validate`, in check order."""
+    finite, r_complex, r_orth, orientation = residuals
+    return ~finite, r_complex > tol, r_orth > tol, np.asarray(orientation) != REFERENCE_ORIENTATION
+
+
+def _in_z(matrix, tol: float = DEFAULT_TOL):
+    """Whether each matrix of a stack (..., 6, 6) passes :meth:`ACS.validate`."""
+    m = np.asarray(matrix, dtype=float)
+    return _scalar(~np.any(_failed(_residuals(m), tol), axis=0))
 
 
 def _perfect_matchings(idx: tuple[int, ...]):
@@ -155,13 +193,13 @@ def ank_reference_acs() -> ACS:
 
 def fundamental_form(acs: ACS) -> TwoForm:
     """w(X, Y) = g(JX, Y); coefficient matrix is J^T."""
-    return TwoForm.from_matrix(acs.matrix.T)
+    return TwoForm.from_matrix(acs.matrix.mT)
 
 
 def acs_from_form(w: TwoForm, tol: float = DEFAULT_TOL) -> ACS:
     """Inverse of :func:`fundamental_form`; raises NotInZError when the
     induced endomorphism fails validation."""
-    return ACS.validate(w.matrix().T, tol=tol)
+    return ACS.validate(w.matrix().mT, tol=tol)
 
 
 _UPPER = ([0, 0, 1], [1, 2, 2])  # entries (0, 1), (0, 2), (1, 2) of a 3x3 block

@@ -7,31 +7,37 @@ digits so byte-level determinism is checkable end to end.
 
 from __future__ import annotations
 
-import argparse
-import itertools
-import json
-import sys
+import os
 
-import numpy as np
+# numpy's bundled OpenBLAS starts a pool of threads at import that 6x6
+# linear algebra never uses; in a CLI process they only spin and burn CPU.
+# Set before numpy is first imported (``import twistorz`` does not import
+# it), and never over a value the user set
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import search, verify, zgeom
-from .acs import (
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from . import search, verify, zgeom  # noqa: E402
+from .acs import (  # noqa: E402
     ACS,
     acs_from_form,
     blocks,
     constraint_residuals,
     fundamental_form,
-    haar_rotation,
     random_acs,
 )
-from .cp3 import CP3Point, _point_coords, _tetra_coords, acs_to_cp3, cp3_to_acs, tetra_coords
-from .exceptions import NotInZError, ParseError, TwistorError
-from .exterior import TwoForm
-from .kernels import _chunk_sizes
-from .nearly_kaehler import is_ank
-from .nijenhuis import DEFAULT_TOL as NIJENHUIS_TOL
-from .nijenhuis import integrable_acs, max_norm, nijenhuis_norm
-from .zgeom import _angle, _random_ank, _unit3
+from .cp3 import CP3Point, _point_coords, _tetra_coords, acs_to_cp3, cp3_to_acs, tetra_coords  # noqa: E402
+from .exceptions import NotInZError, ParseError, TwistorError  # noqa: E402
+from .exterior import TwoForm  # noqa: E402
+from .kernels import _chunk_sizes  # noqa: E402
+from .nearly_kaehler import is_ank  # noqa: E402
+from .nijenhuis import DEFAULT_TOL as NIJENHUIS_TOL  # noqa: E402
+from .nijenhuis import _random_integrable, max_norm, nijenhuis_norm  # noqa: E402
+from .zgeom import _random_ank, _random_circle, _rows, _unit3  # noqa: E402
 
 CSV_HEADER = "b0,b1,b2,b3,nijenhuis_norm,integrable,ank"
 
@@ -83,29 +89,32 @@ def _cmd_verify(args) -> int:
 # sample
 
 
-#: per sample set, one structure from the set's rng and the row seed [seed, k];
-#: arguments are evaluated left to right, which fixes the order of the draws
+#: per sample set, a stack of structures for the rows with seeds [seed, k]
+#: from the set's rng; every row draws what it would draw on its own, in
+#: row order
 _SAMPLERS = {
-    "ank": lambda rng, _: _random_ank(rng),
-    "integrable": lambda rng, _: integrable_acs(haar_rotation(3, rng), haar_rotation(3, rng)),
-    "random": lambda _, row_seed: random_acs(row_seed),
-    "polar": lambda rng, _: cp3_to_acs(
-        zgeom.circle_point(zgeom.PolarPairParams(*_unit3(rng), *_unit3(rng)), _angle(rng))
+    "ank": lambda rng, row_seeds: _random_ank(rng, len(row_seeds)),
+    "integrable": lambda rng, row_seeds: _random_integrable(rng, len(row_seeds)),
+    "random": lambda _, row_seeds: ACS(np.stack([random_acs(s).matrix for s in row_seeds])),
+    "polar": lambda rng, row_seeds: cp3_to_acs(zgeom.circle_point(*_random_circle(rng, len(row_seeds)))),
+    "edge01": lambda rng, row_seeds: acs_from_form(
+        zgeom.edge01_form(*_rows(len(row_seeds), lambda: _unit3(rng)))
     ),
-    "edge01": lambda rng, _: acs_from_form(zgeom.edge01_form(*_unit3(rng))),
 }
 
 
 def _sample_structures(set_name: str, count: int, seed: int):
+    """The sample's structures, one stack per chunk of rows."""
     rng = np.random.default_rng([seed, sum(map(ord, set_name))])
     draw = _SAMPLERS[set_name]
-    for k in range(count):
-        yield draw(rng, [seed, k])
+    start = 0
+    for n in _chunk_sizes(count):
+        yield draw(rng, [[seed, k] for k in range(start, start + n)])
+        start += n
 
 
-def _cloud_values(structures: list[ACS]):
-    """(tetra coordinates, norm, ank) per structure, computed on one stack."""
-    stack = ACS(np.stack([acs.matrix for acs in structures]))
+def _cloud_values(stack: ACS):
+    """(tetra coordinates, norm, ank) per structure of a stack."""
     tetra = _tetra_coords(_point_coords(stack.matrix))
     return zip(tetra, nijenhuis_norm(stack), is_ank(stack))
 
@@ -117,12 +126,11 @@ def _cloud_row(values) -> str:
 
 
 def _cloud(args) -> str:
-    # rows are built per structure, so each seed keeps its points, and
-    # evaluated a chunk at a time on a stack
-    structures = _sample_structures(args.set, args.count, args.seed)
+    # rows are drawn in row order, so each seed keeps its points, and built
+    # and evaluated a chunk at a time on a stack
     rows = [CSV_HEADER]
-    for n in _chunk_sizes(args.count):
-        rows += map(_cloud_row, _cloud_values(list(itertools.islice(structures, n))))
+    for stack in _sample_structures(args.set, args.count, args.seed):
+        rows += map(_cloud_row, _cloud_values(stack))
     return "\n".join(rows) + "\n"
 
 

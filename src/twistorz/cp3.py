@@ -28,6 +28,10 @@ Convention pinning: with the basis above and the phase normalization
 below, the integrable reference structure maps to [1, 0, 0, -1] and the
 factor-swapping reference to [1, 1, -1, 1]; the four vertex structures
 map to the unit coordinate points.
+
+A :class:`CP3Point` may hold a stack of points, coordinates (..., 4); its
+methods, :func:`cp3_to_acs`, :func:`acs_to_cp3`, :func:`tetra_coords`,
+:func:`wedge4` and the identification keep the leading axes.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acs import ACS
+from .exceptions import at_member, first_failure
+from .kernels import _scalar
 
 #: ordered bivector index pairs
 BIVECTOR_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -44,16 +50,24 @@ BIVECTOR_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (2, 3), (
 
 @dataclass(frozen=True)
 class CP3Point:
-    """Homogeneous complex 4-tuple; equality is projective."""
+    """Homogeneous complex 4-tuple, or a stack (..., 4); equality is projective.
+
+    Every point of a stack is checked; the error names the first bad one.
+    """
 
     coords: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=complex).copy()
-        if c.shape != (4,) or not np.isfinite(c).all():
+        if c.shape[-1:] != (4,):
             raise ValueError("expected 4 finite complex coordinates")
-        if np.abs(c).max() == 0.0:
-            raise ValueError("homogeneous coordinates cannot all vanish")
+        finite = np.isfinite(c).all(axis=-1)
+        failure = first_failure(~finite, finite & (np.abs(c).max(axis=-1) == 0.0))
+        if failure is not None:
+            check, member = failure
+            message = ("expected 4 finite complex coordinates",
+                       "homogeneous coordinates cannot all vanish")[check]
+            raise ValueError(at_member(message, member))
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
@@ -65,27 +79,29 @@ class CP3Point:
         """Unit norm, largest-modulus coordinate real positive (ties: lowest index)."""
         return CP3Point(_normalized(self.coords))
 
-    def projective_residual(self, other: "CP3Point") -> float:
+    def projective_residual(self, other: "CP3Point"):
         """1 - |<p, q>| / (|p| |q|); zero exactly on projective equality.
 
         The ratio is formed from squared moduli, which round alike for a
         point against itself, and is clamped at 1 so the result is never
-        negative.
+        negative.  A float per point of a stack.
         """
         p = self.scaled()
         q = other.scaled()
-        ratio = abs(np.vdot(p, q)) ** 2 / (np.vdot(p, p).real * np.vdot(q, q).real)
-        return float(1.0 - np.sqrt(min(ratio, 1.0)))
+        ratio = np.abs(np.vecdot(p, q)) ** 2 / (np.vecdot(p, p).real * np.vecdot(q, q).real)
+        return _scalar(1.0 - np.sqrt(np.minimum(ratio, 1.0)))
 
-    def projective_distance(self, other: "CP3Point") -> float:
+    def projective_distance(self, other: "CP3Point"):
         """Sine of the Fubini-Study angle: |p ^ q| for unit representatives.
 
         By the Lagrange identity |p ^ q|^2 = |p|^2 |q|^2 - |<p, q>|^2, but
         the bivector keeps its relative precision for nearby points, where
         the difference cancels; a point against itself gives exactly zero.
+        A float per point of a stack.
         """
-        p, q = (c / np.linalg.norm(c) for c in (self.scaled(), other.scaled()))
-        return float(np.linalg.norm(wedge4(p, q)))
+        p, q = (_unit(c) for c in (self.scaled(), other.scaled()))
+        w = wedge4(p, q)
+        return _scalar(np.sqrt(np.vecdot(w, w).real))
 
 
 def _scaled(c: np.ndarray) -> np.ndarray:
@@ -97,10 +113,14 @@ def _scaled(c: np.ndarray) -> np.ndarray:
     return np.ldexp(np.ascontiguousarray(c).view(float), -exponent).view(complex) / mantissa
 
 
+def _unit(c: np.ndarray) -> np.ndarray:
+    """Each row of complex coordinates (..., n) divided by its Euclidean norm."""
+    return c / np.sqrt(np.vecdot(c, c).real)[..., None]
+
+
 def _normalized(c: np.ndarray) -> np.ndarray:
     """Phase-normalized unit rows of coordinates (..., 4); see :meth:`CP3Point.normalized`."""
-    c = _scaled(c)
-    c = c / np.sqrt(np.vecdot(c, c).real)[..., None]
+    c = _unit(_scaled(c))
     mags = np.abs(c)
     pivot = _one_hot((mags > mags.max(axis=-1, keepdims=True) - 1e-12).argmax(axis=-1))
     return c * (mags[pivot] / c[pivot]).reshape(c.shape[:-1] + (1,))
@@ -111,17 +131,30 @@ def _one_hot(k: np.ndarray) -> np.ndarray:
     return k[..., None] == np.arange(4)
 
 
+_FIRST, _SECOND = np.array(BIVECTOR_PAIRS).T
+
+
 def wedge4(u, v) -> np.ndarray:
-    """Bivector coefficients of u ^ v over BIVECTOR_PAIRS."""
+    """Bivector coefficients of u ^ v over BIVECTOR_PAIRS, along the last axis."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    return np.array([u[a] * v[b] - u[b] * v[a] for a, b in BIVECTOR_PAIRS])
+    return _product(u[..., _FIRST], v[..., _SECOND]) - _product(u[..., _SECOND], v[..., _FIRST])
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y in real arithmetic, which commutes exactly; numpy's array loop for
+    complex products may fuse a multiply-add, and then x * y != y * x in the
+    last bit, so v ^ u would not be -(u ^ v) exactly."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def identify(bivector) -> np.ndarray:
     """Complex covector matching a bivector under the identification table."""
-    b01, b02, b03, b23, b31, b12 = np.asarray(bivector, dtype=complex)
-    return 0.5 * np.array(
+    b01, b02, b03, b23, b31, b12 = np.moveaxis(np.asarray(bivector, dtype=complex), -1, 0)
+    return 0.5 * np.stack(
         [
             b01 + b23,
             1j * (b01 - b23),
@@ -129,14 +162,15 @@ def identify(bivector) -> np.ndarray:
             1j * (b02 - b31),
             b03 + b12,
             1j * (b03 - b12),
-        ]
+        ],
+        axis=-1,
     )
 
 
 def identify_inverse(w) -> np.ndarray:
     """Bivector coefficients matching a complex covector."""
-    w1, w2, w3, w4, w5, w6 = np.asarray(w, dtype=complex)
-    return np.array(
+    w1, w2, w3, w4, w5, w6 = np.moveaxis(np.asarray(w, dtype=complex), -1, 0)
+    return np.stack(
         [
             w1 - 1j * w2,
             w3 - 1j * w4,
@@ -144,7 +178,8 @@ def identify_inverse(w) -> np.ndarray:
             w1 + 1j * w2,
             w3 + 1j * w4,
             w5 + 1j * w6,
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -165,14 +200,29 @@ _FORWARD, _INVERSE = _correspondence_maps()
 _QUARTER_EYE = np.eye(4, dtype=complex) / 4.0
 
 
+def _row_products(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """rows (..., k) @ m as one vector-matrix product per row.
+
+    A single matrix product of many rows rounds each row in a way that
+    depends on how many there are (the BLAS blocking does); per row, a stack
+    gives what each row alone gives.
+    """
+    return (rows[..., None, :] @ m)[..., 0, :]
+
+
 def cp3_to_acs(point: CP3Point | np.ndarray) -> ACS:
-    """Structure whose covector-action +i eigenspace is the image of V_u."""
+    """Structure whose covector-action +i eigenspace is the image of V_u.
+
+    Takes one point or a stack (coordinates (..., 4)) and validates every
+    structure it builds.
+    """
     if not isinstance(point, CP3Point):
-        point = CP3Point(np.asarray(point, dtype=complex))
+        point = CP3Point(point)
     c = point.scaled()
-    proj = np.outer(c, c.conj()) / np.vdot(c, c).real
-    omega = (_FORWARD @ proj.view(float).ravel()).reshape(6, 6)
-    return ACS.validate(omega.T)
+    batch = c.shape[:-1]
+    proj = c[..., :, None] * c[..., None, :].conj() / np.vecdot(c, c).real[..., None, None]
+    omega = _row_products(proj.reshape(batch + (16,)).view(float), _FORWARD.T).reshape(batch + (6, 6))
+    return ACS.validate(omega.mT)
 
 
 def acs_to_cp3(acs: ACS) -> CP3Point:
@@ -183,7 +233,7 @@ def acs_to_cp3(acs: ACS) -> CP3Point:
 def _point_coords(matrix: np.ndarray) -> np.ndarray:
     """Phase-normalized coordinates (..., 4) of structures (..., 6, 6); see :func:`acs_to_cp3`."""
     batch = matrix.shape[:-2]
-    parts = matrix.mT.reshape(batch + (36,)) @ _INVERSE.T
+    parts = _row_products(matrix.mT.reshape(batch + (36,)), _INVERSE.T)
     proj = _QUARTER_EYE + parts.view(complex).reshape(batch + (4, 4))
     # u u* has trace 1, so its largest diagonal entry is at least 1/4
     diagonal = proj.reshape(batch + (16,))[..., ::5].real

@@ -1,5 +1,7 @@
 """Typed failure modes for validation and geometry operations."""
 
+import numpy as np
+
 
 class TwistorError(Exception):
     """Base class for all library errors."""
@@ -61,3 +63,30 @@ class NotRotationError(TwistorError):
 
 class ParseError(TwistorError):
     """Command-line or file input could not be parsed."""
+
+
+def first_failure(*failed):
+    """(check, member) of the first member of a stack that fails a check.
+
+    Each argument is a bool array over the stack's members (0-d for one
+    member), one per check in check order.  Members are taken in row-major
+    order; ``check`` is the position of the first check that member fails
+    and ``member`` its index tuple (``()`` for a single member).  None when
+    every member passes.
+    """
+    anything = failed[0]
+    for f in failed[1:]:
+        anything = anything | f
+    if not np.asarray(anything).any():
+        return None
+    failed = np.stack(np.broadcast_arrays(*failed))
+    any_failed = failed.any(axis=0)
+    member = tuple(int(i) for i in np.unravel_index(any_failed.argmax(), any_failed.shape))
+    return int(failed[(slice(None),) + member].argmax()), member
+
+
+def at_member(message: str, member: tuple[int, ...]) -> str:
+    """``message`` naming the failing member of a stack; unchanged for a single one."""
+    if not member:
+        return message
+    return f"{message} at member {member[0] if len(member) == 1 else member}"

@@ -9,6 +9,10 @@ on 2-forms makes that basis orthonormal:
 
 which keeps the four fundamental vertex forms at squared norm 3 and makes
 polar-set membership an exact zero test.
+
+A :class:`TwoForm` may also hold a stack of forms, coefficients
+(..., 15); construction, ``matrix``, ``inner`` and the arithmetic keep the
+leading axes.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import DIM
+from .exceptions import at_member, first_failure
+from .kernels import _scalar
 
 #: ordered index pairs (i, j), i < j, for the 15 basis 2-forms
 PAIRS: tuple[tuple[int, int], ...] = tuple(combinations(range(DIM), 2))
@@ -42,13 +48,16 @@ def covector(coeffs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoForm:
-    """Antisymmetric bilinear form, 15 coefficients over e^i ^ e^j, i < j."""
+    """Antisymmetric bilinear form, 15 coefficients over e^i ^ e^j, i < j.
+
+    A stack of forms has coefficients (..., 15).
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.coeffs, dtype=float)
-        if a.shape != (len(PAIRS),) or not np.all(np.isfinite(a)):
+        if a.shape[-1:] != (len(PAIRS),) or not np.all(np.isfinite(a)):
             raise ValueError("TwoForm needs 15 finite coefficients")
         a = a.copy()
         a.setflags(write=False)
@@ -72,28 +81,32 @@ class TwoForm:
 
     @classmethod
     def from_pairs(cls, entries: dict[tuple[int, int], float]) -> "TwoForm":
-        c = np.zeros(len(PAIRS))
+        """Form with the given pair coefficients; array values give a stack."""
+        shape = np.broadcast_shapes(*(np.shape(v) for v in entries.values()))
+        c = np.zeros(shape + (len(PAIRS),))
         for (i, j), v in entries.items():
             if i < j:
-                c[PAIR_INDEX[i, j]] += v
+                c[..., PAIR_INDEX[i, j]] += v
             else:
-                c[PAIR_INDEX[j, i]] -= v
+                c[..., PAIR_INDEX[j, i]] -= v
         return cls(c)
 
     @classmethod
     def from_matrix(cls, m) -> "TwoForm":
-        """Build from an antisymmetric coefficient matrix m[i, j] = w(e_i, e_j)."""
+        """Build from an antisymmetric coefficient matrix m[i, j] = w(e_i, e_j), or a stack."""
         m = np.asarray(m, dtype=float)
-        if m.shape != (DIM, DIM):
+        if m.shape[-2:] != (DIM, DIM):
             raise ValueError("expected a 6x6 matrix")
-        if np.max(np.abs(m + m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
-            raise ValueError("matrix is not antisymmetric")
-        return cls(m[_ROWS, _COLS])
+        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        failure = first_failure(np.abs(m + m.mT).max(axis=(-2, -1)) > 1e-12 * scale)
+        if failure is not None:
+            raise ValueError(at_member("matrix is not antisymmetric", failure[1]))
+        return cls(m[..., _ROWS, _COLS])
 
     def matrix(self) -> np.ndarray:
-        m = np.zeros((DIM, DIM))
-        m[_ROWS, _COLS] = self.coeffs
-        m[_COLS, _ROWS] = -self.coeffs
+        m = np.zeros(self.coeffs.shape[:-1] + (DIM, DIM))
+        m[..., _ROWS, _COLS] = self.coeffs
+        m[..., _COLS, _ROWS] = -self.coeffs
         return m
 
     def coeff(self, i: int, j: int) -> float:
@@ -103,8 +116,9 @@ class TwoForm:
             return float(self.coeffs[PAIR_INDEX[i, j]])
         return -float(self.coeffs[PAIR_INDEX[j, i]])
 
-    def inner(self, other: "TwoForm") -> float:
-        return float(self.coeffs @ other.coeffs)
+    def inner(self, other: "TwoForm"):
+        """Form inner product; a float per form of a stack."""
+        return _scalar(np.vecdot(self.coeffs, other.coeffs))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))

@@ -37,22 +37,23 @@ def nabla_omega(acs: ACS, x, y, z) -> float:
 
 
 def _nabla_tensor(acs: ACS) -> np.ndarray:
-    """D[i, j, k] = (nabla_{e_i} w)(e_j, e_k), assembled in one shot."""
-    om = acs.matrix.T
+    """D[..., i, j, k] = (nabla_{e_i} w)(e_j, e_k), assembled in one shot; batched."""
+    om = acs.matrix.mT
     # w([e_i, e_j], e_k) = c[m, i, j] om[m, k];  w(e_j, [e_i, e_k]) = om[j, m] c[m, i, k]
-    first = np.einsum("mij,mk->ijk", STRUCTURE_CONSTANTS, om)
-    second = np.einsum("jm,mik->ijk", om, STRUCTURE_CONSTANTS)
+    first = np.einsum("mij,...mk->...ijk", STRUCTURE_CONSTANTS, om)
+    second = np.einsum("...jm,mik->...ijk", om, STRUCTURE_CONSTANTS)
     return -0.5 * (first + second)
 
 
-def nk_defect(acs: ACS) -> float:
+def nk_defect(acs: ACS):
     """Norm of S(e_i, e_j; e_k) = (nabla_{e_i} w)(e_j, e_k) + (nabla_{e_j} w)(e_i, e_k).
 
-    Zero exactly when the structure is nearly Kaehler.
+    Zero exactly when the structure is nearly Kaehler.  Batched: a float
+    per structure of a stack.
     """
     d = _nabla_tensor(acs)
-    s = d + d.transpose(1, 0, 2)
-    return float(np.sqrt(np.sum(s * s)))
+    s = d + np.swapaxes(d, -3, -2)
+    return _scalar(np.sqrt(np.sum(s * s, axis=(-3, -2, -1))))
 
 
 def is_ank(acs: ACS, tol: float = DEFAULT_TOL):

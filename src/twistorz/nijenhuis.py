@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .acs import ACS, Blocks, ank_reference_acs, blocks, hopf_acs
+from .acs import ACS, Blocks, _haar_rotations, ank_reference_acs, blocks, hopf_acs
 from .exceptions import DomainError, NotRotationError
 from .kernels import _scalar
 
@@ -106,6 +106,12 @@ def integrable_acs(o1, o2) -> ACS:
     """
     q = _block_rotation(o1, o2)
     return hopf_acs().conjugate(q)
+
+
+def _random_integrable(rng: np.random.Generator, n: int) -> ACS:
+    """n random integrable structures (a stack), one Haar rotation pair each, drawn o1, o2, o1, o2, ..."""
+    rotations = _haar_rotations(2 * n, 3, rng)
+    return integrable_acs(rotations[0::2], rotations[1::2])
 
 
 def _block_rotation(o1, o2) -> np.ndarray:

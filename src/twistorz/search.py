@@ -42,6 +42,9 @@ _GENERATORS = np.stack([np.outer(_EYE[p], _EYE[r]) - np.outer(_EYE[r], _EYE[p])
 
 @dataclass
 class SearchReport:
+    """Outcome of a search; ``converged`` is the flag of the restart that
+    reached ``best_value``, not of any restart."""
+
     best_value: float
     best_acs: ACS
     iterations: int
@@ -94,8 +97,8 @@ def _run(seed: int, restarts: int, max_iters: int, sign: float,
     best_f = -np.inf
     best_q = np.eye(6)
     best_ref = _vertex_matrix(0)
+    best_converged = False
     total_iters = 0
-    any_converged = False
     for rs in range(restarts):
         if rs == 0 and initial is not None:
             q = np.eye(6)
@@ -106,16 +109,15 @@ def _run(seed: int, restarts: int, max_iters: int, sign: float,
             j_ref = _vertex_matrix(0)
         q, f, iters, converged = _ascend(q, j_ref, sign, max_iters, on_iterate)
         total_iters += iters
-        any_converged = any_converged or converged
         if f > best_f:
-            best_f, best_q, best_ref = f, q, j_ref
+            best_f, best_q, best_ref, best_converged = f, q, j_ref, converged
     best = ACS(best_q @ best_ref @ best_q.T)
     return SearchReport(
         best_value=float(np.sqrt(kernels.nijenhuis_norm_sq(best.matrix))),
         best_acs=best,
         iterations=total_iters,
         restarts=restarts,
-        converged=any_converged,
+        converged=best_converged,
     )
 
 

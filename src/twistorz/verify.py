@@ -21,7 +21,6 @@ from .acs import (
     blocks,
     constraint_residuals,
     fundamental_form,
-    haar_rotation,
     hopf_acs,
     vertex_acs,
 )
@@ -31,13 +30,13 @@ from .exterior import TwoForm
 from .kernels import _chunk_sizes
 from .nearly_kaehler import _nabla_tensor, nabla_omega, nk_defect
 from .nijenhuis import (
+    _random_integrable,
     cofactor_checks,
-    integrable_acs,
     max_norm,
     nijenhuis_norm,
     norm_law_residual,
 )
-from .zgeom import _angle, _random_ank, _unit3
+from .zgeom import _angle, _random_ank, _random_circle, _rows, _unit3
 
 #: literature values reported alongside measurements
 PAPER_MAX_NORM = 8.0 * math.sqrt(3.0)
@@ -99,8 +98,8 @@ def check_cp3_fixtures() -> CheckResult:
 def check_edge01(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 101])
     worst = 0.0
-    for _ in range(100):
-        s, c1, c2 = _unit3(rng)
+    for n in _chunk_sizes(100):
+        s, c1, c2 = _rows(n, lambda: _unit3(rng))
         constructive = zgeom.edge01_form(s, c1, c2)
         closed = zgeom.edge01_closed_form(s, c1, c2)
         worst = max(worst, float(np.max(np.abs(constructive.coeffs - closed.coeffs))))
@@ -108,93 +107,94 @@ def check_edge01(seed: int) -> CheckResult:
 
 
 def _branch_worst(seed: int, tag: int, param_fn, count: int = 40) -> float:
+    """Worst gap of the constructive circle forms to the closed forms and to
+    the bivector route; ``param_fn(rng, n)`` draws n (params, theta)."""
     rng = np.random.default_rng([seed, tag])
     worst = 0.0
-    for _ in range(count):
-        params, theta = param_fn(rng)
-        constructive = zgeom.circle_form(params, theta)
+    for n in _chunk_sizes(count):
+        params, theta = param_fn(rng, n)
+        constructive = zgeom.circle_form(params, theta).coeffs
         closed, _ = zgeom.circle_closed_form(params, theta)
         direct = zgeom.form_from_bivectors(zgeom.circle_point(params, theta))
-        worst = max(worst, float(np.max(np.abs(constructive.coeffs - closed.coeffs))))
-        worst = max(worst, float(np.max(np.abs(constructive.coeffs - direct.coeffs))))
+        worst = max(worst, float(np.max(np.abs(constructive - closed.coeffs))))
+        worst = max(worst, float(np.max(np.abs(constructive - direct.coeffs))))
     return worst
 
 
+_BOTH_DEGENERATE = zgeom.PolarPairParams(-1.0, 0.0, 0.0, -1.0, 0.0, 0.0)
+
+
 def check_circle_degenerate(seed: int) -> CheckResult:
-    def params(rng):
-        return zgeom.PolarPairParams(-1, 0, 0, -1, 0, 0), _angle(rng)
+    def params(rng, n):
+        return _BOTH_DEGENERATE, _rows(n, lambda: _angle(rng))[0]
 
     worst = _branch_worst(seed, 102, params)
     # degenerate display is also compared verbatim
-    rng = np.random.default_rng([seed, 103])
-    for _ in range(10):
-        theta = _angle(rng)
-        p = zgeom.PolarPairParams(-1, 0, 0, -1, 0, 0)
-        printed, _ = zgeom.printed_circle_form(p, theta)
-        worst = max(
-            worst, float(np.max(np.abs(zgeom.circle_form(p, theta).coeffs - printed.coeffs)))
-        )
+    theta = params(np.random.default_rng([seed, 103]), 10)[1]
+    printed, _ = zgeom.printed_circle_form(_BOTH_DEGENERATE, theta)
+    worst = max(
+        worst, float(np.max(np.abs(zgeom.circle_form(_BOTH_DEGENERATE, theta).coeffs - printed.coeffs)))
+    )
     return _result("circle_branch_degenerate", worst, 1e-9)
 
 
 def check_circle_generic(seed: int) -> CheckResult:
-    def params(rng):
-        return zgeom.PolarPairParams(*_unit3(rng), *_unit3(rng)), _angle(rng)
-
-    return _result("circle_branch_generic", _branch_worst(seed, 104, params), 1e-9)
+    return _result("circle_branch_generic", _branch_worst(seed, 104, _random_circle), 1e-9)
 
 
 def check_circle_mixed(seed: int) -> CheckResult:
-    def minus_deg(rng):
-        return zgeom.PolarPairParams(*_unit3(rng), -1.0, 0.0, 0.0), _angle(rng)
+    def minus_deg(rng, n):
+        r, x, u, theta = _rows(n, lambda: (*_unit3(rng), _angle(rng)))
+        return zgeom.PolarPairParams(r, x, u, -1.0, 0.0, 0.0), theta
 
-    def plus_deg(rng):
-        return zgeom.PolarPairParams(-1.0, 0.0, 0.0, *_unit3(rng)), _angle(rng)
+    def plus_deg(rng, n):
+        r, x, u, theta = _rows(n, lambda: (*_unit3(rng), _angle(rng)))
+        return zgeom.PolarPairParams(-1.0, 0.0, 0.0, r, x, u), theta
 
     worst = max(_branch_worst(seed, 105, minus_deg), _branch_worst(seed, 106, plus_deg))
     return _result("circle_branch_mixed", worst, 1e-9)
 
 
-def _seam_limit_residual(theta: float, fixed: tuple[float, float, float], plus_side: bool) -> float:
+#: Richardson samples of the seam check: |r + 1| = eta^2 from 1e-4 inward
+_SEAM_ETAS = [1e-2 / 2**k for k in range(4)]
+
+
+def _seam_limit_residuals(fixed, theta: np.ndarray) -> np.ndarray:
     """Richardson limit of the generic branch onto a degenerate pole.
 
-    Samples the phase-aligned approach at eta = 1e-2 / 2^k (so the coarsest
-    sample sits at |r + 1| = 1e-4) and extrapolates polynomially to eta = 0.
+    For each (fixed, theta), fixed three arrays (r, x, u) of the other pole,
+    and each side (the plus or the minus pole degenerates), the
+    phase-aligned approach to the degenerate pole is sampled at eta = 1e-2 /
+    2^k (so the coarsest sample sits at |r + 1| = 1e-4) and extrapolated
+    polynomially to eta = 0; returns the gap to the degenerate form, (n, 2).
     """
-    etas = [1e-2 / 2**k for k in range(4)]
-
-    def sample(eta: float) -> np.ndarray:
-        r = -1.0 + eta * eta
-        mag = math.sqrt(max(0.0, 1.0 - r * r))
-        if plus_side:
-            params = zgeom.PolarPairParams(r, 0.0, -mag, *fixed)
-        else:
-            params = zgeom.PolarPairParams(*fixed, r, 0.0, mag)
-        return zgeom.circle_form(params, theta).coeffs
-
-    vals = [sample(e) for e in etas]
-    n = len(etas)
+    r = [-1.0 + eta * eta for eta in _SEAM_ETAS]
+    mag = [math.sqrt(max(0.0, 1.0 - v * v)) for v in r]
+    # the approaching pole (r, 0, mag) at each eta, then the pole at the limit
+    pole_r, pole_u = np.array(r + [-1.0]), np.array(mag + [0.0])
+    plus_side = np.array([True, False])[:, None]  # axis of the two sides
+    f = [v[:, None, None] for v in fixed]  # the other pole, on axes (n, side, sample)
+    params = zgeom.PolarPairParams(
+        np.where(plus_side, pole_r, f[0]), np.where(plus_side, 0.0, f[1]), np.where(plus_side, -pole_u, f[2]),
+        np.where(plus_side, f[0], pole_r), np.where(plus_side, f[1], 0.0), np.where(plus_side, f[2], pole_u),
+    )
+    coeffs = zgeom.circle_form(params, theta[:, None, None]).coeffs
+    vals = [coeffs[..., k, :] for k in range(len(_SEAM_ETAS))]
+    etas, n = _SEAM_ETAS, len(_SEAM_ETAS)
     for m in range(1, n):
         vals = [
             (etas[i] * vals[i + 1] - etas[i + m] * vals[i]) / (etas[i] - etas[i + m])
             for i in range(n - m)
         ]
-    if plus_side:
-        limit_params = zgeom.PolarPairParams(-1.0, 0.0, 0.0, *fixed)
-    else:
-        limit_params = zgeom.PolarPairParams(*fixed, -1.0, 0.0, 0.0)
-    target = zgeom.circle_form(limit_params, theta).coeffs
-    return float(np.max(np.abs(vals[0] - target)))
+    return np.max(np.abs(vals[0] - coeffs[..., -1, :]), axis=-1)
 
 
 def check_circle_seam(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 107])
     worst = 0.0
-    for _ in range(5):
-        fixed = _unit3(rng)
-        theta = _angle(rng)
-        worst = max(worst, _seam_limit_residual(theta, fixed, plus_side=True))
-        worst = max(worst, _seam_limit_residual(theta, fixed, plus_side=False))
+    for n in _chunk_sizes(5):
+        *fixed, theta = _rows(n, lambda: (*_unit3(rng), _angle(rng)))
+        worst = max(worst, float(np.max(_seam_limit_residuals(fixed, theta))))
     return _result("circle_branch_seam", worst, 1e-6)
 
 
@@ -202,9 +202,7 @@ def check_integrable_family(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 108])
     worst = 0.0
     for n in _chunk_sizes(200):
-        # one rotation pair per structure, drawn o1, o2, o1, o2, ...
-        rotations = _haar_rotations(2 * n, 3, rng)
-        acs = integrable_acs(rotations[0::2], rotations[1::2])
+        acs = _random_integrable(rng, n)
         c = blocks(acs).c
         c_norm = np.sqrt(np.vecdot(c, c))
         worst = max(worst, float(np.max(nijenhuis_norm(acs))), float(np.max(np.abs(c_norm - 1.0))))
@@ -244,24 +242,25 @@ def check_maximum(seed: int) -> CheckResult:
 def check_ank_cover(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 110])
     worst = 0.0
-    for _ in range(200):
-        acs = _random_ank(rng)
+    for n in _chunk_sizes(200):
+        acs = _random_ank(rng, n)
         b = blocks(acs)
-        worst = max(worst, float(np.linalg.norm(b.A)), float(np.linalg.norm(b.C)))
-        worst = max(worst, abs(nijenhuis_norm(acs) - max_norm()))
+        worst = max(worst, float(np.max(np.linalg.norm(b.A, axis=(-2, -1)))),
+                    float(np.max(np.linalg.norm(b.C, axis=(-2, -1)))))
+        worst = max(worst, float(np.max(np.abs(nijenhuis_norm(acs) - max_norm()))))
     return _result("ank_circle_cover", worst, 1e-9)
 
 
 def check_ank_inversion(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 111])
     worst = 0.0
-    for _ in range(100):
-        b = haar_rotation(3, rng)
-        z3 = np.zeros((3, 3))
-        acs = ACS(np.block([[z3, b], [-b.T, z3]]))
+    for n in _chunk_sizes(100):
+        b = _haar_rotations(n, 3, rng)
+        z3 = np.zeros((n, 3, 3))
+        acs = ACS(np.block([[z3, b], [-b.mT, z3]]))
         r, x, u, theta = zgeom.invert_ank_circle(acs)
         reproduced = zgeom.circle_point(zgeom.ank_circle_params(r, x, u), theta)
-        worst = max(worst, acs_to_cp3(acs).projective_distance(reproduced))
+        worst = max(worst, float(np.max(acs_to_cp3(acs).projective_distance(reproduced))))
     return _result("ank_circle_inversion", worst, 1e-6)
 
 
@@ -269,28 +268,27 @@ def check_polar_containment(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 112])
     sigma = TwoForm.basis(4, 5)
     worst = 0.0
-    for _ in range(50):
-        acs = _random_ank(rng)
-        w = fundamental_form(acs)
-        worst = max(worst, abs(sigma.inner(w)))
-        if not zgeom.polar_contains(sigma, w):
+    for n in _chunk_sizes(50):
+        w = fundamental_form(_random_ank(rng, n))
+        worst = max(worst, float(np.max(np.abs(sigma.inner(w)))))
+        if not np.all(zgeom.polar_contains(sigma, w)):
             worst = max(worst, 1.0)
-    for _ in range(50):
-        point = zgeom.sample_polar_point(rng)
+    for n in _chunk_sizes(50):
+        point = zgeom.sample_polar_point(rng, (n,))
         w = fundamental_form(cp3_to_acs(point))
-        worst = max(worst, abs(sigma.inner(w)))
+        worst = max(worst, float(np.max(np.abs(sigma.inner(w)))))
         params, theta = zgeom.invert_circle(point)
-        worst = max(worst, zgeom.circle_point(params, theta).projective_distance(point))
+        worst = max(worst, float(np.max(zgeom.circle_point(params, theta).projective_distance(point))))
     return _result("polar_containment", worst, 1e-6)
 
 
 def check_nk_basis_identity(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 113])
     worst = 0.0
-    for _ in range(50):
-        d = _nabla_tensor(_random_ank(rng))
-        # d[i, i, j] = (nabla_{e_i} w)(e_i, e_j)
-        worst = max(worst, float(np.max(np.abs(d[range(6), range(6)]))))
+    for n in _chunk_sizes(50):
+        d = _nabla_tensor(_random_ank(rng, n))
+        # d[..., i, i, j] = (nabla_{e_i} w)(e_i, e_j)
+        worst = max(worst, float(np.max(np.abs(d[..., range(6), range(6), :]))))
     return _result("nk_basis_identity", worst, 1e-12)
 
 
@@ -314,7 +312,7 @@ def check_nk_defect_floor(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 114])
     reference = nk_defect(ank_reference_acs())
     floor = reference / 2.0
-    smallest = min(nk_defect(_random_ank(rng)) for _ in range(50))
+    smallest = min(float(np.min(nk_defect(_random_ank(rng, n)))) for n in _chunk_sizes(50))
     residual = max(0.0, floor - smallest)
     return _result(
         "nk_defect_floor", residual, 1e-12, measured_value=float(reference)

@@ -18,6 +18,12 @@ Pole parametrization on the two distinguished edges (unit (r, x, u)):
         point [0, sqrt((r+1)/2), (u + i x) / sqrt(2 (r+1)), 0]
 
 with the degenerate representatives [0,0,0,1] and [0,0,1,0] at r = -1.
+
+The parametrized families take parameter arrays as well as floats: a
+:class:`PolarPairParams` with array fields, angles and unit triples of one
+shape give a stack of points, forms or structures of that shape, each
+element computed as a single call computes it.  The closed-form branch is
+chosen per element.
 """
 
 from __future__ import annotations
@@ -26,17 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acs import ACS, acs_from_form, fundamental_form
-from .cp3 import CP3Point, acs_to_cp3, cp3_to_acs, identify, wedge4
+from .acs import ACS, _in_z, fundamental_form
+from .cp3 import CP3Point, _product, _unit, acs_to_cp3, cp3_to_acs, identify, wedge4
 from .exceptions import (
     NotDecomposableError,
-    NotInZError,
     NotUnitError,
     ParamDomainError,
     ZeroCombinationError,
     ZeroFormError,
+    at_member,
+    first_failure,
 )
 from .exterior import TwoForm, decomposability_residual
+from .kernels import _scalar
 
 #: |r + 1| below this selects the degenerate pole representative
 DEGENERATE_EPS = 1e-8
@@ -69,13 +77,17 @@ def edge_point(edge: Edge, alpha: complex, beta: complex) -> CP3Point:
 # edge through vertices 0 and 1
 
 
-def edge01_form(s: float, c1: float, c2: float) -> TwoForm:
+def edge01_form(s, c1, c2) -> TwoForm:
     """Constructive fundamental form of the point [s, c1 + i c2, 0, 0]."""
     _check_unit3(s, c1, c2)
-    return fundamental_form(cp3_to_acs(np.array([s, c1 + 1j * c2, 0.0, 0.0])))
+    s, c1, c2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (s, c1, c2)))
+    coords = np.zeros(s.shape + (4,), dtype=complex)
+    coords[..., 0] = s
+    coords[..., 1] = c1 + 1j * c2
+    return fundamental_form(cp3_to_acs(coords))
 
 
-def edge01_closed_form(s: float, c1: float, c2: float) -> TwoForm:
+def edge01_closed_form(s, c1, c2) -> TwoForm:
     """Closed form with r = 2 s^2 - 1, u = 2 s c2, x = -2 s c1:
 
         e1^e2 + r (e3^e4 + e5^e6) + u (e3^e5 - e4^e6) + x (e3^e6 + e4^e5)
@@ -97,10 +109,14 @@ def edge01_closed_form(s: float, c1: float, c2: float) -> TwoForm:
     )
 
 
-def _check_unit3(*vals: float, tol: float = _UNIT_TOL) -> None:
-    s = sum(v * v for v in vals)
-    if abs(s - 1.0) > tol:
-        raise ParamDomainError(f"parameters must lie on the unit sphere (|.|^2 = {s})")
+def _check_unit3(*vals, tol: float = _UNIT_TOL) -> None:
+    """Raise for the first element of (arrays of) triples off the unit sphere."""
+    s = sum(np.asarray(v, dtype=float) ** 2 for v in vals)
+    failure = first_failure(np.abs(s - 1.0) > tol)
+    if failure is not None:
+        member = failure[1]
+        message = f"parameters must lie on the unit sphere (|.|^2 = {s[member]})"
+        raise ParamDomainError(at_member(message, member))
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +135,7 @@ def generalized_edge_contains(sigma: TwoForm, omega: TwoForm, tol: float = _UNIT
     nrm = sigma.norm()
     if abs(nrm - 1.0) > tol:
         raise NotUnitError(f"|sigma| = {nrm} != 1")
-    try:
-        acs_from_form(omega)
-    except NotInZError:
+    if not _in_z(omega.matrix().mT, tol):
         return False
     sm = sigma.matrix()
     # rank-2 column space of the antisymmetric coefficient matrix
@@ -131,15 +145,15 @@ def generalized_edge_contains(sigma: TwoForm, omega: TwoForm, tol: float = _UNIT
     return bool(np.max(np.abs(tail @ plane)) <= tol)
 
 
-def polar_contains(sigma: TwoForm, omega: TwoForm, tol: float = _UNIT_TOL) -> bool:
-    """omega in Z and orthogonal to sigma in the form inner product."""
+def polar_contains(sigma: TwoForm, omega: TwoForm, tol: float = _UNIT_TOL):
+    """omega in Z and orthogonal to sigma in the form inner product.
+
+    A bool per form of a stack ``omega``.
+    """
     if sigma.norm() == 0.0:
         raise ZeroFormError("polar set of the zero form is undefined")
-    try:
-        acs_from_form(omega)
-    except NotInZError:
-        return False
-    return bool(abs(sigma.inner(omega)) <= tol)
+    in_z = _in_z(omega.matrix().mT, tol)
+    return _scalar(np.asarray(in_z & (np.abs(sigma.inner(omega)) <= tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +162,10 @@ def polar_contains(sigma: TwoForm, omega: TwoForm, tol: float = _UNIT_TOL) -> bo
 
 @dataclass(frozen=True)
 class PolarPairParams:
-    """Unit parameter triples for a pole pair (plus on edge 03, minus on 12)."""
+    """Unit parameter triples for a pole pair (plus on edge 03, minus on 12).
+
+    The fields are floats, or arrays of one shape for a stack of pairs.
+    """
 
     r_plus: float
     x_plus: float
@@ -162,20 +179,25 @@ class PolarPairParams:
         _check_unit3(self.r_minus, self.x_minus, self.u_minus)
 
 
-def _pole_coords(r: float, x: float, u: float, plus: bool) -> np.ndarray:
-    if abs(r + 1.0) < DEGENERATE_EPS:
-        return (
-            np.array([0, 0, 0, 1], dtype=complex)
-            if plus
-            else np.array([0, 0, 1, 0], dtype=complex)
-        )
+def _pole_coords(r, x, u, plus: bool) -> np.ndarray:
+    """Unit coordinates (..., 4) of the poles with parameters r, x, u (arrays or floats)."""
+    r, x, u = (np.asarray(v, dtype=float) for v in (r, x, u))
+    degenerate = np.abs(r + 1.0) < DEGENERATE_EPS
     # [r + 1, (-u + i x)] scaled to unit norm by its own norm: the form
     # [s, (-u + i x) / (2 s)] with s = sqrt((r + 1) / 2) has unit norm only
     # when r^2 + x^2 + u^2 = 1 exactly, and misses it by the rounding of that
     # sum over 2 (r + 1), which put ANK points near a pole 1e-12 off the set
-    norm = np.sqrt((r + 1.0) ** 2 + x * x + u * u)
-    w = ((-u if plus else u) + 1j * x) / norm
-    return np.array([(r + 1.0) / norm, 0.0, 0.0, w]) if plus else np.array([0.0, (r + 1.0) / norm, w, 0.0])
+    norm = np.where(degenerate, 1.0, np.sqrt((r + 1.0) ** 2 + x * x + u * u))
+    lead, tail = (0, 3) if plus else (1, 2)
+    coords = np.zeros(np.broadcast_shapes(r.shape, x.shape, u.shape) + (4,), dtype=complex)
+    coords[..., lead] = (r + 1.0) / norm
+    coords[..., tail].real = (-u if plus else u) / norm
+    coords[..., tail].imag = x / norm
+    return np.where(degenerate[..., None], _DEGENERATE_POLES[plus], coords)
+
+
+#: representatives of the plus and minus poles at r = -1
+_DEGENERATE_POLES = {True: np.eye(4, dtype=complex)[3], False: np.eye(4, dtype=complex)[2]}
 
 
 def polar_pair_points(p: PolarPairParams) -> tuple[CP3Point, CP3Point]:
@@ -186,7 +208,7 @@ def polar_pair_points(p: PolarPairParams) -> tuple[CP3Point, CP3Point]:
     )
 
 
-def pole_plus_closed_form(r: float, x: float, u: float) -> TwoForm:
+def pole_plus_closed_form(r, x, u) -> TwoForm:
     """Corrected closed form of a pole on the edge through vertices 0 and 3."""
     _check_unit3(r, x, u)
     return TwoForm.from_pairs(
@@ -194,7 +216,7 @@ def pole_plus_closed_form(r: float, x: float, u: float) -> TwoForm:
     )
 
 
-def pole_minus_closed_form(r: float, x: float, u: float) -> TwoForm:
+def pole_minus_closed_form(r, x, u) -> TwoForm:
     """Corrected closed form of a pole on the edge through vertices 1 and 2."""
     _check_unit3(r, x, u)
     return TwoForm.from_pairs(
@@ -202,16 +224,20 @@ def pole_minus_closed_form(r: float, x: float, u: float) -> TwoForm:
     )
 
 
-def circle_point(p: PolarPairParams, theta: float) -> CP3Point:
+def circle_point(p: PolarPairParams, theta) -> CP3Point:
     """Equatorial point (p_minus + e^{i theta} p_plus) / sqrt(2)."""
     plus, minus = polar_pair_points(p)
+    theta = np.asarray(theta, dtype=float)[..., None]
     phase = np.cos(theta) + 1j * np.sin(theta)
-    return CP3Point((minus.coords + phase * plus.coords) / np.sqrt(2.0))
+    return CP3Point((minus.coords + _product(phase, plus.coords)) / np.sqrt(2.0))
 
 
-def circle_form(p: PolarPairParams, theta: float) -> TwoForm:
+def circle_form(p: PolarPairParams, theta) -> TwoForm:
     """Constructive fundamental form of the equatorial circle point."""
     return fundamental_form(cp3_to_acs(circle_point(p, theta)))
+
+
+_BASIS4 = np.eye(4, dtype=complex)
 
 
 def form_from_bivectors(point: CP3Point) -> TwoForm:
@@ -222,47 +248,60 @@ def form_from_bivectors(point: CP3Point) -> TwoForm:
     identification and wedges real against imaginary parts, one term at a
     time.
     """
-    u = point.scaled()
-    u = u / np.linalg.norm(u)
-    basis4 = np.eye(4, dtype=complex)
-    om = np.zeros((6, 6))
+    u = _unit(point.scaled())
+    om = 0.0
     for a in range(4):
-        w = identify(wedge4(u, basis4[a]))
-        om += np.outer(w.real, w.imag) - np.outer(w.imag, w.real)
+        w = identify(wedge4(u, _BASIS4[a]))
+        re, im = w.real, w.imag
+        om = om + (re[..., :, None] * im[..., None, :] - im[..., :, None] * re[..., None, :])
     return TwoForm.from_matrix(4.0 * om)
 
 
 # --- closed-form circle branches (typo-corrected) --------------------------
 
+#: branch labels, in the order in which the degeneracy tests pick them
+_BRANCH_LABELS = np.array(["both_degenerate", "minus_degenerate", "plus_degenerate", "generic"])
 
-def circle_closed_form(p: PolarPairParams, theta: float) -> tuple[TwoForm, str]:
+
+def _by_branch(p: PolarPairParams, theta, branches) -> tuple[TwoForm, str]:
+    """Each element's form from the formula of its pole-degeneracy branch.
+
+    ``branches`` holds, in the order of ``_BRANCH_LABELS``, one function of
+    (rp, xp, up, rm, xm, um, t1, t2) to a TwoForm; each is evaluated on the
+    elements of its branch only.  Returns the forms and the labels (a str
+    for one element).
+    """
+    theta = np.asarray(theta, dtype=float)
+    *params, t1, t2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in vars(p).values()),
+                                          np.cos(theta), np.sin(theta))
+    deg_p = np.abs(params[0] + 1.0) < DEGENERATE_EPS
+    deg_m = np.abs(params[3] + 1.0) < DEGENERATE_EPS
+    kind = np.where(deg_p & deg_m, 0, np.where(deg_m, 1, np.where(deg_p, 2, 3)))
+    coeffs = np.empty(kind.shape + (15,))
+    for k, branch in enumerate(branches):
+        mask = kind == k
+        if mask.any():
+            coeffs[mask] = branch(*(v[mask] for v in (*params, t1, t2))).coeffs
+    return TwoForm(coeffs), _scalar(_BRANCH_LABELS[kind])
+
+
+def circle_closed_form(p: PolarPairParams, theta) -> tuple[TwoForm, str]:
     """Coefficient formulas for the circle form, per pole-degeneracy branch.
 
     Returns the form and the branch label among ``generic``,
-    ``both_degenerate``, ``minus_degenerate``, ``plus_degenerate``.
-    Agrees with :func:`circle_form` on all branches.
+    ``both_degenerate``, ``minus_degenerate``, ``plus_degenerate`` (an array
+    of labels for a stack).  Agrees with :func:`circle_form` on all branches.
     """
-    t1, t2 = float(np.cos(theta)), float(np.sin(theta))
-    deg_p = abs(p.r_plus + 1.0) < DEGENERATE_EPS
-    deg_m = abs(p.r_minus + 1.0) < DEGENERATE_EPS
-    if deg_p and deg_m:
-        return _branch_both_degenerate(t1, t2), "both_degenerate"
-    if deg_m:
-        return _branch_minus_degenerate(p.r_plus, p.x_plus, p.u_plus, t1, t2), "minus_degenerate"
-    if deg_p:
-        return _branch_plus_degenerate(p.r_minus, p.x_minus, p.u_minus, t1, t2), "plus_degenerate"
-    return _branch_generic(p, t1, t2), "generic"
+    return _by_branch(p, theta, _CORRECTED_BRANCHES)
 
 
-def _branch_both_degenerate(t1: float, t2: float) -> TwoForm:
+def _branch_both_degenerate(t1, t2) -> TwoForm:
     return TwoForm.from_pairs(
         {(0, 1): -1.0, (2, 4): t2, (3, 5): t2, (2, 5): t1, (3, 4): -t1}
     )
 
 
-def _branch_generic(p: PolarPairParams, t1: float, t2: float) -> TwoForm:
-    rp, xp, up = p.r_plus, p.x_plus, p.u_plus
-    rm, xm, um = p.r_minus, p.x_minus, p.u_minus
+def _branch_generic(rp, xp, up, rm, xm, um, t1, t2) -> TwoForm:
     q = np.sqrt((rm + 1.0) * (rp + 1.0))
     return 0.5 * TwoForm.from_pairs(
         {
@@ -284,7 +323,7 @@ def _branch_generic(p: PolarPairParams, t1: float, t2: float) -> TwoForm:
     )
 
 
-def _branch_minus_degenerate(r: float, x: float, u: float, t1: float, t2: float) -> TwoForm:
+def _branch_minus_degenerate(r, x, u, t1, t2) -> TwoForm:
     # minus pole at its degenerate representative; the t2 cross term sign
     # differs from the literature display (corrected here)
     s = np.sqrt((r + 1.0) / 2.0)
@@ -309,7 +348,7 @@ def _branch_minus_degenerate(r: float, x: float, u: float, t1: float, t2: float)
     )
 
 
-def _branch_plus_degenerate(r: float, x: float, u: float, t1: float, t2: float) -> TwoForm:
+def _branch_plus_degenerate(r, x, u, t1, t2) -> TwoForm:
     s = np.sqrt((r + 1.0) / 2.0)
     d = np.sqrt(2.0 * (r + 1.0))
     return TwoForm.from_pairs(
@@ -332,7 +371,32 @@ def _branch_plus_degenerate(r: float, x: float, u: float, t1: float, t2: float) 
     )
 
 
-def printed_circle_form(p: PolarPairParams, theta: float) -> tuple[TwoForm, str]:
+#: corrected formulas per branch, in the order of ``_BRANCH_LABELS``
+_CORRECTED_BRANCHES = (
+    lambda rp, xp, up, rm, xm, um, t1, t2: _branch_both_degenerate(t1, t2),
+    lambda rp, xp, up, rm, xm, um, t1, t2: _branch_minus_degenerate(rp, xp, up, t1, t2),
+    lambda rp, xp, up, rm, xm, um, t1, t2: _branch_plus_degenerate(rm, xm, um, t1, t2),
+    _branch_generic,
+)
+
+
+def _printed_minus_degenerate(rp, xp, up, t1, t2) -> TwoForm:
+    s = np.sqrt((rp + 1.0) / 2.0)
+    flip = TwoForm.from_pairs({(0, 4): -2.0 * t2 * s, (1, 5): 2.0 * t2 * s})
+    return _branch_minus_degenerate(rp, xp, up, t1, t2) + flip
+
+
+#: the displayed formulas per branch: generic at twice the form, the
+#: minus-degenerate one with its sign error on the t2 cross term
+_PRINTED_BRANCHES = (
+    _CORRECTED_BRANCHES[0],
+    lambda rp, xp, up, rm, xm, um, t1, t2: _printed_minus_degenerate(rp, xp, up, t1, t2),
+    _CORRECTED_BRANCHES[2],
+    lambda *args: 2.0 * _branch_generic(*args),
+)
+
+
+def printed_circle_form(p: PolarPairParams, theta) -> tuple[TwoForm, str]:
     """Literal transcription of the displayed branch formulas.
 
     The ``generic`` display is 2x the fundamental form; the degenerate
@@ -340,68 +404,55 @@ def printed_circle_form(p: PolarPairParams, theta: float) -> tuple[TwoForm, str]
     on its t2 cross term.  Returned unscaled and uncorrected so callers
     can report per-coefficient agreement.
     """
-    t1, t2 = float(np.cos(theta)), float(np.sin(theta))
-    deg_p = abs(p.r_plus + 1.0) < DEGENERATE_EPS
-    deg_m = abs(p.r_minus + 1.0) < DEGENERATE_EPS
-    if deg_p and deg_m:
-        return _branch_both_degenerate(t1, t2), "both_degenerate"
-    if deg_m:
-        corrected = _branch_minus_degenerate(p.r_plus, p.x_plus, p.u_plus, t1, t2)
-        s = np.sqrt((p.r_plus + 1.0) / 2.0)
-        flip = TwoForm.from_pairs({(0, 4): -2.0 * t2 * s, (1, 5): 2.0 * t2 * s})
-        return corrected + flip, "minus_degenerate"
-    if deg_p:
-        return _branch_plus_degenerate(p.r_minus, p.x_minus, p.u_minus, t1, t2), "plus_degenerate"
-    return 2.0 * _branch_generic(p, t1, t2), "generic"
+    return _by_branch(p, theta, _PRINTED_BRANCHES)
 
 
 # ---------------------------------------------------------------------------
 # the ANK circle decomposition
 
 
-def ank_circle_params(r: float, x: float, u: float) -> PolarPairParams:
+def ank_circle_params(r, x, u) -> PolarPairParams:
     """Pole constraint of the maximal set: opposite r and x, equal u."""
     _check_unit3(r, x, u)
     return PolarPairParams(r, x, u, -r, -x, u)
 
 
-def ank_circle_acs(r: float, x: float, u: float, theta: float) -> ACS:
+def ank_circle_acs(r, x, u, theta) -> ACS:
     """Member of the maximal (ANK) set for unit (r, x, u) and angle theta."""
     return cp3_to_acs(circle_point(ank_circle_params(r, x, u), theta))
+
+
+def _invert_pole(lead, tail, sign: float):
+    """(r, x, u) of the poles with coordinates proportional to (lead, tail).
+
+    tail / lead = (sign u + i x) / (r + 1); |lead| < 1e-10 selects the
+    degenerate pole r = -1.
+    """
+    degenerate = np.abs(lead) < 1e-10
+    zeta = tail / np.where(degenerate, 1.0, lead)
+    m2 = np.abs(zeta) ** 2
+    r = (1.0 - m2) / (1.0 + m2)
+    return (np.where(degenerate, -1.0, r),
+            np.where(degenerate, 0.0, zeta.imag * (1.0 + r)),
+            np.where(degenerate, 0.0, sign * zeta.real * (1.0 + r)))
 
 
 def invert_circle(point: CP3Point) -> tuple[PolarPairParams, float]:
     """Pole parameters and angle reproducing a point of the polar set.
 
     Valid for points with equal mass on coordinates {0, 3} and {1, 2}
-    (equivalently, fundamental form orthogonal to e5^e6).
+    (equivalently, fundamental form orthogonal to e5^e6).  For a stack of
+    points the parameters and angles are arrays.
     """
-    z = point.scaled()
-    z0, z1, z2, z3 = z / np.linalg.norm(z)
-
-    if abs(z1) < 1e-10:
-        rm, xm, um = -1.0, 0.0, 0.0
-    else:
-        zeta = z2 / z1  # (u + i x) / (r + 1)
-        m2 = abs(zeta) ** 2
-        rm = (1.0 - m2) / (1.0 + m2)
-        um = float(zeta.real * (1.0 + rm))
-        xm = float(zeta.imag * (1.0 + rm))
-    if abs(z0) < 1e-10:
-        rp, xp, up = -1.0, 0.0, 0.0
-    else:
-        zeta = z3 / z0  # (-u + i x) / (r + 1)
-        m2 = abs(zeta) ** 2
-        rp = (1.0 - m2) / (1.0 + m2)
-        up = float(-zeta.real * (1.0 + rp))
-        xp = float(zeta.imag * (1.0 + rp))
-
-    params = PolarPairParams(rp, xp, up, rm, xm, um)
-    plus, minus = polar_pair_points(params)
-    alpha = z1 / minus.coords[1] if abs(z1) >= 1e-10 else z2 / minus.coords[2]
-    beta = z0 / plus.coords[0] if abs(z0) >= 1e-10 else z3 / plus.coords[3]
-    theta = float(np.angle(beta / alpha))
-    return params, theta
+    z0, z1, z2, z3 = np.moveaxis(_unit(point.scaled()), -1, 0)
+    rp, xp, up = _invert_pole(z0, z3, -1.0)
+    rm, xm, um = _invert_pole(z1, z2, 1.0)
+    params = PolarPairParams(*(_scalar(v) for v in (rp, xp, up, rm, xm, um)))
+    plus, minus = (q.coords for q in polar_pair_points(params))
+    deg_p, deg_m = np.abs(z0) < 1e-10, np.abs(z1) < 1e-10
+    alpha = np.where(deg_m, z2, z1) / np.where(deg_m, minus[..., 2], minus[..., 1])
+    beta = np.where(deg_p, z3, z0) / np.where(deg_p, plus[..., 3], plus[..., 0])
+    return params, _scalar(np.angle(beta / alpha))
 
 
 def invert_ank_circle(acs: ACS) -> tuple[float, float, float, float]:
@@ -422,23 +473,32 @@ def _angle(rng: np.random.Generator) -> float:
     return float(rng.uniform(0.0, 2.0 * np.pi))
 
 
-def _random_ank(rng: np.random.Generator) -> ACS:
-    """Random member of the ANK set: a unit pole triple, then an angle."""
-    return ank_circle_acs(*_unit3(rng), _angle(rng))
+def _rows(n: int, draw) -> np.ndarray:
+    """Columns (k, n) of n rows ``draw()``: n structures drawn one at a time, in order."""
+    return np.ascontiguousarray(np.array([draw() for _ in range(n)], dtype=float).reshape(n, -1).T)
 
 
-def sample_polar_point(rng: np.random.Generator) -> CP3Point:
-    """Random point with equal mass on coordinate pairs {0,3} and {1,2}.
+def _random_ank(rng: np.random.Generator, n: int) -> ACS:
+    """n random members of the ANK set (a stack): each a unit pole triple, then an angle."""
+    return ank_circle_acs(*_rows(n, lambda: (*_unit3(rng), _angle(rng))))
+
+
+def _random_circle(rng: np.random.Generator, n: int) -> tuple[PolarPairParams, np.ndarray]:
+    """Parameters of n random equatorial points: each two unit pole triples, then an angle."""
+    *params, theta = _rows(n, lambda: (*_unit3(rng), *_unit3(rng), _angle(rng)))
+    return PolarPairParams(*params), theta
+
+
+def sample_polar_point(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> CP3Point:
+    """Random point, or stack of points, with equal mass on coordinate pairs {0,3} and {1,2}.
 
     Such points are exactly the members of the polar set of e5^e6 (the
     coefficient of e5^e6 in the fundamental form equals the mass
-    difference of the two pairs).
+    difference of the two pairs).  Each point draws its four real parts,
+    then its four imaginary parts.
     """
-    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    n03 = np.sqrt(abs(z[0]) ** 2 + abs(z[3]) ** 2)
-    n12 = np.sqrt(abs(z[1]) ** 2 + abs(z[2]) ** 2)
-    z[0] /= n03 * np.sqrt(2.0)
-    z[3] /= n03 * np.sqrt(2.0)
-    z[1] /= n12 * np.sqrt(2.0)
-    z[2] /= n12 * np.sqrt(2.0)
-    return CP3Point(z)
+    g = rng.standard_normal(tuple(shape) + (2, 4))
+    z = g[..., 0, :] + 1j * g[..., 1, :]
+    n03 = np.sqrt(np.abs(z[..., 0]) ** 2 + np.abs(z[..., 3]) ** 2)
+    n12 = np.sqrt(np.abs(z[..., 1]) ** 2 + np.abs(z[..., 2]) ** 2)
+    return CP3Point(z / (np.stack([n03, n12, n12, n03], axis=-1) * np.sqrt(2.0)))

@@ -1,8 +1,13 @@
-"""The package's public names: sorted, resolvable, and never a submodule's name."""
+"""The package's public names: sorted, resolvable, never a submodule's name, and
+imported lazily, so that importing the package sets up nothing."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import twistorz
 
@@ -28,3 +33,34 @@ def test_import_as_binds_the_submodule():
     assert isinstance(N, types.ModuleType)
     assert N is importlib.import_module("twistorz.nijenhuis")
     assert callable(N._cofactor_matrix)
+
+
+def test_every_export_has_a_submodule():
+    assert sorted(twistorz._EXPORTS) == twistorz.__all__
+    assert set(twistorz.__all__) <= set(dir(twistorz))
+
+
+def _child(code, **env_vars):
+    """Run ``code`` in a fresh interpreter that imports this package, without OPENBLAS_NUM_THREADS
+    unless given; returns its stdout."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(twistorz.__file__).resolve().parents[1])
+    env.update(env_vars)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_numpy_and_leaves_blas_alone():
+    code = "import os, sys, twistorz; print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _child(code) == "False None"
+
+
+def test_cli_import_asks_for_one_blas_thread():
+    code = "import os, twistorz.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _child(code) == "1"
+
+
+def test_cli_import_keeps_a_user_setting():
+    code = "import os, twistorz.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _child(code, OPENBLAS_NUM_THREADS="2") == "2"

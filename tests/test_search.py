@@ -166,3 +166,28 @@ def test_every_restart_stops_on_the_gradient(monkeypatch, seed, runner):
 def test_restarts_must_be_positive():
     with pytest.raises(ValueError):
         maximize(seed=0, restarts=0)
+
+
+def test_converged_is_the_best_restarts_own_flag(monkeypatch, capsys):
+    # at 14 iterations restart 0 holds the best value without having met
+    # the gradient test, while restarts 3 and 4 did meet it
+    outcomes = []
+    ascend = search._ascend
+
+    def record(*args, **kwargs):
+        outcomes.append(ascend(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(search, "_ascend", record)
+    report = maximize(seed=6, restarts=5, max_iters=14)
+    values = [f for _, f, _, _ in outcomes]
+    best = values.index(max(values))
+    assert not outcomes[best][3]
+    assert any(converged for _, _, _, converged in outcomes)
+    assert report.converged is False
+
+    from twistorz.cli import main
+
+    code = main(["optimize", "--seed", "6", "--restarts", "5", "--max-iters", "14", "--json"])
+    assert code == 3
+    assert '"converged": false' in capsys.readouterr().out

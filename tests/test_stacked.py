@@ -1,30 +1,48 @@
 """Batched routes against loops of their single-structure calls.
 
 Every function that takes a leading batch axis must give, for a stack,
-exactly what a loop of N = 1 calls gives.  The chunked verify checks must
-reproduce the residual of the per-structure loop they replaced, with the
-same rng, which pins their draw order.
+exactly what a loop of N = 1 calls gives.  The chunked verify checks and
+sample rows must reproduce the per-structure loops they replaced, with
+the same rng, which pins their draw order.
 """
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import oracle_nijenhuis
-from twistorz import kernels, verify
+from twistorz import cli, kernels, verify, zgeom
 from twistorz.acs import (
     ACS,
     _haar_rotations,
+    acs_from_form,
     blocks,
     constraint_residuals,
+    fundamental_form,
     haar_rotation,
     hopf_acs,
     orientation_sign,
     random_acs,
     vertex_acs,
 )
-from twistorz.cp3 import CP3Point, _normalized, _point_coords, _scaled, _tetra_coords, acs_to_cp3, tetra_coords
-from twistorz.exceptions import NotRotationError
-from twistorz.nearly_kaehler import is_ank
+from twistorz.cp3 import (
+    CP3Point,
+    _normalized,
+    _point_coords,
+    _scaled,
+    _tetra_coords,
+    acs_to_cp3,
+    cp3_to_acs,
+    identify,
+    identify_inverse,
+    tetra_coords,
+    wedge4,
+)
+from twistorz.exceptions import NotComplexError, NotOrthogonalError, NotRotationError, ParamDomainError
+from twistorz.exterior import TwoForm
+from twistorz.nearly_kaehler import _nabla_tensor, is_ank, nk_defect
 from twistorz.nijenhuis import (
     cofactor_checks,
     integrable_acs,
@@ -34,14 +52,14 @@ from twistorz.nijenhuis import (
     nijenhuis_tensor,
     norm_law_residual,
 )
-from twistorz.zgeom import _random_ank
+from twistorz.zgeom import _angle, _random_ank, _unit3
 
 SIZES = [1, 7]
 
 
 def _structures(n, seed=0):
     """n Haar-random members, led for n > 3 by two with det B = 0 and an ANK one."""
-    fixtures = [vertex_acs(0), hopf_acs(), _random_ank(np.random.default_rng(seed))] if n > 3 else []
+    fixtures = [vertex_acs(0), hopf_acs(), ACS(_random_ank(np.random.default_rng(seed), 1).matrix[0])] if n > 3 else []
     return fixtures + [random_acs([seed, k]) for k in range(n - len(fixtures))]
 
 
@@ -198,3 +216,318 @@ def test_chunked_checks_match_scalar_loop(check, loop, seed):
     result = check(seed)
     assert result.passed
     assert result.residual == loop(seed)
+
+
+# --- the constructive layer: validation, 2-forms, cp3 maps, zgeom families
+
+
+def _points(n, seed=0):
+    """n random coordinate rows, led for n > 3 by a vertex, a pole point and a subnormal row."""
+    rng = np.random.default_rng([seed, 5])
+    raw = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    if n > 3:
+        raw[0] = [0, 0, 1, 0]
+        raw[1] = zgeom.circle_point(zgeom.ank_circle_params(-1.0, 0.0, 0.0), 0.3).coords
+        raw[2] *= 1e-310
+    return raw
+
+
+def _circle_columns(n, seed=0):
+    """Seven columns (pole pair parameters, angle); for n > 3 rows 0-2 are degenerate branches."""
+    rng = np.random.default_rng([seed, 6])
+    rows = np.array([[*_unit3(rng), *_unit3(rng), _angle(rng)] for _ in range(n)])
+    if n > 3:
+        rows[0, :6] = [-1.0, 0.0, 0.0, -1.0, 0.0, 0.0]
+        rows[1, 3:6] = [-1.0, 0.0, 0.0]
+        rows[2, 0:3] = [-1.0, 0.0, 0.0]
+    return [np.ascontiguousarray(c) for c in rows.T]
+
+
+def _single_circles(cols):
+    """(params, theta) of each row of the columns, as floats."""
+    return [(zgeom.PolarPairParams(*(float(c[k]) for c in cols[:6])), float(cols[6][k]))
+            for k in range(len(cols[0]))]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_validation_and_forms_match_loop(n):
+    ss = _structures(n)
+    m = _stack(ss).matrix
+    _same(ACS.validate(m).matrix, [ACS.validate(s.matrix).matrix for s in ss])
+    w = fundamental_form(ACS(m))
+    _same(w.coeffs, [fundamental_form(s).coeffs for s in ss])
+    _same(w.matrix(), [fundamental_form(s).matrix() for s in ss])
+    _same(TwoForm.from_matrix(w.matrix()).coeffs, w.coeffs)
+    _same(acs_from_form(w).matrix, [acs_from_form(fundamental_form(s)).matrix for s in ss])
+    sigma = TwoForm.basis(4, 5)
+    _same(sigma.inner(w), [sigma.inner(fundamental_form(s)) for s in ss])
+    _same(zgeom.polar_contains(sigma, w), [zgeom.polar_contains(sigma, fundamental_form(s)) for s in ss])
+    _same(_nabla_tensor(ACS(m)), [_nabla_tensor(s) for s in ss])
+    _same(nk_defect(ACS(m)), [nk_defect(s) for s in ss])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_projective_maps_match_loop(n):
+    raw, other = _points(n), _points(n, seed=1)
+    points = CP3Point(raw)
+    singles = [CP3Point(c) for c in raw]
+    _same(cp3_to_acs(points).matrix, [cp3_to_acs(p).matrix for p in singles])
+    _same(cp3_to_acs(raw).matrix, [cp3_to_acs(c).matrix for c in raw])
+    _same(points.projective_residual(CP3Point(other)),
+          [p.projective_residual(CP3Point(q)) for p, q in zip(singles, other)])
+    _same(points.projective_distance(CP3Point(other)),
+          [p.projective_distance(CP3Point(q)) for p, q in zip(singles, other)])
+    bivectors = wedge4(raw, other)
+    _same(bivectors, [wedge4(u, v) for u, v in zip(raw, other)])
+    _same(identify(bivectors), [identify(b) for b in bivectors])
+    _same(identify_inverse(bivectors), [identify_inverse(b) for b in bivectors])
+    _same(zgeom.form_from_bivectors(points).coeffs, [zgeom.form_from_bivectors(p).coeffs for p in singles])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_circle_families_match_loop(n):
+    cols = _circle_columns(n)
+    params, theta = zgeom.PolarPairParams(*cols[:6]), cols[6]
+    singles = _single_circles(cols)
+    stacked_pair = zgeom.polar_pair_points(params)
+    for side in range(2):
+        _same(stacked_pair[side].coords, [zgeom.polar_pair_points(p)[side].coords for p, _ in singles])
+    _same(zgeom.circle_point(params, theta).coords, [zgeom.circle_point(p, t).coords for p, t in singles])
+    _same(zgeom.circle_form(params, theta).coeffs, [zgeom.circle_form(p, t).coeffs for p, t in singles])
+    for closed_form in (zgeom.circle_closed_form, zgeom.printed_circle_form):
+        form, labels = closed_form(params, theta)
+        looped = [closed_form(p, t) for p, t in singles]
+        _same(form.coeffs, [f.coeffs for f, _ in looped])
+        assert list(labels) == [label for _, label in looped]
+    inverted, angles = zgeom.invert_circle(zgeom.circle_point(params, theta))
+    looped = [zgeom.invert_circle(zgeom.circle_point(p, t)) for p, t in singles]
+    for field, values in vars(inverted).items():
+        _same(values, [getattr(q, field) for q, _ in looped])
+    _same(angles, [t for _, t in looped])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_unit_triple_families_match_loop(n):
+    r, x, u, *_, theta = _circle_columns(n)
+    triples = list(zip(r.tolist(), x.tolist(), u.tolist()))
+    for family in (zgeom.edge01_form, zgeom.edge01_closed_form,
+                   zgeom.pole_plus_closed_form, zgeom.pole_minus_closed_form):
+        _same(family(r, x, u).coeffs, [family(*t).coeffs for t in triples])
+    acs = zgeom.ank_circle_acs(r, x, u, theta)
+    _same(acs.matrix, [zgeom.ank_circle_acs(*t, th).matrix for t, th in zip(triples, theta.tolist())])
+    _same(np.array(zgeom.invert_ank_circle(acs)).T,
+          [zgeom.invert_ank_circle(ACS(m)) for m in acs.matrix])
+
+
+def test_draws_match_loop_and_leave_rng_alike():
+    for draw, single in (
+        (lambda rng: _random_ank(rng, 7).matrix,
+         lambda rng: zgeom.ank_circle_acs(*_unit3(rng), _angle(rng)).matrix),
+        (lambda rng: zgeom.sample_polar_point(rng, (7,)).coords,
+         lambda rng: zgeom.sample_polar_point(rng).coords),
+    ):
+        stacked_rng, looped_rng = np.random.default_rng(13), np.random.default_rng(13)
+        _same(draw(stacked_rng), [single(looped_rng) for _ in range(7)])
+        assert stacked_rng.standard_normal() == looped_rng.standard_normal()
+
+
+def test_stack_with_one_bad_member_names_its_index():
+    m = _stack(_structures(7)).matrix.copy()
+    bad = m.copy()
+    bad[4] *= 1.01
+    with pytest.raises(NotComplexError, match=r"^J\^2 != -identity at member 4 \(max residual"):
+        ACS.validate(bad)
+    with pytest.raises(NotComplexError, match=r"at member \(1, 1\)"):
+        ACS.validate(bad[:6].reshape(2, 3, 6, 6))
+    shear = np.eye(6)
+    shear[0, 1] = 0.5
+    bad = m.copy()
+    bad[5] = shear @ m[5] @ np.linalg.inv(shear)  # J^2 = -1 still, not orthogonal
+    with pytest.raises(NotOrthogonalError, match="at member 5"):
+        ACS.validate(bad)
+    bad[2] = np.nan  # an earlier member fails first
+    with pytest.raises(NotComplexError, match="^expected a finite 6x6 matrix at member 2$"):
+        ACS.validate(bad)
+    with pytest.raises(NotComplexError) as single:
+        ACS.validate(1.01 * m[4])
+    assert "member" not in str(single.value)
+
+    raw = _points(7)
+    raw[3] = 0.0
+    with pytest.raises(ValueError, match="cannot all vanish at member 3"):
+        cp3_to_acs(raw)
+    r = np.array([1.0, 0.0, 0.6])
+    with pytest.raises(ParamDomainError, match="at member 1"):
+        zgeom.ank_circle_acs(r, np.zeros(3), np.array([0.0, 0.5, 0.8]), np.zeros(3))
+
+
+# --- chunked checks and sample rows against their per-structure loops
+
+
+def _loop_edge01(seed):
+    rng = np.random.default_rng([seed, 101])
+    worst = 0.0
+    for _ in range(100):
+        s, c1, c2 = _unit3(rng)
+        gap = zgeom.edge01_form(s, c1, c2).coeffs - zgeom.edge01_closed_form(s, c1, c2).coeffs
+        worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
+
+
+def _loop_branch(seed, tag, draw, count=40):
+    rng = np.random.default_rng([seed, tag])
+    worst = 0.0
+    for _ in range(count):
+        params, theta = draw(rng)
+        constructive = zgeom.circle_form(params, theta).coeffs
+        closed, _ = zgeom.circle_closed_form(params, theta)
+        direct = zgeom.form_from_bivectors(zgeom.circle_point(params, theta))
+        worst = max(worst, float(np.max(np.abs(constructive - closed.coeffs))),
+                    float(np.max(np.abs(constructive - direct.coeffs))))
+    return worst
+
+
+def _loop_circle_degenerate(seed):
+    p = zgeom.PolarPairParams(-1.0, 0.0, 0.0, -1.0, 0.0, 0.0)
+    worst = _loop_branch(seed, 102, lambda rng: (p, _angle(rng)))
+    rng = np.random.default_rng([seed, 103])
+    for _ in range(10):
+        theta = _angle(rng)
+        printed, _ = zgeom.printed_circle_form(p, theta)
+        worst = max(worst, float(np.max(np.abs(zgeom.circle_form(p, theta).coeffs - printed.coeffs))))
+    return worst
+
+
+def _loop_circle_generic(seed):
+    return _loop_branch(seed, 104, lambda rng: (zgeom.PolarPairParams(*_unit3(rng), *_unit3(rng)), _angle(rng)))
+
+
+def _loop_circle_mixed(seed):
+    return max(
+        _loop_branch(seed, 105, lambda rng: (zgeom.PolarPairParams(*_unit3(rng), -1.0, 0.0, 0.0), _angle(rng))),
+        _loop_branch(seed, 106, lambda rng: (zgeom.PolarPairParams(-1.0, 0.0, 0.0, *_unit3(rng)), _angle(rng))),
+    )
+
+
+def _loop_seam_residual(theta, fixed, plus_side):
+    etas = [1e-2 / 2**k for k in range(4)]
+
+    def form(r, x, u):
+        params = (r, x, u, *fixed) if plus_side else (*fixed, r, x, u)
+        return zgeom.circle_form(zgeom.PolarPairParams(*params), theta).coeffs
+
+    vals = []
+    for eta in etas:
+        r = -1.0 + eta * eta
+        mag = math.sqrt(max(0.0, 1.0 - r * r))
+        vals.append(form(r, 0.0, -mag if plus_side else mag))
+    for m in range(1, 4):
+        vals = [(etas[i] * vals[i + 1] - etas[i + m] * vals[i]) / (etas[i] - etas[i + m]) for i in range(4 - m)]
+    return float(np.max(np.abs(vals[0] - form(-1.0, 0.0, 0.0))))
+
+
+def _loop_circle_seam(seed):
+    rng = np.random.default_rng([seed, 107])
+    worst = 0.0
+    for _ in range(5):
+        fixed = _unit3(rng)
+        theta = _angle(rng)
+        worst = max(worst, _loop_seam_residual(theta, fixed, True), _loop_seam_residual(theta, fixed, False))
+    return worst
+
+
+def _single_ank(rng):
+    return zgeom.ank_circle_acs(*_unit3(rng), _angle(rng))
+
+
+def _loop_ank_cover(seed):
+    rng = np.random.default_rng([seed, 110])
+    worst = 0.0
+    for _ in range(200):
+        acs = _single_ank(rng)
+        b = blocks(acs)
+        worst = max(worst, float(np.linalg.norm(b.A, axis=(-2, -1))), float(np.linalg.norm(b.C, axis=(-2, -1))),
+                    abs(nijenhuis_norm(acs) - verify.max_norm()))
+    return worst
+
+
+def _loop_ank_inversion(seed):
+    rng = np.random.default_rng([seed, 111])
+    worst = 0.0
+    for _ in range(100):
+        b = haar_rotation(3, rng)
+        z3 = np.zeros((3, 3))
+        acs = ACS(np.block([[z3, b], [-b.T, z3]]))
+        r, x, u, theta = zgeom.invert_ank_circle(acs)
+        reproduced = zgeom.circle_point(zgeom.ank_circle_params(r, x, u), theta)
+        worst = max(worst, acs_to_cp3(acs).projective_distance(reproduced))
+    return worst
+
+
+def _loop_polar_containment(seed):
+    rng = np.random.default_rng([seed, 112])
+    sigma = TwoForm.basis(4, 5)
+    worst = 0.0
+    for _ in range(50):
+        w = fundamental_form(_single_ank(rng))
+        worst = max(worst, abs(sigma.inner(w)), 0.0 if zgeom.polar_contains(sigma, w) else 1.0)
+    for _ in range(50):
+        point = zgeom.sample_polar_point(rng)
+        worst = max(worst, abs(sigma.inner(fundamental_form(cp3_to_acs(point)))))
+        params, theta = zgeom.invert_circle(point)
+        worst = max(worst, zgeom.circle_point(params, theta).projective_distance(point))
+    return worst
+
+
+def _loop_nk_basis_identity(seed):
+    rng = np.random.default_rng([seed, 113])
+    return max(float(np.max(np.abs(_nabla_tensor(_single_ank(rng))[range(6), range(6)]))) for _ in range(50))
+
+
+def _loop_nk_defect_floor(seed):
+    rng = np.random.default_rng([seed, 114])
+    floor = nk_defect(verify.ank_reference_acs()) / 2.0
+    return max(0.0, floor - min(nk_defect(_single_ank(rng)) for _ in range(50)))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("check, loop", [
+    (verify.check_edge01, _loop_edge01),
+    (verify.check_circle_degenerate, _loop_circle_degenerate),
+    (verify.check_circle_generic, _loop_circle_generic),
+    (verify.check_circle_mixed, _loop_circle_mixed),
+    (verify.check_circle_seam, _loop_circle_seam),
+    (verify.check_ank_cover, _loop_ank_cover),
+    (verify.check_ank_inversion, _loop_ank_inversion),
+    (verify.check_polar_containment, _loop_polar_containment),
+    (verify.check_nk_basis_identity, _loop_nk_basis_identity),
+    (verify.check_nk_defect_floor, _loop_nk_defect_floor),
+], ids=lambda f: f.__name__)
+def test_chunked_constructive_checks_match_scalar_loop(check, loop, seed):
+    result = check(seed)
+    assert result.passed
+    assert result.residual == loop(seed)
+
+
+#: the per-row constructions that the chunked samplers replaced
+_ROW_SAMPLERS = {
+    "ank": lambda rng, _: _single_ank(rng),
+    "integrable": lambda rng, _: integrable_acs(haar_rotation(3, rng), haar_rotation(3, rng)),
+    "random": lambda _, row_seed: random_acs(row_seed),
+    "polar": lambda rng, _: cp3_to_acs(
+        zgeom.circle_point(zgeom.PolarPairParams(*_unit3(rng), *_unit3(rng)), _angle(rng))
+    ),
+    "edge01": lambda rng, _: acs_from_form(zgeom.edge01_form(*_unit3(rng))),
+}
+
+
+@pytest.mark.parametrize("set_name", sorted(_ROW_SAMPLERS))
+def test_sample_rows_match_single_structure_loop(set_name):
+    count, seed = 45, 3
+    rng = np.random.default_rng([seed, sum(map(ord, set_name))])
+    looped = [_ROW_SAMPLERS[set_name](rng, [seed, k]) for k in range(count)]
+    chunks = list(cli._sample_structures(set_name, count, seed))
+    assert [c.matrix.shape[0] for c in chunks] == [20, 20, 5]
+    _same(np.concatenate([c.matrix for c in chunks]), [s.matrix for s in looped])
+    rows = [cli._cloud_row(values) for s in looped for values in cli._cloud_values(ACS(s.matrix[None]))]
+    assert cli._cloud(SimpleNamespace(set=set_name, count=count, seed=seed)) == "\n".join([cli.CSV_HEADER, *rows]) + "\n"
