@@ -122,6 +122,8 @@ def _normalized(c: np.ndarray) -> np.ndarray:
     """Phase-normalized unit rows of coordinates (..., 4); see :meth:`CP3Point.normalized`."""
     c = _unit(_scaled(c))
     mags = np.abs(c)
+    # moduli within 1e-12 of the largest tie, so points equal up to rounding
+    # pick the same pivot and the same phase
     pivot = _one_hot((mags > mags.max(axis=-1, keepdims=True) - 1e-12).argmax(axis=-1))
     return c * (mags[pivot] / c[pivot]).reshape(c.shape[:-1] + (1,))
 

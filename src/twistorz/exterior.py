@@ -97,6 +97,8 @@ class TwoForm:
         m = np.asarray(m, dtype=float)
         if m.shape[-2:] != (DIM, DIM):
             raise ValueError("expected a 6x6 matrix")
+        # m + m^T of a computed antisymmetric matrix is rounding, far below
+        # 1e-12 of its largest entry; a matrix that is not one misses by O(1)
         scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
         failure = first_failure(np.abs(m + m.mT).max(axis=(-2, -1)) > 1e-12 * scale)
         if failure is not None:
@@ -129,6 +131,8 @@ class TwoForm:
         return float(self.coeffs @ (x[_ROWS] * y[_COLS] - x[_COLS] * y[_ROWS]))
 
     def allclose(self, other: "TwoForm", tol: float = 1e-12) -> bool:
+        """Coefficients within tol; the default lies far above the rounding of
+        coefficients of order 1 and far below any difference of structure."""
         return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
 
     def __add__(self, other: "TwoForm") -> "TwoForm":

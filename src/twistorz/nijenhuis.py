@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .acs import ACS, Blocks, _haar_rotations, ank_reference_acs, blocks, hopf_acs
+from .acs import DEFAULT_TOL as ACS_TOL, ACS, Blocks, _haar_rotations, ank_reference_acs, blocks, hopf_acs
 from .exceptions import DomainError, NotRotationError
 from .kernels import _scalar
 
@@ -55,7 +55,7 @@ def closed_form_norm(b: Blocks) -> float:
     """sqrt(kappa) * sqrt(1 - |c|^2) from the block decomposition."""
     c = b.c
     rest = 1.0 - float(c @ c)
-    if rest < -1e-9:
+    if rest < -ACS_TOL:  # the blocks of a structure valid to ACS_TOL
         raise DomainError(f"1 - |c|^2 = {rest:.3e} < 0: not blocks of a valid structure")
     return float(np.sqrt(calibration_constant() * max(rest, 0.0)))
 
@@ -77,6 +77,8 @@ def cofactor_checks(b: Blocks) -> np.ndarray:
     cof_sq = np.sum(cof * cof, axis=(-2, -1))
     det = np.linalg.det(b.B)
     r2 = np.full(det.shape, np.nan)
+    # below it det(B^T B) = det(B)^2 < 1e-24 is lost in the rounding of
+    # B^T B, and its inverse is noise
     ok = np.abs(det) > 1e-12
     inv_trace = np.trace(np.linalg.inv(bt_b[ok]), axis1=-2, axis2=-1)
     r2[ok] = np.abs(cof_sq[ok] - det[ok] * det[ok] * inv_trace)

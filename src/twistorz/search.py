@@ -25,6 +25,8 @@ from . import kernels
 from .acs import ACS, _vertex_matrix, haar_rotation
 
 INITIAL_STEP = 0.1
+#: a restart whose step must halve about 30 times below INITIAL_STEP to
+#: improve |N|^2 has stalled
 MIN_STEP = 1e-10
 #: |grad |N|^2| below which a restart has converged.  Without this test
 #: every restart of seeds 100-139 x 20 runs until no step improves |N|^2

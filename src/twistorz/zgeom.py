@@ -19,6 +19,16 @@ Pole parametrization on the two distinguished edges (unit (r, x, u)):
 
 with the degenerate representatives [0,0,0,1] and [0,0,1,0] at r = -1.
 
+One rule decides pole degeneracy, in the chart, its closed-form branches
+and its inverse alike: |r + 1| < ``DEGENERATE_EPS``.  The inverse reads a
+pole off its coordinate pair (a, b) = (z0, z3) or (z1, z2) by the Hopf
+map, r = (|a|^2 - |b|^2) / (|a|^2 + |b|^2), so inside that band it returns
+the degenerate pole, which the chart reproduces.  The degenerate
+representative lies sqrt((r + 1) / 2) < sqrt(DEGENERATE_EPS / 2), about
+7.1e-5, from the pole it stands for, and an equatorial point moves no
+more than its poles, so a round trip through the band misses by at most
+that much.
+
 The parametrized families take parameter arrays as well as floats: a
 :class:`PolarPairParams` with array fields, angles and unit triples of one
 shape give a stack of points, forms or structures of that shape, each
@@ -32,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acs import ACS, _in_z, fundamental_form
+from .acs import ACS, DEFAULT_TOL, _in_z, fundamental_form
 from .cp3 import CP3Point, _product, _unit, acs_to_cp3, cp3_to_acs, identify, wedge4
 from .exceptions import (
     NotDecomposableError,
@@ -46,10 +56,14 @@ from .exceptions import (
 from .exterior import TwoForm, decomposability_residual
 from .kernels import _scalar
 
-#: |r + 1| below this selects the degenerate pole representative
+#: |r + 1| below this selects the degenerate pole representative; nearer
+#: the pole, the generic closed-form branch, which divides by
+#: sqrt((r_plus + 1)(r_minus + 1)), would lose its accuracy to rounding
 DEGENERATE_EPS = 1e-8
 
-_UNIT_TOL = 1e-9
+#: how far r^2 + x^2 + u^2 may miss 1: the closed forms of such a triple
+#: miss Z by about as much, within the tolerance at which structures validate
+_UNIT_TOL = DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -60,6 +74,8 @@ class Edge:
     u: CP3Point
 
     def __post_init__(self):
+        # a residual of 1e-12 is an angle of 1.4e-6: closer endpoints fix
+        # their line only to about 1e-16 / angle
         if self.z.projective_residual(self.u) < 1e-12:
             raise ValueError("edge endpoints must be projectively distinct")
 
@@ -123,7 +139,7 @@ def _check_unit3(*vals, tol: float = _UNIT_TOL) -> None:
 # generalized edges and polar sets
 
 
-def generalized_edge_contains(sigma: TwoForm, omega: TwoForm, tol: float = _UNIT_TOL) -> bool:
+def generalized_edge_contains(sigma: TwoForm, omega: TwoForm, tol: float = DEFAULT_TOL) -> bool:
     """omega in Z and omega - sigma supported on the plane complement of sigma.
 
     sigma must be a unit decomposable 2-form e ^ f; its plane is recovered
@@ -145,7 +161,7 @@ def generalized_edge_contains(sigma: TwoForm, omega: TwoForm, tol: float = _UNIT
     return bool(np.max(np.abs(tail @ plane)) <= tol)
 
 
-def polar_contains(sigma: TwoForm, omega: TwoForm, tol: float = _UNIT_TOL):
+def polar_contains(sigma: TwoForm, omega: TwoForm, tol: float = DEFAULT_TOL):
     """omega in Z and orthogonal to sigma in the form inner product.
 
     A bool per form of a stack ``omega``.
@@ -179,10 +195,15 @@ class PolarPairParams:
         _check_unit3(self.r_minus, self.x_minus, self.u_minus)
 
 
+def _degenerate(r):
+    """The pole-degeneracy rule: |r + 1| < DEGENERATE_EPS, per element."""
+    return np.abs(r + 1.0) < DEGENERATE_EPS
+
+
 def _pole_coords(r, x, u, plus: bool) -> np.ndarray:
     """Unit coordinates (..., 4) of the poles with parameters r, x, u (arrays or floats)."""
     r, x, u = (np.asarray(v, dtype=float) for v in (r, x, u))
-    degenerate = np.abs(r + 1.0) < DEGENERATE_EPS
+    degenerate = _degenerate(r)
     # [r + 1, (-u + i x)] scaled to unit norm by its own norm: the form
     # [s, (-u + i x) / (2 s)] with s = sqrt((r + 1) / 2) has unit norm only
     # when r^2 + x^2 + u^2 = 1 exactly, and misses it by the rounding of that
@@ -274,8 +295,7 @@ def _by_branch(p: PolarPairParams, theta, branches) -> tuple[TwoForm, str]:
     theta = np.asarray(theta, dtype=float)
     *params, t1, t2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in vars(p).values()),
                                           np.cos(theta), np.sin(theta))
-    deg_p = np.abs(params[0] + 1.0) < DEGENERATE_EPS
-    deg_m = np.abs(params[3] + 1.0) < DEGENERATE_EPS
+    deg_p, deg_m = _degenerate(params[0]), _degenerate(params[3])
     kind = np.where(deg_p & deg_m, 0, np.where(deg_m, 1, np.where(deg_p, 2, 3)))
     coeffs = np.empty(kind.shape + (15,))
     for k, branch in enumerate(branches):
@@ -422,37 +442,39 @@ def ank_circle_acs(r, x, u, theta) -> ACS:
     return cp3_to_acs(circle_point(ank_circle_params(r, x, u), theta))
 
 
-def _invert_pole(lead, tail, sign: float):
-    """(r, x, u) of the poles with coordinates proportional to (lead, tail).
+def _hopf_pole(a, b, sign: float):
+    """Unit (r, x, u) of the poles [a : b] on their edge, by the Hopf map.
 
-    tail / lead = (sign u + i x) / (r + 1); |lead| < 1e-10 selects the
-    degenerate pole r = -1.
+    r = (|a|^2 - |b|^2) / m and w = 2 conj(a) b / m with m = |a|^2 + |b|^2
+    give x = Im w and u = sign Re w; a degenerate r gives exactly (-1, 0, 0).
     """
-    degenerate = np.abs(lead) < 1e-10
-    zeta = tail / np.where(degenerate, 1.0, lead)
-    m2 = np.abs(zeta) ** 2
-    r = (1.0 - m2) / (1.0 + m2)
-    return (np.where(degenerate, -1.0, r),
-            np.where(degenerate, 0.0, zeta.imag * (1.0 + r)),
-            np.where(degenerate, 0.0, sign * zeta.real * (1.0 + r)))
+    mass_a, mass_b = a.real**2 + a.imag**2, b.real**2 + b.imag**2
+    mass = mass_a + mass_b
+    w = _product(a.conj(), b)
+    r, x, u = (mass_a - mass_b) / mass, 2.0 * w.imag / mass, sign * 2.0 * w.real / mass
+    degenerate = _degenerate(r)
+    return np.where(degenerate, -1.0, r), np.where(degenerate, 0.0, x), np.where(degenerate, 0.0, u)
 
 
 def invert_circle(point: CP3Point) -> tuple[PolarPairParams, float]:
     """Pole parameters and angle reproducing a point of the polar set.
 
     Valid for points with equal mass on coordinates {0, 3} and {1, 2}
-    (equivalently, fundamental form orthogonal to e5^e6).  For a stack of
-    points the parameters and angles are arrays.
+    (equivalently, fundamental form orthogonal to e5^e6), on which it never
+    divides by zero.  The angle is arg(<plus, z> conj(<minus, z>)).  A pole
+    inside the degeneracy band comes back as exactly (-1, 0, 0), and
+    :func:`circle_point` of the result then misses the point by at most
+    sqrt((r + 1) / 2) < sqrt(DEGENERATE_EPS / 2), with r the pole's Hopf
+    value.  For a stack of points the parameters and angles are arrays.
     """
     z0, z1, z2, z3 = np.moveaxis(_unit(point.scaled()), -1, 0)
-    rp, xp, up = _invert_pole(z0, z3, -1.0)
-    rm, xm, um = _invert_pole(z1, z2, 1.0)
-    params = PolarPairParams(*(_scalar(v) for v in (rp, xp, up, rm, xm, um)))
-    plus, minus = (q.coords for q in polar_pair_points(params))
-    deg_p, deg_m = np.abs(z0) < 1e-10, np.abs(z1) < 1e-10
-    alpha = np.where(deg_m, z2, z1) / np.where(deg_m, minus[..., 2], minus[..., 1])
-    beta = np.where(deg_p, z3, z0) / np.where(deg_p, plus[..., 3], plus[..., 0])
-    return params, _scalar(np.angle(beta / alpha))
+    plus_params, minus_params = _hopf_pole(z0, z3, -1.0), _hopf_pole(z1, z2, 1.0)
+    plus = _pole_coords(*plus_params, plus=True)
+    minus = _pole_coords(*minus_params, plus=False)
+    along_plus = _product(plus[..., 0].conj(), z0) + _product(plus[..., 3].conj(), z3)
+    along_minus = _product(minus[..., 1].conj(), z1) + _product(minus[..., 2].conj(), z2)
+    params = PolarPairParams(*(_scalar(v) for v in (*plus_params, *minus_params)))
+    return params, _scalar(np.angle(_product(along_plus, along_minus.conj())))
 
 
 def invert_ank_circle(acs: ACS) -> tuple[float, float, float, float]:

@@ -319,6 +319,26 @@ def test_unit_triple_families_match_loop(n):
           [zgeom.invert_ank_circle(ACS(m)) for m in acs.matrix])
 
 
+def test_inversion_picks_each_members_branch_as_its_single_call_does():
+    # polar points (0.6, eps, sqrt(0.52 - eps^2), 0.4i) have Hopf r + 1 of
+    # about 4 eps^2 on the minus side: at the pole (eps = 0), inside the band
+    # (1e-6), just outside it (6e-5); the order (1, 0, 3, 2) puts eps on the plus side
+    near_pole = [np.array([0.6, eps, np.sqrt(0.52 - eps * eps), 0.4j])[order]
+                 for eps in (0.0, 1e-6, 6e-5) for order in ([0, 1, 2, 3], [1, 0, 3, 2])]
+    raw = np.array([zgeom.sample_polar_point(np.random.default_rng(5)).coords, *near_pole])
+    params, theta = zgeom.invert_circle(CP3Point(raw))
+    looped = [zgeom.invert_circle(CP3Point(c)) for c in raw]
+    # members 1, 3, 5 move the minus pole, 2, 4, 6 the plus pole, by eps = 0, 1e-6, 6e-5
+    assert list(params.r_minus[1::2] == -1.0) == list(params.r_plus[2::2] == -1.0) == [True, True, False]
+    for field, values in vars(params).items():
+        _same(values, [getattr(p, field) for p, _ in looped])
+    _same(theta, [t for _, t in looped])
+    # ANK members put the plus pole at r = -1 + delta
+    r = np.array([0.3, -1.0 + 1e-9, -1.0, -1.0 + 2e-8])
+    acs = zgeom.ank_circle_acs(r, np.sqrt(1.0 - r * r), np.zeros(4), np.full(4, 0.7))
+    _same(np.array(zgeom.invert_ank_circle(acs)).T, [zgeom.invert_ank_circle(ACS(m)) for m in acs.matrix])
+
+
 def test_draws_match_loop_and_leave_rng_alike():
     for draw, single in (
         (lambda rng: _random_ank(rng, 7).matrix,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rotation3, unit3
 from twistorz.acs import ACS, ank_reference_acs, blocks, fundamental_form, hopf_acs
@@ -16,6 +18,7 @@ from twistorz.exceptions import (
 from twistorz.exterior import TwoForm
 from twistorz.nearly_kaehler import _nabla_tensor, is_ank
 from twistorz.zgeom import (
+    DEGENERATE_EPS,
     Edge,
     PolarPairParams,
     ank_circle_acs,
@@ -370,3 +373,47 @@ def test_ank_point_near_a_pole_meets_the_basis_identity():
     acs = ank_circle_acs(-0.999995152807884, -0.0030648158060682935, -0.0005488759529387771, 2.6389773343161007)
     d = _nabla_tensor(acs)
     assert np.max(np.abs(d[range(6), range(6)])) < 1e-13
+
+
+#: how far the round trip may miss inside the degeneracy band
+IN_BAND_BOUND = np.sqrt(DEGENERATE_EPS / 2)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 3, 2)])
+def test_inversion_near_a_degenerate_pole(eps, order):
+    # z1 = eps puts the minus pole's Hopf r + 1 (about 4 eps^2) inside the
+    # degeneracy band; the order (1, 0, 3, 2) moves eps to z0, the plus side
+    point = CP3Point(np.array([0.6, eps, np.sqrt(0.52 - eps * eps), 0.4j])[list(order)])
+    params, theta = invert_circle(point)
+    assert np.all(np.isfinite([*vars(params).values(), theta]))
+    assert circle_point(params, theta).projective_distance(point) < IN_BAND_BOUND
+
+
+def _near_pole_point(log_small, plus_side, t, phases):
+    """Polar point whose z0 (plus side) or z1 (minus side) has modulus 10**log_small."""
+    small = 10.0**log_small
+    pair = [small, np.sqrt(0.5 - small * small)]
+    other = [np.cos(t) / np.sqrt(2.0), np.sin(t) / np.sqrt(2.0)]
+    coords = [pair[0], other[0], other[1], pair[1]] if plus_side else [other[0], pair[0], pair[1], other[1]]
+    return np.array(coords) * np.exp(1j * np.array(phases))
+
+
+@settings(max_examples=300)
+@given(
+    log_small=st.floats(-14.0, -2.0),
+    plus_side=st.booleans(),
+    t=st.floats(0.0, 1.4),
+    phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=4, max_size=4),
+)
+def test_inversion_round_trip_across_the_band(log_small, plus_side, t, phases):
+    coords = _near_pole_point(log_small, plus_side, t, phases)
+    a, b = (coords[0], coords[3]) if plus_side else (coords[1], coords[2])
+    r_plus_one = 2.0 * abs(a) ** 2 / (abs(a) ** 2 + abs(b) ** 2)
+    point = CP3Point(coords)
+    params, theta = invert_circle(point)
+    miss = circle_point(params, theta).projective_distance(point)
+    if r_plus_one >= DEGENERATE_EPS:
+        assert miss < 1e-6  # the threshold of the ank_circle_inversion check
+    else:
+        assert miss < np.sqrt(r_plus_one / 2.0)
