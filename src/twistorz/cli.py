@@ -252,6 +252,11 @@ def _cmd_optimize(args) -> int:
         "restarts": report.restarts,
         "converged": report.converged,
         "best_matrix": [_fmt(v) for v in report.best_acs.matrix.flatten()],
+        "restarts_detail": [
+            {"restart": stop.restart, "reason": stop.reason, "value": _fmt(stop.value),
+             "iterations": stop.iterations, "evaluations": stop.evaluations}
+            for stop in report.stops
+        ],
     }
     if args.json:
         print(json.dumps(payload, indent=2))

@@ -4,15 +4,30 @@ The space is swept by conjugation, J = Q J_ref Q^T with Q in SO(6).
 Steepest ascent/descent of the squared norm |N|^2 moves Q along the orbit
 by the Cayley retraction Q -> Q (I - t W/2)^{-1} (I + t W/2) of a skew
 direction W (Absil, Mahony and Sepulchre, *Optimization Algorithms on
-Matrix Manifolds*, 2008).  The squared norm is smooth everywhere, its
-zero set included, and its gradient along the 15 coordinate-plane
-generators of so(6) is exact by polarization: N is quadratic in J, so
-dN[D] = (N(J + D) - N(J - D)) / 2.  One stacked call of the Nijenhuis
-kernel gives the whole gradient.  It is built from the tensor definition
-alone, so the search never touches the closed-form norm law and its
-outcome is an independent confirmation of it.  A restart converges when
-the gradient falls below ``GRAD_TOL``; a restart whose step collapses
-below ``MIN_STEP`` first does not.
+Matrix Manifolds*, 2008, sections 3.6 and 4.1).  The squared norm is
+smooth everywhere, its zero set included.  Its gradient comes from the
+tensor definition by the adjoint: with N_k = (n_k - n_k^T)/2 - C_k and
+n_k = J^T C_k J - 2 sum_m J[k, m] C_m J, the Euclidean gradient is
+
+    G = 4 (sum_m C_m M_m - sum_k C_k J N_k - [<N_k, C_m J>]_{k, m}),
+    M_m = sum_k J[k, m] N_k,
+
+one Nijenhuis kernel call and three contractions with the structure
+constants.  It is pulled back to the 15 coordinate-plane generators
+E_pr of so(6) as S[p, r] - S[r, p], with H = Q^T G Q and
+S = H J_ref^T - J_ref^T H.  The search never touches the closed-form
+norm law, so its outcome is an independent confirmation of it.
+
+All restarts advance in lockstep as one (R, 6, 6) stack of rotations and
+reference structures (restart 0 may be pinned to a given structure).
+Each lockstep iteration makes one gradient call over the restarts still
+running, then a backtracking line search whose every trial is one
+stacked kernel call over the restarts still searching; each restart
+keeps its own step, doubled after an accepted step and halved after a
+rejected trial.  A restart stops for one of three reasons: ``gradient``
+when its gradient falls below ``GRAD_TOL`` (it has converged),
+``stalled`` when its step collapses below ``MIN_STEP`` first, or
+``max_iters``.
 """
 
 from __future__ import annotations
@@ -23,6 +38,7 @@ import numpy as np
 
 from . import kernels
 from .acs import ACS, _vertex_matrix, haar_rotation
+from .algebra import STRUCTURE_CONSTANTS as _CT
 
 INITIAL_STEP = 0.1
 #: a restart whose step must halve about 30 times below INITIAL_STEP to
@@ -36,90 +52,136 @@ MIN_STEP = 1e-10
 GRAD_TOL = 5e-6
 
 _EYE = np.eye(6)
+_PLANES = np.triu_indices(6, k=1)
 #: generators E_pr = e_p e_r^T - e_r e_p^T of the 15 coordinate-plane
-#: rotations of SO(6), p < r in row-major order
+#: rotations of SO(6), p < r in row-major order, flattened to (15, 36)
 _GENERATORS = np.stack([np.outer(_EYE[p], _EYE[r]) - np.outer(_EYE[r], _EYE[p])
-                        for p, r in zip(*np.triu_indices(6, k=1))])
+                        for p, r in zip(*_PLANES)]).reshape(15, 36)
+#: the structure constants as one (6, 36) matrix, [p, (m, s)] = C_m[p, s]
+_CT_ROWS = _CT.transpose(1, 0, 2).reshape(6, 36)
+
+
+@dataclass(frozen=True)
+class RestartStop:
+    """How one restart ended: ``reason`` is ``gradient``, ``stalled`` or
+    ``max_iters``; ``value`` is sign * |N|^2 at the final rotation (the
+    functional the restart ascended) and ``evaluations`` counts the
+    structures whose Nijenhuis tensor it evaluated."""
+
+    restart: int
+    reason: str
+    value: float
+    iterations: int
+    evaluations: int
+    rotation: np.ndarray
 
 
 @dataclass
 class SearchReport:
     """Outcome of a search; ``converged`` is the flag of the restart that
-    reached ``best_value``, not of any restart."""
+    reached ``best_value``, not of any restart.  ``stops`` holds one
+    record per restart, in restart order."""
 
     best_value: float
     best_acs: ACS
     iterations: int
     restarts: int
     converged: bool
+    stops: tuple[RestartStop, ...] = ()
 
 
-def _grad(q: np.ndarray, j_ref: np.ndarray) -> np.ndarray:
-    """Gradient of |N|^2 at Q J_ref Q^T along the 15 plane rotations Q exp(t E_pr)."""
-    j = q @ j_ref @ q.T
-    d = q @ (_GENERATORS @ j_ref - j_ref @ _GENERATORS) @ q.T  # dJ along each E_pr
-    n = kernels.nijenhuis_components(np.concatenate([j[None], j + d, j - d]))
-    plus, minus = np.split(n[1:], 2)
-    # d|N|^2[D] = 2 <N, dN[D]> = <N, N(J + D) - N(J - D)>
-    return np.sum(n[0] * (plus - minus), axis=(-3, -2, -1))
+def _gradient(q: np.ndarray, j_ref: np.ndarray) -> np.ndarray:
+    """Gradient of |N|^2 at Q J_ref Q^T along the 15 plane rotations Q exp(t E_pr).
 
-
-def _ascend(q: np.ndarray, j_ref: np.ndarray, sign: float, max_iters: int,
-            on_iterate=None):
-    """Steepest ascent of sign * |N|^2; returns (Q, sign * |N|^2, iters, converged)."""
-    f = sign * kernels.conjugated_norm_sq(q, j_ref)
-    step = INITIAL_STEP
-    if on_iterate is not None:
-        on_iterate(q @ j_ref @ q.T, float(np.sqrt(sign * f)))
-    for it in range(1, max_iters + 1):
-        grad = sign * _grad(q, j_ref)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < GRAD_TOL:
-            return q, f, it, True
-        half = np.tensordot(0.5 * grad / grad_norm, _GENERATORS, axes=1)  # half the unit direction
-        while step >= MIN_STEP:
-            q_new = q @ np.linalg.solve(_EYE - step * half, _EYE + step * half)
-            f_new = sign * kernels.conjugated_norm_sq(q_new, j_ref)
-            if f_new > f:
-                q, f = q_new, f_new
-                step *= 2.0
-                if on_iterate is not None:
-                    on_iterate(q @ j_ref @ q.T, float(np.sqrt(sign * f)))
-                break
-            step *= 0.5
-        else:
-            return q, f, it, False  # step collapsed below MIN_STEP
-    return q, f, max_iters, False
+    Takes stacks (..., 6, 6) of Q and J_ref and returns (..., 15).
+    """
+    j = q @ j_ref @ q.mT
+    lead = j.shape[:-2]
+    n = kernels.nijenhuis_components(j)
+    cj = _CT @ j[..., None, :, :]  # cj[m] = C_m J
+    rows_n = n.reshape(lead + (36, 6))  # [(k, s), q] = N_k[s, q]
+    c_j_n = np.swapaxes(cj, -3, -2).reshape(lead + (6, 36)) @ rows_n  # sum_k C_k J N_k
+    pair = n.reshape(lead + (6, 36)) @ cj.reshape(lead + (6, 36)).mT  # [<N_k, C_m J>]_{k, m}
+    m = (j.mT @ n.reshape(lead + (6, 36))).reshape(lead + (36, 6))  # M_m = sum_k J[k, m] N_k
+    g = 4.0 * (_CT_ROWS @ m - c_j_n - pair)
+    h = q.mT @ g @ q
+    s = h @ j_ref.mT - j_ref.mT @ h
+    return s[..., _PLANES[0], _PLANES[1]] - s[..., _PLANES[1], _PLANES[0]]
 
 
 def _run(seed: int, restarts: int, max_iters: int, sign: float,
          initial: ACS | None, on_iterate=None) -> SearchReport:
     if restarts < 1:
         raise ValueError("need at least one restart")
-    best_f = -np.inf
-    best_q = np.eye(6)
-    best_ref = _vertex_matrix(0)
-    best_converged = False
-    total_iters = 0
+    q = np.empty((restarts, 6, 6))
+    j_ref = np.empty((restarts, 6, 6))
     for rs in range(restarts):
         if rs == 0 and initial is not None:
-            q = np.eye(6)
-            j_ref = initial.matrix
+            q[rs], j_ref[rs] = _EYE, initial.matrix
         else:
-            rng = np.random.default_rng([seed, rs])
-            q = haar_rotation(6, rng)
-            j_ref = _vertex_matrix(0)
-        q, f, iters, converged = _ascend(q, j_ref, sign, max_iters, on_iterate)
-        total_iters += iters
-        if f > best_f:
-            best_f, best_q, best_ref, best_converged = f, q, j_ref, converged
-    best = ACS(best_q @ best_ref @ best_q.T)
+            q[rs] = haar_rotation(6, np.random.default_rng([seed, rs]))
+            j_ref[rs] = _vertex_matrix(0)
+    f = sign * kernels.conjugated_norm_sq(q, j_ref)
+
+    def audit(members):
+        if on_iterate is not None:
+            for r in members:
+                on_iterate(q[r] @ j_ref[r] @ q[r].T, float(np.sqrt(sign * f[r])))
+
+    step = np.full(restarts, INITIAL_STEP)
+    iterations = np.zeros(restarts, dtype=int)
+    evaluations = np.ones(restarts, dtype=int)
+    reasons = ["max_iters"] * restarts
+    running = np.arange(restarts)
+    audit(running)
+    for it in range(1, max_iters + 1):
+        if running.size == 0:
+            break
+        grad = sign * _gradient(q[running], j_ref[running])
+        evaluations[running] += 1
+        iterations[running] = it
+        grad_norm = np.linalg.norm(grad, axis=-1)
+        converged = grad_norm < GRAD_TOL
+        for r in running[converged]:
+            reasons[r] = "gradient"
+        running = running[~converged]
+        # half the unit ascent direction of each restart, as a skew matrix
+        half = ((0.5 * grad[~converged] / grad_norm[~converged, None]) @ _GENERATORS).reshape(-1, 6, 6)
+        searching = np.arange(running.size)  # positions in ``running``
+        stalled = np.zeros(running.size, dtype=bool)
+        while searching.size:
+            members = running[searching]
+            w = step[members, None, None] * half[searching]
+            q_new = q[members] @ np.linalg.solve(_EYE - w, _EYE + w)
+            f_new = sign * kernels.conjugated_norm_sq(q_new, j_ref[members])
+            evaluations[members] += 1
+            better = f_new > f[members]
+            accepted = members[better]
+            q[accepted], f[accepted] = q_new[better], f_new[better]
+            step[accepted] *= 2.0
+            rejected = members[~better]
+            step[rejected] *= 0.5
+            collapsed = step[rejected] < MIN_STEP
+            stalled[searching[~better][collapsed]] = True
+            searching = searching[~better][~collapsed]
+        for r in running[stalled]:
+            reasons[r] = "stalled"
+        running = running[~stalled]
+        audit(running)
+
+    stops = tuple(
+        RestartStop(rs, reasons[rs], float(f[rs]), int(iterations[rs]), int(evaluations[rs]), q[rs].copy())
+        for rs in range(restarts)
+    )
+    best = int(np.argmax(f))
+    best_acs = ACS(q[best] @ j_ref[best] @ q[best].T)
     return SearchReport(
-        best_value=float(np.sqrt(kernels.nijenhuis_norm_sq(best.matrix))),
-        best_acs=best,
-        iterations=total_iters,
+        best_value=float(np.sqrt(kernels.nijenhuis_norm_sq(best_acs.matrix))),
+        best_acs=best_acs,
+        iterations=int(iterations.sum()),
         restarts=restarts,
-        converged=best_converged,
+        converged=reasons[best] == "gradient",
+        stops=stops,
     )
 
 
@@ -127,9 +189,11 @@ def maximize(seed: int, restarts: int = 20, max_iters: int = 500,
              initial: ACS | None = None, on_iterate=None) -> SearchReport:
     """Best maximizer over restarts; restart 0 may be pinned to ``initial``.
 
-    ``on_iterate(matrix, value)`` is called with the norm |N| at every
-    accepted step, which lets callers audit the trajectory (membership,
-    monotonicity, the closed-form law) without re-running the search.
+    ``on_iterate(matrix, value)`` is called with the norm |N| at the start
+    of every restart and after every accepted step, in restart order
+    within each lockstep iteration, which lets callers audit the
+    trajectory (membership, monotonicity, the closed-form law) without
+    re-running the search.
     """
     return _run(seed, restarts, max_iters, sign=+1.0, initial=initial,
                 on_iterate=on_iterate)

@@ -442,13 +442,18 @@ def ank_circle_acs(r, x, u, theta) -> ACS:
     return cp3_to_acs(circle_point(ank_circle_params(r, x, u), theta))
 
 
+def _mass(a):
+    """|a|^2 of complex coordinates, elementwise."""
+    return a.real**2 + a.imag**2
+
+
 def _hopf_pole(a, b, sign: float):
     """Unit (r, x, u) of the poles [a : b] on their edge, by the Hopf map.
 
-    r = (|a|^2 - |b|^2) / m and w = 2 conj(a) b / m with m = |a|^2 + |b|^2
+    r = (|a|^2 - |b|^2) / m and w = 2 conj(a) b / m with m = |a|^2 + |b|^2 > 0
     give x = Im w and u = sign Re w; a degenerate r gives exactly (-1, 0, 0).
     """
-    mass_a, mass_b = a.real**2 + a.imag**2, b.real**2 + b.imag**2
+    mass_a, mass_b = _mass(a), _mass(b)
     mass = mass_a + mass_b
     w = _product(a.conj(), b)
     r, x, u = (mass_a - mass_b) / mass, 2.0 * w.imag / mass, sign * 2.0 * w.real / mass
@@ -466,8 +471,15 @@ def invert_circle(point: CP3Point) -> tuple[PolarPairParams, float]:
     :func:`circle_point` of the result then misses the point by at most
     sqrt((r + 1) / 2) < sqrt(DEGENERATE_EPS / 2), with r the pole's Hopf
     value.  For a stack of points the parameters and angles are arrays.
+    A point with no mass on one coordinate pair is not polar and raises
+    ``ValueError``, naming the first such member of a stack.
     """
     z0, z1, z2, z3 = np.moveaxis(_unit(point.scaled()), -1, 0)
+    failure = first_failure(_mass(z0) + _mass(z3) == 0.0, _mass(z1) + _mass(z2) == 0.0)
+    if failure is not None:
+        pair, member = failure
+        message = f"point is not polar: no mass on coordinates {('{0, 3}', '{1, 2}')[pair]}"
+        raise ValueError(at_member(message, member))
     plus_params, minus_params = _hopf_pole(z0, z3, -1.0), _hopf_pole(z1, z2, 1.0)
     plus = _pole_coords(*plus_params, plus=True)
     minus = _pole_coords(*minus_params, plus=False)

@@ -358,6 +358,22 @@ def test_optimize_max_report(capsys):
     assert lines["converged"] == "true"
 
 
+def test_optimize_json_reports_each_restart(capsys):
+    code, out, _ = run_cli(capsys, "optimize", "--direction", "min",
+                           "--restarts", "3", "--seed", "6", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["restarts"] == 3
+    detail = payload["restarts_detail"]
+    assert [d["restart"] for d in detail] == [0, 1, 2]
+    assert all(set(d) == {"restart", "reason", "value", "iterations", "evaluations"} for d in detail)
+    assert all(d["reason"] == "gradient" and float(d["value"]) <= 0.0 for d in detail)
+    assert sum(d["iterations"] for d in detail) == payload["iterations"]
+    assert all(d["evaluations"] > d["iterations"] for d in detail)
+    code, text, _ = run_cli(capsys, "optimize", "--direction", "min", "--restarts", "3", "--seed", "6")
+    assert "restarts_detail" not in text and len(text.strip().split("\n")) == 6
+
+
 def test_optimize_min_report(capsys):
     code, out, _ = run_cli(capsys, "optimize", "--direction", "min",
                            "--restarts", "3", "--seed", "6")

@@ -10,10 +10,28 @@ import pytest
 
 from twistorz.acs import ACS, _vertex_matrix, ank_reference_acs, blocks, haar_rotation, hopf_acs
 from twistorz.nijenhuis import closed_form_norm, max_norm, nijenhuis_norm_sq
-from twistorz import search
-from twistorz.search import _grad, maximize, minimize
+from twistorz import kernels, search
+from twistorz.search import _gradient, maximize, minimize
 
 PLANES = [(p, r) for p in range(6) for r in range(p + 1, 6)]
+#: generators E_pr = e_p e_r^T - e_r e_p^T, p < r in row-major order
+GENERATORS = np.stack([np.outer(np.eye(6)[p], np.eye(6)[r]) - np.outer(np.eye(6)[r], np.eye(6)[p])
+                       for p, r in PLANES])
+
+
+def _grad(q, j_ref):
+    """Second route to the gradient of |N|^2 along the 15 plane rotations Q exp(t E_pr).
+
+    N is quadratic in J, so dN[D] = (N(J + D) - N(J - D)) / 2 exactly, by
+    polarization: the derivative of the tensor along each generator, from
+    31 full tensors and no adjoint algebra.
+    """
+    j = q @ j_ref @ q.T
+    d = q @ (GENERATORS @ j_ref - j_ref @ GENERATORS) @ q.T  # dJ along each E_pr
+    n = kernels.nijenhuis_components(np.concatenate([j[None], j + d, j - d]))
+    plus, minus = np.split(n[1:], 2)
+    # d|N|^2[D] = 2 <N, dN[D]> = <N, N(J + D) - N(J - D)>
+    return np.sum(n[0] * (plus - minus), axis=(-3, -2, -1))
 
 
 def _plane_rotation(p, r, h):
@@ -40,30 +58,37 @@ def test_gradient_matches_central_differences(seed, sign):
          - sign * _norm_sq_at(q @ _plane_rotation(p, r, -h), j_ref)) / (2.0 * h)
         for p, r in PLANES
     ])
-    analytic = sign * _grad(q, j_ref)
+    analytic = sign * _gradient(q, j_ref)
     assert np.max(np.abs(analytic - fd)) <= 1e-7
     assert np.linalg.norm(fd) > 1e-2  # a generic point, not a critical one
 
 
 def test_gradient_vanishes_at_hopf():
-    grad = _grad(np.eye(6), hopf_acs().matrix)
+    grad = _gradient(np.eye(6), hopf_acs().matrix)
     assert grad.shape == (15,)
     assert np.all(grad == 0.0)
 
 
-def test_search_rotation_stays_orthogonal(monkeypatch):
-    finals = []
-    ascend = search._ascend
+@pytest.mark.parametrize("sign", [+1.0, -1.0])
+def test_adjoint_gradient_matches_polarization(sign):
+    # the shipped adjoint against the polarization route, point by point and on a stack
+    q = np.stack([haar_rotation(6, np.random.default_rng([seed, 78])) for seed in range(6)])
+    j_ref = np.stack([_vertex_matrix(0)] * 3 + [ank_reference_acs().matrix] * 3)
+    oracle = np.stack([sign * _grad(qi, ji) for qi, ji in zip(q, j_ref)])
+    stacked = sign * _gradient(q, j_ref)
+    assert stacked.shape == (6, 15)
+    assert np.max(np.abs(stacked - oracle)) <= 1e-12
+    for qi, ji, expected in zip(q, j_ref, oracle):
+        assert np.max(np.abs(sign * _gradient(qi, ji) - expected)) <= 1e-12
+    assert np.min(np.linalg.norm(oracle, axis=-1)) > 1e-2  # generic points
 
-    def record(*args, **kwargs):
-        finals.append(ascend(*args, **kwargs))
-        return finals[-1]
 
-    monkeypatch.setattr(search, "_ascend", record)
+def test_search_rotation_stays_orthogonal():
     report = maximize(seed=1, restarts=5)
-    assert len(finals) == 5
-    assert max(np.sqrt(f) for _, f, _, _ in finals) == pytest.approx(report.best_value, rel=1e-12)
-    for q, _, _, _ in finals:
+    assert [stop.restart for stop in report.stops] == list(range(5))
+    assert max(np.sqrt(stop.value) for stop in report.stops) == pytest.approx(report.best_value, rel=1e-12)
+    for stop in report.stops:
+        q = stop.rotation
         assert np.linalg.norm(q.T @ q - np.eye(6)) <= 1e-12
 
 
@@ -134,6 +159,7 @@ def test_unconverged_report():
     report = maximize(seed=5, restarts=1, max_iters=2)
     assert not report.converged
     assert report.iterations == 2
+    assert report.stops[0].reason == "max_iters"
 
 
 def test_step_collapse_is_not_convergence(monkeypatch):
@@ -142,25 +168,39 @@ def test_step_collapse_is_not_convergence(monkeypatch):
     report = maximize(seed=0, restarts=1)
     assert report.iterations < 500
     assert not report.converged
+    assert report.stops[0].reason == "stalled"
 
 
 @pytest.mark.parametrize("runner", [maximize, minimize])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_every_restart_stops_on_the_gradient(monkeypatch, seed, runner):
-    stops = []
-    ascend = search._ascend
+def test_every_restart_stops_on_the_gradient(seed, runner):
+    report = runner(seed=seed)
+    assert len(report.stops) == 20
+    for stop in report.stops:
+        assert stop.reason == "gradient"
+        # the polarization route confirms the stop at the final rotation
+        assert float(np.linalg.norm(_grad(stop.rotation, _vertex_matrix(0)))) < search.GRAD_TOL
+    assert report.iterations == sum(stop.iterations for stop in report.stops)
 
-    def record(q, j_ref, *args, **kwargs):
-        result = ascend(q, j_ref, *args, **kwargs)
-        stops.append((result[3], float(np.linalg.norm(_grad(result[0], j_ref)))))
-        return result
 
-    monkeypatch.setattr(search, "_ascend", record)
-    runner(seed=seed)
-    assert len(stops) == 20
-    for converged, grad_norm in stops:
-        assert converged
-        assert grad_norm < search.GRAD_TOL
+def test_kernel_calls_per_lockstep_iteration(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        kernel = getattr(kernels, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, wrapper)
+
+    for name in ("nijenhuis_components", "nijenhuis_norm_sq", "conjugated_norm_sq"):
+        counted(name)
+    report = maximize(seed=0)
+    lockstep_iterations = max(stop.iterations for stop in report.stops)
+    assert 0 < calls["nijenhuis_components"] <= lockstep_iterations
+    assert sum(calls.values()) < 400
 
 
 def test_restarts_must_be_positive():
@@ -168,22 +208,14 @@ def test_restarts_must_be_positive():
         maximize(seed=0, restarts=0)
 
 
-def test_converged_is_the_best_restarts_own_flag(monkeypatch, capsys):
+def test_converged_is_the_best_restarts_own_flag(capsys):
     # at 14 iterations restart 0 holds the best value without having met
     # the gradient test, while restarts 3 and 4 did meet it
-    outcomes = []
-    ascend = search._ascend
-
-    def record(*args, **kwargs):
-        outcomes.append(ascend(*args, **kwargs))
-        return outcomes[-1]
-
-    monkeypatch.setattr(search, "_ascend", record)
     report = maximize(seed=6, restarts=5, max_iters=14)
-    values = [f for _, f, _, _ in outcomes]
+    values = [stop.value for stop in report.stops]
     best = values.index(max(values))
-    assert not outcomes[best][3]
-    assert any(converged for _, _, _, converged in outcomes)
+    assert report.stops[best].reason != "gradient"
+    assert any(stop.reason == "gradient" for stop in report.stops)
     assert report.converged is False
 
     from twistorz.cli import main

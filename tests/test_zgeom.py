@@ -342,6 +342,21 @@ def test_polar_members_invert_to_circles(rng):
     assert worst < 1e-6
 
 
+@pytest.mark.parametrize(
+    "coords, pair", [([1, 0, 0, 0], "{1, 2}"), ([0, 0, 0, 1j], "{1, 2}"), ([0, 1, 1, 0], "{0, 3}")]
+)
+def test_inversion_rejects_points_off_the_polar_set(coords, pair):
+    # a pair without mass used to give NaN parameters with a RuntimeWarning
+    with pytest.raises(ValueError, match=f"no mass on coordinates {pair}$"):
+        invert_circle(CP3Point(np.array(coords, dtype=complex)))
+
+
+def test_inversion_names_the_non_polar_member_of_a_stack(rng):
+    coords = np.concatenate([sample_polar_point(rng, (3,)).coords, [[0, 1, 0, 0]]])
+    with pytest.raises(ValueError, match=r"no mass on coordinates \{0, 3\} at member 3$"):
+        invert_circle(CP3Point(coords))
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e300])
 def test_bivector_route_and_inversion_are_scale_invariant(rng, scale):
     for _ in range(10):
