@@ -35,56 +35,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACS",
-    "BACKEND",
-    "Blocks",
-    "CP3Point",
-    "Edge",
-    "PolarPairParams",
-    "SearchReport",
-    "TwoForm",
-    "acs_from_form",
-    "acs_to_cp3",
-    "ank_circle_acs",
-    "ank_form",
-    "ank_reference_acs",
-    "blocks",
-    "bracket",
-    "calibration_constant",
-    "circle_form",
-    "circle_point",
-    "closed_form_norm",
-    "cofactor_checks",
-    "constraint_residuals",
-    "cp3_to_acs",
-    "edge01_closed_form",
-    "edge01_form",
-    "edge_point",
-    "fundamental_form",
-    "generalized_edge_contains",
-    "hopf_acs",
-    "integrable_acs",
-    "invert_ank_circle",
-    "invert_circle",
-    "is_ank",
-    "is_integrable",
-    "max_norm",
-    "maximize",
-    "minimize",
-    "nabla",
-    "nabla_omega",
-    "nijenhuis_norm",
-    "nijenhuis_tensor",
-    "nk_defect",
-    "orientation_sign",
-    "polar_contains",
-    "polar_pair_points",
-    "random_acs",
-    "tetra_coords",
-    "vertex_acs",
-    "wedge",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):

@@ -32,6 +32,10 @@ from .exceptions import (
 from .exterior import TwoForm
 from .kernels import _scalar
 
+#: the package's one exactness tolerance, for J^2 = -1, orthogonality, the
+#: integrable (N = 0), ANK (A = C = 0) and polar predicates: far above the
+#: rounding of order-1 6x6 products (~1e-15), far below any difference of
+#: structure
 DEFAULT_TOL = 1e-9
 _EYE = np.eye(DIM)
 
@@ -54,7 +58,7 @@ class ACS:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def validate(cls, matrix, tol: float = DEFAULT_TOL) -> "ACS":
+    def validate(cls, matrix) -> "ACS":
         """Check J^2 = -1, orthogonality and orientation; raise otherwise.
 
         Takes one matrix or a stack (..., 6, 6) and checks every member; the
@@ -64,7 +68,7 @@ class ACS:
         if m.shape[-2:] != (DIM, DIM):
             raise NotComplexError("expected a finite 6x6 matrix")
         residuals = _residuals(m)
-        failure = first_failure(*_failed(residuals, tol))
+        failure = first_failure(*_failed(residuals))
         if failure is not None:
             check, member = failure
             error, message, reports_residual = _FAILURES[check]
@@ -99,16 +103,17 @@ def _residuals(m: np.ndarray):
     return finite, r_complex, r_orth, orientation_sign(m)
 
 
-def _failed(residuals, tol: float):
+def _failed(residuals):
     """Failure masks of the checks of :meth:`ACS.validate`, in check order."""
     finite, r_complex, r_orth, orientation = residuals
-    return ~finite, r_complex > tol, r_orth > tol, np.asarray(orientation) != REFERENCE_ORIENTATION
+    wrong_orientation = np.asarray(orientation) != REFERENCE_ORIENTATION
+    return ~finite, r_complex > DEFAULT_TOL, r_orth > DEFAULT_TOL, wrong_orientation
 
 
-def _in_z(matrix, tol: float = DEFAULT_TOL):
+def _in_z(matrix):
     """Whether each matrix of a stack (..., 6, 6) passes :meth:`ACS.validate`."""
     m = np.asarray(matrix, dtype=float)
-    return _scalar(~np.any(_failed(_residuals(m), tol), axis=0))
+    return _scalar(~np.any(_failed(_residuals(m)), axis=0))
 
 
 def _perfect_matchings(idx: tuple[int, ...]):
@@ -196,10 +201,10 @@ def fundamental_form(acs: ACS) -> TwoForm:
     return TwoForm.from_matrix(acs.matrix.mT)
 
 
-def acs_from_form(w: TwoForm, tol: float = DEFAULT_TOL) -> ACS:
+def acs_from_form(w: TwoForm) -> ACS:
     """Inverse of :func:`fundamental_form`; raises NotInZError when the
     induced endomorphism fails validation."""
-    return ACS.validate(w.matrix().mT, tol=tol)
+    return ACS.validate(w.matrix().mT)
 
 
 _UPPER = ([0, 0, 1], [1, 2, 2])  # entries (0, 1), (0, 2), (1, 2) of a 3x3 block

@@ -24,6 +24,7 @@ import numpy as np  # noqa: E402
 from . import search, verify, zgeom  # noqa: E402
 from .acs import (  # noqa: E402
     ACS,
+    DEFAULT_TOL,
     acs_from_form,
     blocks,
     constraint_residuals,
@@ -35,7 +36,6 @@ from .exceptions import NotInZError, ParseError, TwistorError  # noqa: E402
 from .exterior import TwoForm  # noqa: E402
 from .kernels import _chunk_sizes  # noqa: E402
 from .nearly_kaehler import is_ank  # noqa: E402
-from .nijenhuis import DEFAULT_TOL as NIJENHUIS_TOL  # noqa: E402
 from .nijenhuis import _random_integrable, max_norm, nijenhuis_norm  # noqa: E402
 from .zgeom import _random_ank, _random_circle, _rows, _unit3  # noqa: E402
 
@@ -121,7 +121,7 @@ def _cloud_values(stack: ACS):
 
 def _cloud_row(values) -> str:
     tetra, norm, ank = values
-    cols = [_fmt(v) for v in tetra] + [_fmt(norm), str(norm < NIJENHUIS_TOL).lower(), str(ank).lower()]
+    cols = [_fmt(v) for v in tetra] + [_fmt(norm), str(norm < DEFAULT_TOL).lower(), str(ank).lower()]
     return ",".join(cols)
 
 
@@ -215,7 +215,7 @@ def _cmd_classify(args) -> int:
             "C": [_fmt(v) for v in b.C.flatten()],
         },
         "nijenhuis_norm": _fmt(norm),
-        "integrable": norm < NIJENHUIS_TOL,
+        "integrable": norm < DEFAULT_TOL,
         "ank": is_ank(acs),
         "cp3": [f"{_fmt(z.real)}{z.imag:+.17g}i" for z in coords],
         "tetra": [_fmt(v) for v in tetra_coords(point)],

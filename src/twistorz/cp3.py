@@ -185,14 +185,14 @@ def identify_inverse(w) -> np.ndarray:
     )
 
 
-def _correspondence_maps(identify_fn=identify) -> tuple[np.ndarray, np.ndarray]:
+def _correspondence_maps() -> tuple[np.ndarray, np.ndarray]:
     """F and F^T / 8 on row-major omega and the interleaved parts of P.
 
-    With M_a[:, c] = identify_fn(v^c ^ v^a), so that w_a = M_a u:
+    With M_a[:, c] = identify(v^c ^ v^a), so that w_a = M_a u:
     omega_ij = sum_bc Im(T_ijbc P_cb),  T_ijbc = 4 sum_a conj(M_a[i, b]) M_a[j, c].
     """
     basis4 = np.eye(4, dtype=complex)
-    m = np.array([[identify_fn(wedge4(basis4[c], basis4[a])) for c in range(4)] for a in range(4)])
+    m = np.array([[identify(wedge4(basis4[c], basis4[a])) for c in range(4)] for a in range(4)])
     t = 4.0 * np.einsum("abi,acj->ijcb", m.conj(), m).reshape(36, 16)
     forward = np.stack([t.imag, t.real], axis=-1).reshape(36, 32)
     return forward, forward.T / 8.0

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .acs import ACS, acs_from_form
+from .acs import ACS, DEFAULT_TOL, acs_from_form
 from .algebra import STRUCTURE_CONSTANTS, basis_vector, bracket
 from .exceptions import NotInZError, WrongOrientationError
 from .exterior import TwoForm, wedge
 from .kernels import _scalar
-
-DEFAULT_TOL = 1e-9
 
 
 def nabla_omega(acs: ACS, x, y, z) -> float:
@@ -56,7 +54,7 @@ def nk_defect(acs: ACS):
     return _scalar(np.sqrt(np.sum(s * s, axis=(-3, -2, -1))))
 
 
-def is_ank(acs: ACS, tol: float = DEFAULT_TOL):
+def is_ank(acs: ACS):
     """Blocks A and C vanish: the structure swaps the two su(2) factors.
 
     Batched: a bool per structure of a stack.
@@ -64,10 +62,10 @@ def is_ank(acs: ACS, tol: float = DEFAULT_TOL):
     m = acs.matrix
     a = m[..., 0:3, 0:3].reshape(m.shape[:-2] + (9,))
     c = m[..., 3:6, 3:6].reshape(m.shape[:-2] + (9,))
-    return _scalar((np.sqrt(np.vecdot(a, a)) < tol) & (np.sqrt(np.vecdot(c, c)) < tol))
+    return _scalar((np.sqrt(np.vecdot(a, a)) < DEFAULT_TOL) & (np.sqrt(np.vecdot(c, c)) < DEFAULT_TOL))
 
 
-def ank_form(f1, f2, f3, tol: float = DEFAULT_TOL) -> ACS:
+def ank_form(f1, f2, f3) -> ACS:
     """Structure with fundamental form e^4 ^ f1 + e^5 ^ f2 + e^6 ^ f3.
 
     The fi must be an orthonormal triple inside span(e^1, e^2, e^3); the
@@ -77,10 +75,10 @@ def ank_form(f1, f2, f3, tol: float = DEFAULT_TOL) -> ACS:
     """
     fs = [np.asarray(f, dtype=float) for f in (f1, f2, f3)]
     frame = np.vstack(fs)
-    if np.max(np.abs(frame[:, 3:6])) > tol:
+    if np.max(np.abs(frame[:, 3:6])) > DEFAULT_TOL:
         raise NotInZError("covectors must lie in span(e^1, e^2, e^3)")
     gram = frame[:, 0:3] @ frame[:, 0:3].T
-    if np.max(np.abs(gram - np.eye(3))) > tol:
+    if np.max(np.abs(gram - np.eye(3))) > DEFAULT_TOL:
         raise NotInZError("covector triple is not orthonormal")
     if np.linalg.det(frame[:, 0:3]) < 0:
         raise WrongOrientationError(
@@ -89,4 +87,4 @@ def ank_form(f1, f2, f3, tol: float = DEFAULT_TOL) -> ACS:
     w = TwoForm.zero()
     for i, f in enumerate(fs):
         w = w + wedge(basis_vector(3 + i), f)
-    return acs_from_form(w, tol=tol)
+    return acs_from_form(w)

@@ -20,11 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .acs import DEFAULT_TOL as ACS_TOL, ACS, Blocks, _haar_rotations, ank_reference_acs, blocks, hopf_acs
+from .acs import ACS, Blocks, DEFAULT_TOL, _haar_rotations, ank_reference_acs, blocks, hopf_acs
 from .exceptions import DomainError, NotRotationError
 from .kernels import _scalar
-
-DEFAULT_TOL = 1e-9
 
 
 def nijenhuis_tensor(acs: ACS) -> np.ndarray:
@@ -55,7 +53,7 @@ def closed_form_norm(b: Blocks) -> float:
     """sqrt(kappa) * sqrt(1 - |c|^2) from the block decomposition."""
     c = b.c
     rest = 1.0 - float(c @ c)
-    if rest < -ACS_TOL:  # the blocks of a structure valid to ACS_TOL
+    if rest < -DEFAULT_TOL:  # the blocks of a structure valid to DEFAULT_TOL
         raise DomainError(f"1 - |c|^2 = {rest:.3e} < 0: not blocks of a valid structure")
     return float(np.sqrt(calibration_constant() * max(rest, 0.0)))
 
@@ -94,9 +92,9 @@ def _cofactor_matrix(m: np.ndarray) -> np.ndarray:
     return np.cross(m[..., [1, 2, 0], :], m[..., [2, 0, 1], :])
 
 
-def is_integrable(acs: ACS, tol: float = DEFAULT_TOL):
+def is_integrable(acs: ACS):
     """Vanishing Nijenhuis tensor within tolerance."""
-    return nijenhuis_norm(acs) < tol
+    return nijenhuis_norm(acs) < DEFAULT_TOL
 
 
 def integrable_acs(o1, o2) -> ACS:

@@ -76,6 +76,16 @@ def _result(name: str, residual: float, threshold: float,
     return CheckResult(name, status, float(residual), paper_value, measured_value)
 
 
+def _worst(rng: np.random.Generator, count: int, residuals) -> float:
+    """Largest residual over ``count`` samples drawn in chunks.
+
+    ``residuals(rng, n)`` draws n samples and returns their residual arrays
+    (one or several, in a sequence); a NaN among them makes the result NaN,
+    which fails the check.
+    """
+    return float(np.max([np.max(r) for n in _chunk_sizes(count) for r in residuals(rng, n)]))
+
+
 def check_cp3_fixtures() -> CheckResult:
     worst = 0.0
     targets = {
@@ -96,29 +106,24 @@ def check_cp3_fixtures() -> CheckResult:
 
 
 def check_edge01(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 101])
-    worst = 0.0
-    for n in _chunk_sizes(100):
+    def residuals(rng, n):
         s, c1, c2 = _rows(n, lambda: _unit3(rng))
-        constructive = zgeom.edge01_form(s, c1, c2)
-        closed = zgeom.edge01_closed_form(s, c1, c2)
-        worst = max(worst, float(np.max(np.abs(constructive.coeffs - closed.coeffs))))
-    return _result("edge01_family", worst, 1e-9)
+        return [np.abs(zgeom.edge01_form(s, c1, c2).coeffs - zgeom.edge01_closed_form(s, c1, c2).coeffs)]
+
+    return _result("edge01_family", _worst(np.random.default_rng([seed, 101]), 100, residuals), 1e-9)
 
 
 def _branch_worst(seed: int, tag: int, param_fn, count: int = 40) -> float:
     """Worst gap of the constructive circle forms to the closed forms and to
     the bivector route; ``param_fn(rng, n)`` draws n (params, theta)."""
-    rng = np.random.default_rng([seed, tag])
-    worst = 0.0
-    for n in _chunk_sizes(count):
+    def residuals(rng, n):
         params, theta = param_fn(rng, n)
         constructive = zgeom.circle_form(params, theta).coeffs
         closed, _ = zgeom.circle_closed_form(params, theta)
         direct = zgeom.form_from_bivectors(zgeom.circle_point(params, theta))
-        worst = max(worst, float(np.max(np.abs(constructive - closed.coeffs))))
-        worst = max(worst, float(np.max(np.abs(constructive - direct.coeffs))))
-    return worst
+        return np.abs(constructive - closed.coeffs), np.abs(constructive - direct.coeffs)
+
+    return _worst(np.random.default_rng([seed, tag]), count, residuals)
 
 
 _BOTH_DEGENERATE = zgeom.PolarPairParams(-1.0, 0.0, 0.0, -1.0, 0.0, 0.0)
@@ -190,34 +195,29 @@ def _seam_limit_residuals(fixed, theta: np.ndarray) -> np.ndarray:
 
 
 def check_circle_seam(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 107])
-    worst = 0.0
-    for n in _chunk_sizes(5):
+    def residuals(rng, n):
         *fixed, theta = _rows(n, lambda: (*_unit3(rng), _angle(rng)))
-        worst = max(worst, float(np.max(_seam_limit_residuals(fixed, theta))))
-    return _result("circle_branch_seam", worst, 1e-6)
+        return [_seam_limit_residuals(fixed, theta)]
+
+    return _result("circle_branch_seam", _worst(np.random.default_rng([seed, 107]), 5, residuals), 1e-6)
 
 
 def check_integrable_family(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 108])
-    worst = 0.0
-    for n in _chunk_sizes(200):
+    def residuals(rng, n):
         acs = _random_integrable(rng, n)
         c = blocks(acs).c
-        c_norm = np.sqrt(np.vecdot(c, c))
-        worst = max(worst, float(np.max(nijenhuis_norm(acs))), float(np.max(np.abs(c_norm - 1.0))))
-    return _result("integrable_family", worst, 1e-9)
+        return nijenhuis_norm(acs), np.abs(np.sqrt(np.vecdot(c, c)) - 1.0)
+
+    return _result("integrable_family", _worst(np.random.default_rng([seed, 108]), 200, residuals), 1e-9)
 
 
 def check_proportionality(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 109])
-    worst = 0.0
-    for n in _chunk_sizes(1000):
-        acs = vertex_acs(0).conjugate(_haar_rotations(n, 6, rng))
-        worst = max(worst, float(np.max(norm_law_residual(acs))))
+    def residuals(rng, n):
+        return [norm_law_residual(vertex_acs(0).conjugate(_haar_rotations(n, 6, rng)))]
+
     return _result(
         "norm_proportionality",
-        worst,
+        _worst(np.random.default_rng([seed, 109]), 1000, residuals),
         1e-9,
         paper_value=PAPER_MAX_NORM,
         measured_value=max_norm(),
@@ -240,56 +240,53 @@ def check_maximum(seed: int) -> CheckResult:
 
 
 def check_ank_cover(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 110])
-    worst = 0.0
-    for n in _chunk_sizes(200):
+    def residuals(rng, n):
         acs = _random_ank(rng, n)
         b = blocks(acs)
-        worst = max(worst, float(np.max(np.linalg.norm(b.A, axis=(-2, -1)))),
-                    float(np.max(np.linalg.norm(b.C, axis=(-2, -1)))))
-        worst = max(worst, float(np.max(np.abs(nijenhuis_norm(acs) - max_norm()))))
-    return _result("ank_circle_cover", worst, 1e-9)
+        return (np.linalg.norm(b.A, axis=(-2, -1)), np.linalg.norm(b.C, axis=(-2, -1)),
+                np.abs(nijenhuis_norm(acs) - max_norm()))
+
+    return _result("ank_circle_cover", _worst(np.random.default_rng([seed, 110]), 200, residuals), 1e-9)
 
 
 def check_ank_inversion(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 111])
-    worst = 0.0
-    for n in _chunk_sizes(100):
+    def residuals(rng, n):
         b = _haar_rotations(n, 3, rng)
         z3 = np.zeros((n, 3, 3))
         acs = ACS(np.block([[z3, b], [-b.mT, z3]]))
         r, x, u, theta = zgeom.invert_ank_circle(acs)
         reproduced = zgeom.circle_point(zgeom.ank_circle_params(r, x, u), theta)
-        worst = max(worst, float(np.max(acs_to_cp3(acs).projective_distance(reproduced))))
-    return _result("ank_circle_inversion", worst, 1e-6)
+        return [acs_to_cp3(acs).projective_distance(reproduced)]
+
+    return _result("ank_circle_inversion", _worst(np.random.default_rng([seed, 111]), 100, residuals), 1e-6)
 
 
 def check_polar_containment(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 112])
     sigma = TwoForm.basis(4, 5)
-    worst = 0.0
-    for n in _chunk_sizes(50):
+
+    def ank_members(rng, n):
         w = fundamental_form(_random_ank(rng, n))
-        worst = max(worst, float(np.max(np.abs(sigma.inner(w)))))
-        if not np.all(zgeom.polar_contains(sigma, w)):
-            worst = max(worst, 1.0)
-    for n in _chunk_sizes(50):
+        # a member outside the polar set counts as a residual of 1
+        return np.abs(sigma.inner(w)), np.where(zgeom.polar_contains(sigma, w), 0.0, 1.0)
+
+    def polar_points(rng, n):
         point = zgeom.sample_polar_point(rng, (n,))
-        w = fundamental_form(cp3_to_acs(point))
-        worst = max(worst, float(np.max(np.abs(sigma.inner(w)))))
         params, theta = zgeom.invert_circle(point)
-        worst = max(worst, float(np.max(zgeom.circle_point(params, theta).projective_distance(point))))
+        return (np.abs(sigma.inner(fundamental_form(cp3_to_acs(point)))),
+                zgeom.circle_point(params, theta).projective_distance(point))
+
+    rng = np.random.default_rng([seed, 112])
+    worst = np.maximum(_worst(rng, 50, ank_members), _worst(rng, 50, polar_points))
     return _result("polar_containment", worst, 1e-6)
 
 
 def check_nk_basis_identity(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 113])
-    worst = 0.0
-    for n in _chunk_sizes(50):
+    def residuals(rng, n):
         d = _nabla_tensor(_random_ank(rng, n))
         # d[..., i, i, j] = (nabla_{e_i} w)(e_i, e_j)
-        worst = max(worst, float(np.max(np.abs(d[..., range(6), range(6), :]))))
-    return _result("nk_basis_identity", worst, 1e-12)
+        return [np.abs(d[..., range(6), range(6), :])]
+
+    return _result("nk_basis_identity", _worst(np.random.default_rng([seed, 113]), 50, residuals), 1e-12)
 
 
 def check_nk_mixed_direction() -> CheckResult:
@@ -309,24 +306,22 @@ def check_nk_mixed_direction() -> CheckResult:
 
 
 def check_nk_defect_floor(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 114])
     reference = nk_defect(ank_reference_acs())
     floor = reference / 2.0
-    smallest = min(float(np.min(nk_defect(_random_ank(rng, n)))) for n in _chunk_sizes(50))
-    residual = max(0.0, floor - smallest)
+    residual = max(0.0, _worst(np.random.default_rng([seed, 114]), 50,
+                               lambda rng, n: [floor - nk_defect(_random_ank(rng, n))]))
     return _result(
         "nk_defect_floor", residual, 1e-12, measured_value=float(reference)
     )
 
 
 def check_constraints(seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, 115])
-    worst = 0.0
-    for n in _chunk_sizes(500):
+    def residuals(rng, n):
         b = blocks(vertex_acs(0).conjugate(_haar_rotations(n, 6, rng)))
-        worst = max(worst, float(np.max(constraint_residuals(b))))
-        worst = max(worst, float(np.nanmax(cofactor_checks(b))))
-    return _result("constraint_system", worst, 1e-9)
+        # the trace identity is NaN where it is undefined (tiny det B)
+        return constraint_residuals(b), np.nanmax(cofactor_checks(b))
+
+    return _result("constraint_system", _worst(np.random.default_rng([seed, 115]), 500, residuals), 1e-9)
 
 
 def _guard(name: str, fn, *args) -> CheckResult:

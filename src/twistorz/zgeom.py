@@ -61,10 +61,6 @@ from .kernels import _scalar
 #: sqrt((r_plus + 1)(r_minus + 1)), would lose its accuracy to rounding
 DEGENERATE_EPS = 1e-8
 
-#: how far r^2 + x^2 + u^2 may miss 1: the closed forms of such a triple
-#: miss Z by about as much, within the tolerance at which structures validate
-_UNIT_TOL = DEFAULT_TOL
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -125,10 +121,14 @@ def edge01_closed_form(s, c1, c2) -> TwoForm:
     )
 
 
-def _check_unit3(*vals, tol: float = _UNIT_TOL) -> None:
-    """Raise for the first element of (arrays of) triples off the unit sphere."""
+def _check_unit3(*vals) -> None:
+    """Raise for the first element of (arrays of) triples off the unit sphere.
+
+    A triple off the sphere by d gives closed forms off Z by about d, so the
+    sphere is held to the tolerance at which structures validate.
+    """
     s = sum(np.asarray(v, dtype=float) ** 2 for v in vals)
-    failure = first_failure(np.abs(s - 1.0) > tol)
+    failure = first_failure(np.abs(s - 1.0) > DEFAULT_TOL)
     if failure is not None:
         member = failure[1]
         message = f"parameters must lie on the unit sphere (|.|^2 = {s[member]})"
@@ -139,37 +139,37 @@ def _check_unit3(*vals, tol: float = _UNIT_TOL) -> None:
 # generalized edges and polar sets
 
 
-def generalized_edge_contains(sigma: TwoForm, omega: TwoForm, tol: float = DEFAULT_TOL) -> bool:
+def generalized_edge_contains(sigma: TwoForm, omega: TwoForm) -> bool:
     """omega in Z and omega - sigma supported on the plane complement of sigma.
 
     sigma must be a unit decomposable 2-form e ^ f; its plane is recovered
     as the column space of the coefficient matrix.
     """
     res = decomposability_residual(sigma)
-    if res > tol:
+    if res > DEFAULT_TOL:
         raise NotDecomposableError(f"sigma ^ sigma != 0 (residual {res:.3e})")
     nrm = sigma.norm()
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > DEFAULT_TOL:
         raise NotUnitError(f"|sigma| = {nrm} != 1")
-    if not _in_z(omega.matrix().mT, tol):
+    if not _in_z(omega.matrix().mT):
         return False
     sm = sigma.matrix()
     # rank-2 column space of the antisymmetric coefficient matrix
     _, sing, vh = np.linalg.svd(sm)
     plane = vh[:2].T
     tail = (omega - sigma).matrix()
-    return bool(np.max(np.abs(tail @ plane)) <= tol)
+    return bool(np.max(np.abs(tail @ plane)) <= DEFAULT_TOL)
 
 
-def polar_contains(sigma: TwoForm, omega: TwoForm, tol: float = DEFAULT_TOL):
+def polar_contains(sigma: TwoForm, omega: TwoForm):
     """omega in Z and orthogonal to sigma in the form inner product.
 
     A bool per form of a stack ``omega``.
     """
     if sigma.norm() == 0.0:
         raise ZeroFormError("polar set of the zero form is undefined")
-    in_z = _in_z(omega.matrix().mT, tol)
-    return _scalar(np.asarray(in_z & (np.abs(sigma.inner(omega)) <= tol)))
+    in_z = _in_z(omega.matrix().mT)
+    return _scalar(np.asarray(in_z & (np.abs(sigma.inner(omega)) <= DEFAULT_TOL)))
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +471,17 @@ def invert_circle(point: CP3Point) -> tuple[PolarPairParams, float]:
     :func:`circle_point` of the result then misses the point by at most
     sqrt((r + 1) / 2) < sqrt(DEGENERATE_EPS / 2), with r the pole's Hopf
     value.  For a stack of points the parameters and angles are arrays.
-    A point with no mass on one coordinate pair is not polar and raises
-    ``ValueError``, naming the first such member of a stack.
+    A point whose unit representative has a mass gap (|z0|^2 + |z3|^2) -
+    (|z1|^2 + |z2|^2), its coefficient of e5^e6, beyond ``DEFAULT_TOL`` is
+    not polar (the rule of :func:`polar_contains`) and raises
+    ``ValueError``, naming the first such member of a stack and its gap.
     """
     z0, z1, z2, z3 = np.moveaxis(_unit(point.scaled()), -1, 0)
-    failure = first_failure(_mass(z0) + _mass(z3) == 0.0, _mass(z1) + _mass(z2) == 0.0)
+    gap = _mass(z0) + _mass(z3) - (_mass(z1) + _mass(z2))
+    failure = first_failure(np.abs(gap) > DEFAULT_TOL)
     if failure is not None:
-        pair, member = failure
-        message = f"point is not polar: no mass on coordinates {('{0, 3}', '{1, 2}')[pair]}"
+        member = failure[1]
+        message = f"point is not polar: mass gap {gap[member]:.3e} between coordinates {{0, 3}} and {{1, 2}}"
         raise ValueError(at_member(message, member))
     plus_params, minus_params = _hopf_pole(z0, z3, -1.0), _hopf_pole(z1, z2, 1.0)
     plus = _pole_coords(*plus_params, plus=True)

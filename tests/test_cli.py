@@ -63,7 +63,8 @@ def test_verify_negative_control(capsys, monkeypatch):
     # corrupt the identification table (swap e1, e2 with e3, e4) and rebuild
     # the linear maps from it: the fixture points land elsewhere
     original = twistorz.cp3.identify
-    forward, inverse = twistorz.cp3._correspondence_maps(lambda b: original(b)[[2, 3, 0, 1, 4, 5]])
+    monkeypatch.setattr(twistorz.cp3, "identify", lambda b: original(b)[[2, 3, 0, 1, 4, 5]])
+    forward, inverse = twistorz.cp3._correspondence_maps()
     monkeypatch.setattr(twistorz.cp3, "_FORWARD", forward)
     monkeypatch.setattr(twistorz.cp3, "_INVERSE", inverse)
     code, out, _ = run_cli(capsys, "verify")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_bracket, random_rotation3, unit3
-from twistorz.acs import ank_reference_acs, blocks, fundamental_form, hopf_acs, random_acs
+from twistorz.acs import DEFAULT_TOL, ACS, ank_reference_acs, blocks, fundamental_form, hopf_acs, random_acs
 from twistorz.algebra import basis_vector
 from twistorz.exceptions import NotInZError, WrongOrientationError
 from twistorz.nearly_kaehler import _nabla_tensor, ank_form, is_ank, nabla_omega, nk_defect
@@ -101,12 +101,19 @@ def test_is_ank_fixtures(rng):
         assert not is_ank(integrable_acs(random_rotation3(rng), random_rotation3(rng)))
 
 
+@pytest.mark.parametrize("scale, expected", [(0.5, True), (2.0, False)])
+def test_is_ank_holds_blocks_to_the_exactness_tolerance(scale, expected):
+    m = ank_reference_acs().matrix.copy()
+    m[0, 1] = scale * DEFAULT_TOL  # an A-block entry
+    assert is_ank(ACS(m)) is expected
+
+
 def test_is_ank_iff_norm_maximal(rng):
     target = max_norm()
     for seed in range(10000):
         acs = random_acs(seed)
         near_max = abs(nijenhuis_norm(acs) - target) < 1e-6
-        assert is_ank(acs, tol=1e-6) == near_max
+        assert is_ank(acs) == near_max
     for _ in range(100):
         r, x, u = unit3(rng)
         acs = ank_circle_acs(float(r), float(x), float(u), float(rng.uniform(0, 2 * np.pi)))

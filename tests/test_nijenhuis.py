@@ -160,7 +160,7 @@ def test_integrability_iff_unit_c_and_a(rng):
     for seed in range(100):
         acs = random_acs(seed)
         b = blocks(acs)
-        integrable = is_integrable(acs, tol=1e-7)
+        integrable = is_integrable(acs)
         unit_c = abs(float(np.linalg.norm(b.c)) - 1.0) < 1e-9
         unit_a = abs(float(np.linalg.norm(b.a)) - 1.0) < 1e-9
         assert integrable == unit_c == unit_a

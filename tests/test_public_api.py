@@ -1,7 +1,9 @@
 """The package's public names: sorted, resolvable, never a submodule's name, and
-imported lazily, so that importing the package sets up nothing."""
+imported lazily, so that importing the package sets up nothing; and the one
+exactness tolerance that no public function lets a caller override."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -38,6 +40,21 @@ def test_import_as_binds_the_submodule():
 def test_every_export_has_a_submodule():
     assert sorted(twistorz._EXPORTS) == twistorz.__all__
     assert set(twistorz.__all__) <= set(dir(twistorz))
+
+
+def test_no_public_callable_takes_a_tolerance():
+    callables = [getattr(twistorz, name) for name in twistorz.__all__]
+    callables = [obj for obj in callables if callable(obj)] + [twistorz.ACS.validate]
+    for obj in callables:
+        assert "tol" not in inspect.signature(obj).parameters, obj
+
+
+def test_one_exactness_tolerance():
+    from twistorz.acs import DEFAULT_TOL
+
+    for module in ("nijenhuis", "nearly_kaehler", "zgeom", "cli"):
+        found = getattr(importlib.import_module(f"twistorz.{module}"), "DEFAULT_TOL", DEFAULT_TOL)
+        assert found is DEFAULT_TOL, module
 
 
 def _child(code, **env_vars):

@@ -1,5 +1,7 @@
 """Edges, polar sets, circle branches and the ANK decomposition."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,17 +345,27 @@ def test_polar_members_invert_to_circles(rng):
 
 
 @pytest.mark.parametrize(
-    "coords, pair", [([1, 0, 0, 0], "{1, 2}"), ([0, 0, 0, 1j], "{1, 2}"), ([0, 1, 1, 0], "{0, 3}")]
+    "coords, gap",
+    [
+        ([1, 0, 0, 0], "1.000e+00"),
+        ([0, 0, 0, 1j], "1.000e+00"),
+        ([0, 1, 1, 0], "-1.000e+00"),
+        ([1, 1e-3, 0, 0], "1.000e+00"),
+        ([1, 0.5, 0.5, 0], "3.333e-01"),
+    ],
 )
-def test_inversion_rejects_points_off_the_polar_set(coords, pair):
-    # a pair without mass used to give NaN parameters with a RuntimeWarning
-    with pytest.raises(ValueError, match=f"no mass on coordinates {pair}$"):
+def test_inversion_rejects_points_off_the_polar_set(coords, gap):
+    # a pair without mass used to give NaN parameters with a RuntimeWarning;
+    # unequal masses on both pairs used to come back missing the point by
+    # 0.71 ([1, 1e-3, 0, 0]) and 0.17 ([1, 0.5, 0.5, 0])
+    message = f"point is not polar: mass gap {gap} between coordinates {{0, 3}} and {{1, 2}}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         invert_circle(CP3Point(np.array(coords, dtype=complex)))
 
 
 def test_inversion_names_the_non_polar_member_of_a_stack(rng):
     coords = np.concatenate([sample_polar_point(rng, (3,)).coords, [[0, 1, 0, 0]]])
-    with pytest.raises(ValueError, match=r"no mass on coordinates \{0, 3\} at member 3$"):
+    with pytest.raises(ValueError, match=r"mass gap -1.000e\+00 between coordinates \{0, 3\} and \{1, 2\} at member 3$"):
         invert_circle(CP3Point(coords))
 
 
