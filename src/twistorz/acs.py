@@ -88,6 +88,7 @@ class ACS:
 #: :func:`_residuals`, in check order
 _FAILURES = (
     (NotComplexError, "expected a finite 6x6 matrix", False),
+    (NotOrthogonalError, "J has an entry of modulus above 1, so J^T J != identity", True),
     (NotComplexError, "J^2 != -identity", True),
     (NotOrthogonalError, "J^T J != identity", True),
     (WrongOrientationError, "J induces the opposite orientation from the reference structure", False),
@@ -95,19 +96,24 @@ _FAILURES = (
 
 
 def _residuals(m: np.ndarray):
-    """(finite, J^2 + 1, J^T J - 1, orientation) per matrix of a stack (..., 6, 6)."""
+    """(finite, max |J_ij| - 1, J^2 + 1, J^T J - 1, orientation) per matrix of a stack (..., 6, 6)."""
     finite = np.isfinite(m).all(axis=(-2, -1))
     m = np.where(finite[..., None, None], m, 0.0)  # a non-finite member fails as finite only
+    # every entry of an orthogonal matrix has modulus at most 1: a larger one
+    # fails on this finite residual and is zeroed before the products, which
+    # would overflow for entries near 1e308
+    r_bound = np.abs(m).max(axis=(-2, -1)) - 1.0
+    m = np.where((r_bound > DEFAULT_TOL)[..., None, None], 0.0, m)
     r_complex = np.abs(m @ m + _EYE).max(axis=(-2, -1))
     r_orth = np.abs(m.mT @ m - _EYE).max(axis=(-2, -1))
-    return finite, r_complex, r_orth, orientation_sign(m)
+    return finite, r_bound, r_complex, r_orth, orientation_sign(m)
 
 
 def _failed(residuals):
     """Failure masks of the checks of :meth:`ACS.validate`, in check order."""
-    finite, r_complex, r_orth, orientation = residuals
+    finite, r_bound, r_complex, r_orth, orientation = residuals
     wrong_orientation = np.asarray(orientation) != REFERENCE_ORIENTATION
-    return ~finite, r_complex > DEFAULT_TOL, r_orth > DEFAULT_TOL, wrong_orientation
+    return ~finite, r_bound > DEFAULT_TOL, r_complex > DEFAULT_TOL, r_orth > DEFAULT_TOL, wrong_orientation
 
 
 def _in_z(matrix):
@@ -164,8 +170,11 @@ def _vertex_matrix(k: int) -> np.ndarray:
     return m
 
 
+#: the reference structure ``vertex_acs(0)``, which random structures and
+#: the search's restarts conjugate
+_J_REF = _vertex_matrix(0)
 #: orientation sign of the reference structure (measured: -1)
-REFERENCE_ORIENTATION: int = orientation_sign(_vertex_matrix(0))
+REFERENCE_ORIENTATION: int = orientation_sign(_J_REF)
 
 
 def vertex_acs(k: int) -> ACS:
@@ -264,12 +273,17 @@ def constraint_residuals(b: Blocks) -> np.ndarray:
     return np.abs(np.concatenate(norms + [ortho, transfer], axis=-1))
 
 
-def _haar_rotations(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-uniform elements of SO(dim), drawn as n calls of :func:`haar_rotation` would."""
-    q, r = np.linalg.qr(rng.standard_normal((n, dim, dim)))
+def _rotations(normals: np.ndarray) -> np.ndarray:
+    """Haar-uniform elements of SO(dim) from a stack (n, dim, dim) of standard normals."""
+    q, r = np.linalg.qr(normals)
     q = q * np.sign(r.diagonal(axis1=-2, axis2=-1))[:, None, :]
     q[..., 0] *= np.sign(np.linalg.det(q))[:, None]  # det is +-1: flip column 0 where -1
     return q
+
+
+def _haar_rotations(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-uniform elements of SO(dim), drawn as n calls of :func:`haar_rotation` would."""
+    return _rotations(rng.standard_normal((n, dim, dim)))
 
 
 def haar_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -277,8 +291,17 @@ def haar_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
     return _haar_rotations(1, dim, rng)[0]
 
 
+def _seeded_rotations(seeds) -> np.ndarray:
+    """``haar_rotation(6, default_rng(seed))`` per seed, with one QR over the stack."""
+    return _rotations(np.stack([np.random.default_rng(s).standard_normal((DIM, DIM)) for s in seeds]))
+
+
+def _random_structures(seeds) -> ACS:
+    """The stack of :func:`random_acs` over ``seeds``, in seed order."""
+    q = _seeded_rotations(seeds)
+    return ACS.validate(q @ _J_REF @ q.mT)
+
+
 def random_acs(seed) -> ACS:
     """Q J_ref Q^T with Q Haar-uniform in SO(6); deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    q = haar_rotation(DIM, rng)
-    return ACS.validate(q @ _vertex_matrix(0) @ q.T)
+    return ACS(_random_structures([seed]).matrix[0])

@@ -25,11 +25,11 @@ from . import search, verify, zgeom  # noqa: E402
 from .acs import (  # noqa: E402
     ACS,
     DEFAULT_TOL,
+    _random_structures,
     acs_from_form,
     blocks,
     constraint_residuals,
     fundamental_form,
-    random_acs,
 )
 from .cp3 import CP3Point, _point_coords, _tetra_coords, acs_to_cp3, cp3_to_acs, tetra_coords  # noqa: E402
 from .exceptions import NotInZError, ParseError, TwistorError  # noqa: E402
@@ -95,7 +95,7 @@ def _cmd_verify(args) -> int:
 _SAMPLERS = {
     "ank": lambda rng, row_seeds: _random_ank(rng, len(row_seeds)),
     "integrable": lambda rng, row_seeds: _random_integrable(rng, len(row_seeds)),
-    "random": lambda _, row_seeds: ACS(np.stack([random_acs(s).matrix for s in row_seeds])),
+    "random": lambda _, row_seeds: _random_structures(row_seeds),
     "polar": lambda rng, row_seeds: cp3_to_acs(zgeom.circle_point(*_random_circle(rng, len(row_seeds)))),
     "edge01": lambda rng, row_seeds: acs_from_form(
         zgeom.edge01_form(*_rows(len(row_seeds), lambda: _unit3(rng)))
@@ -125,23 +125,24 @@ def _cloud_row(values) -> str:
     return ",".join(cols)
 
 
-def _cloud(args) -> str:
-    # rows are drawn in row order, so each seed keeps its points, and built
-    # and evaluated a chunk at a time on a stack
-    rows = [CSV_HEADER]
+def _write_cloud(args, out) -> None:
+    # rows are drawn in row order, so each seed keeps its points, and built,
+    # evaluated and written a chunk at a time on a stack, so memory stays
+    # flat in --count
+    out.write(CSV_HEADER + "\n")
     for stack in _sample_structures(args.set, args.count, args.seed):
-        rows += map(_cloud_row, _cloud_values(stack))
-    return "\n".join(rows) + "\n"
+        out.write("".join(_cloud_row(values) + "\n" for values in _cloud_values(stack)))
+        out.flush()
 
 
 def _cmd_sample(args) -> int:
     if args.out == "-":
-        sys.stdout.write(_cloud(args))
+        _write_cloud(args, sys.stdout)
         return 0
     # the file is opened before any row is computed, so a bad path fails fast
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_cloud(args))
+            _write_cloud(args, fh)
     except OSError as exc:
         raise ParseError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     return 0
@@ -179,14 +180,14 @@ def _load_structure(args) -> ACS:
         raise ParseError(f"cannot read structure document: {exc}") from exc
     matrix = doc.get("matrix") if isinstance(doc, dict) else doc
     shape_error = "structure document needs a row-major list of 36 floats under 'matrix'"
-    if not isinstance(matrix, list) or len(matrix) != 36:
+    # JSON numbers only: numpy would also parse strings, and bool is an int
+    if (not isinstance(matrix, list) or len(matrix) != 36
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in matrix)):
         raise ParseError(shape_error)
     try:
         values = np.array(matrix, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:  # an integer literal beyond the float range
         raise ParseError(f"{shape_error}: {exc}") from exc
-    if values.shape != (36,):
-        raise ParseError(shape_error)
     if not np.isfinite(values).all():
         raise ParseError("structure document has a non-finite matrix entry")
     return ACS.validate(values.reshape(6, 6))

@@ -18,16 +18,16 @@ E_pr of so(6) as S[p, r] - S[r, p], with H = Q^T G Q and
 S = H J_ref^T - J_ref^T H.  The search never touches the closed-form
 norm law, so its outcome is an independent confirmation of it.
 
-All restarts advance in lockstep as one (R, 6, 6) stack of rotations and
-reference structures (restart 0 may be pinned to a given structure).
-Each lockstep iteration makes one gradient call over the restarts still
-running, then a backtracking line search whose every trial is one
-stacked kernel call over the restarts still searching; each restart
-keeps its own step, doubled after an accepted step and halved after a
-rejected trial.  A restart stops for one of three reasons: ``gradient``
-when its gradient falls below ``GRAD_TOL`` (it has converged),
-``stalled`` when its step collapses below ``MIN_STEP`` first, or
-``max_iters``.
+Restart k starts from the seeded rotation that ``random_acs([seed, k])``
+draws, and all restarts advance in lockstep as one (R, 6, 6) stack of
+rotations of the reference structure ``vertex_acs(0)``.  Each lockstep
+iteration makes one gradient call over the restarts still running, then
+a backtracking line search whose every trial is one stacked kernel call
+over the restarts still searching; each restart keeps its own step,
+doubled after an accepted step and halved after a rejected trial.  A
+restart stops for one of three reasons: ``gradient`` when its gradient
+falls below ``GRAD_TOL`` (it has converged), ``stalled`` when its step
+collapses below ``MIN_STEP`` first, or ``max_iters``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .acs import ACS, _vertex_matrix, haar_rotation
+from .acs import ACS, _J_REF, _seeded_rotations
 from .algebra import STRUCTURE_CONSTANTS as _CT
 
 INITIAL_STEP = 0.1
@@ -109,35 +109,20 @@ def _gradient(q: np.ndarray, j_ref: np.ndarray) -> np.ndarray:
     return s[..., _PLANES[0], _PLANES[1]] - s[..., _PLANES[1], _PLANES[0]]
 
 
-def _run(seed: int, restarts: int, max_iters: int, sign: float,
-         initial: ACS | None, on_iterate=None) -> SearchReport:
+def _run(seed: int, restarts: int, max_iters: int, sign: float) -> SearchReport:
     if restarts < 1:
         raise ValueError("need at least one restart")
-    q = np.empty((restarts, 6, 6))
-    j_ref = np.empty((restarts, 6, 6))
-    for rs in range(restarts):
-        if rs == 0 and initial is not None:
-            q[rs], j_ref[rs] = _EYE, initial.matrix
-        else:
-            q[rs] = haar_rotation(6, np.random.default_rng([seed, rs]))
-            j_ref[rs] = _vertex_matrix(0)
-    f = sign * kernels.conjugated_norm_sq(q, j_ref)
-
-    def audit(members):
-        if on_iterate is not None:
-            for r in members:
-                on_iterate(q[r] @ j_ref[r] @ q[r].T, float(np.sqrt(sign * f[r])))
-
+    q = _seeded_rotations([[seed, rs] for rs in range(restarts)])
+    f = sign * kernels.conjugated_norm_sq(q, _J_REF)
     step = np.full(restarts, INITIAL_STEP)
     iterations = np.zeros(restarts, dtype=int)
     evaluations = np.ones(restarts, dtype=int)
     reasons = ["max_iters"] * restarts
     running = np.arange(restarts)
-    audit(running)
     for it in range(1, max_iters + 1):
         if running.size == 0:
             break
-        grad = sign * _gradient(q[running], j_ref[running])
+        grad = sign * _gradient(q[running], _J_REF)
         evaluations[running] += 1
         iterations[running] = it
         grad_norm = np.linalg.norm(grad, axis=-1)
@@ -153,7 +138,7 @@ def _run(seed: int, restarts: int, max_iters: int, sign: float,
             members = running[searching]
             w = step[members, None, None] * half[searching]
             q_new = q[members] @ np.linalg.solve(_EYE - w, _EYE + w)
-            f_new = sign * kernels.conjugated_norm_sq(q_new, j_ref[members])
+            f_new = sign * kernels.conjugated_norm_sq(q_new, _J_REF)
             evaluations[members] += 1
             better = f_new > f[members]
             accepted = members[better]
@@ -167,14 +152,13 @@ def _run(seed: int, restarts: int, max_iters: int, sign: float,
         for r in running[stalled]:
             reasons[r] = "stalled"
         running = running[~stalled]
-        audit(running)
 
     stops = tuple(
         RestartStop(rs, reasons[rs], float(f[rs]), int(iterations[rs]), int(evaluations[rs]), q[rs].copy())
         for rs in range(restarts)
     )
     best = int(np.argmax(f))
-    best_acs = ACS(q[best] @ j_ref[best] @ q[best].T)
+    best_acs = ACS(q[best] @ _J_REF @ q[best].T)
     return SearchReport(
         best_value=float(np.sqrt(kernels.nijenhuis_norm_sq(best_acs.matrix))),
         best_acs=best_acs,
@@ -185,22 +169,11 @@ def _run(seed: int, restarts: int, max_iters: int, sign: float,
     )
 
 
-def maximize(seed: int, restarts: int = 20, max_iters: int = 500,
-             initial: ACS | None = None, on_iterate=None) -> SearchReport:
-    """Best maximizer over restarts; restart 0 may be pinned to ``initial``.
-
-    ``on_iterate(matrix, value)`` is called with the norm |N| at the start
-    of every restart and after every accepted step, in restart order
-    within each lockstep iteration, which lets callers audit the
-    trajectory (membership, monotonicity, the closed-form law) without
-    re-running the search.
-    """
-    return _run(seed, restarts, max_iters, sign=+1.0, initial=initial,
-                on_iterate=on_iterate)
+def maximize(seed: int, restarts: int = 20, max_iters: int = 500) -> SearchReport:
+    """Best maximizer over restarts."""
+    return _run(seed, restarts, max_iters, sign=+1.0)
 
 
-def minimize(seed: int, restarts: int = 20, max_iters: int = 500,
-             initial: ACS | None = None, on_iterate=None) -> SearchReport:
+def minimize(seed: int, restarts: int = 20, max_iters: int = 500) -> SearchReport:
     """Best minimizer over restarts (the floor of the functional is zero)."""
-    return _run(seed, restarts, max_iters, sign=-1.0, initial=initial,
-                on_iterate=on_iterate)
+    return _run(seed, restarts, max_iters, sign=-1.0)

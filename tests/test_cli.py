@@ -1,12 +1,17 @@
 """CLI surface: formats, exit codes, determinism, negative control."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import twistorz.cli
 import twistorz.cp3
+import twistorz.kernels
 import twistorz.search
 import twistorz.verify
 from twistorz.acs import ank_reference_acs
@@ -234,6 +239,23 @@ def test_sample_unwritable_out_fails_before_any_row(tmp_path, capsys, monkeypatc
     assert len(calls) == 3
 
 
+def test_sample_writes_each_chunk_before_drawing_the_next(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "x.csv"
+    seen = []
+    draw = twistorz.cli._SAMPLERS["ank"]
+
+    def watched(rng, row_seeds):
+        seen.append(target.read_text(encoding="utf-8").count("\n"))
+        return draw(rng, row_seeds)
+
+    monkeypatch.setitem(twistorz.cli._SAMPLERS, "ank", watched)
+    monkeypatch.setattr(twistorz.kernels, "_CHUNK", 3)  # chunks far below any write buffer
+    code, _, _ = run_cli(capsys, "sample", "--set", "ank", "--count", "4", "--out", str(target))
+    assert code == 0
+    # the header and the whole first chunk are in the file before the second draw
+    assert len(seen) == 2 and seen[1] == 1 + 3
+
+
 def test_verify_rejects_negative_seed(capsys):
     (line,) = _parser_rejects(capsys, "verify", "--seed", "-1")
     assert "--seed" in line
@@ -321,7 +343,9 @@ def test_classify_parse_error(tmp_path, capsys):
     json.dumps({"matrix": [None] * 36}),
     '{"matrix": [NaN' + ", 0" * 35 + "]}",
     '{"matrix": [1' + "0" * 400 + ", 0" * 35 + "]}",
-], ids=["string", "pair", "null", "nan", "huge-int"])
+    json.dumps({"matrix": ["0"] * 36}),
+    json.dumps({"matrix": [True] * 36}),
+], ids=["string", "pair", "null", "nan", "huge-int", "numeric-string", "bool"])
 def test_classify_malformed_matrix_entries(tmp_path, capsys, text):
     path = tmp_path / "malformed.json"
     path.write_text(text, encoding="utf-8")
@@ -329,6 +353,21 @@ def test_classify_malformed_matrix_entries(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_classify_rejects_overflowing_entries_without_warnings(tmp_path, capsys):
+    # an entry above 1 rules out orthogonality before any product overflows
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"matrix": [1e308] * 36}), encoding="utf-8")
+    argv = ["classify", "--in", str(path), "--json"]
+    in_process = run_cli(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(twistorz.cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "twistorz.cli", *argv], capture_output=True, text=True, env=env)
+    for code, out, err in (in_process, (proc.returncode, proc.stdout, proc.stderr)):
+        assert (code, err) == (1, "")
+        rec = json.loads(out)
+        assert rec["in_z"] is False
+        assert np.isfinite(float(rec["reason"].rsplit("max residual ", 1)[1].rstrip(")")))
 
 
 def test_classify_cp3_parse_error(capsys):

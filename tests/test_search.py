@@ -1,5 +1,6 @@
 """Extremization of the norm functional by conjugation ascent."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistorz.acs import ACS, _vertex_matrix, ank_reference_acs, blocks, haar_rotation, hopf_acs
-from twistorz.nijenhuis import closed_form_norm, max_norm, nijenhuis_norm_sq
+from twistorz.acs import ACS, _vertex_matrix, ank_reference_acs, blocks, haar_rotation, hopf_acs, random_acs
+from twistorz.nijenhuis import closed_form_norm, max_norm, nijenhuis_norm, nijenhuis_norm_sq
 from twistorz import kernels, search
 from twistorz.search import _gradient, maximize, minimize
 
@@ -63,8 +64,10 @@ def test_gradient_matches_central_differences(seed, sign):
     assert np.linalg.norm(fd) > 1e-2  # a generic point, not a critical one
 
 
-def test_gradient_vanishes_at_hopf():
-    grad = _gradient(np.eye(6), hopf_acs().matrix)
+@pytest.mark.parametrize("reference", [hopf_acs, ank_reference_acs], ids=["hopf", "ank"])
+def test_gradient_vanishes_at_references(reference):
+    # the floor (integrable) and the maximum (ANK) of |N|^2 are critical points
+    grad = _gradient(np.eye(6), reference().matrix)
     assert grad.shape == (15,)
     assert np.all(grad == 0.0)
 
@@ -100,18 +103,6 @@ def test_import_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_maximize_from_the_maximum():
-    report = maximize(seed=0, restarts=1, initial=ank_reference_acs())
-    assert report.converged
-    assert report.best_value == pytest.approx(max_norm(), rel=1e-12)
-
-
-def test_minimize_from_the_minimum():
-    report = minimize(seed=0, restarts=1, initial=hopf_acs())
-    assert report.converged
-    assert report.best_value < 1e-10
-
-
 def test_maximize_random_restarts():
     report = maximize(seed=1, restarts=5, max_iters=400)
     ratio = report.best_value / max_norm()
@@ -128,23 +119,55 @@ def test_minimize_random_restarts():
     assert abs(float(np.linalg.norm(b.c)) - 1.0) < 1e-3
 
 
-def test_trajectory_monotone_valid_and_law_abiding():
-    values = []
+def _iterates(monkeypatch, runner, seed):
+    """The iterates of a one-restart search, each validated as a member of Z.
 
-    def audit(matrix, value):
-        acs = ACS.validate(matrix)  # every iterate is a member of Z
+    Read where the search takes its gradient: once per lockstep iteration,
+    at the current iterate.
+    """
+    iterates = []
+
+    def audit(q, j_ref):
+        (qi,) = q  # the one restart
+        iterates.append(ACS.validate(qi @ j_ref @ qi.T))
+        return gradient(q, j_ref)
+
+    gradient = search._gradient
+    monkeypatch.setattr(search, "_gradient", audit)
+    runner(seed=seed, restarts=1, max_iters=150)
+    assert len(iterates) > 2
+    return iterates
+
+
+def test_trajectory_monotone_valid_and_law_abiding(monkeypatch):
+    values = []
+    for acs in _iterates(monkeypatch, maximize, seed=3):
+        value = nijenhuis_norm(acs)
         assert closed_form_norm(blocks(acs)) == pytest.approx(value, abs=1e-9)
         values.append(value)
-
-    maximize(seed=3, restarts=1, max_iters=150, on_iterate=audit)
-    assert len(values) > 2
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_minimize_trajectory_monotone():
-    values = []
-    minimize(seed=4, restarts=1, max_iters=150, on_iterate=lambda m, v: values.append(v))
+def test_minimize_trajectory_monotone(monkeypatch):
+    values = [nijenhuis_norm(acs) for acs in _iterates(monkeypatch, minimize, seed=4)]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("runner", [maximize, minimize])
+def test_restarts_start_from_random_acs(runner):
+    # restart k starts where random_acs([seed, k]) is: one seeded draw for
+    # both (validate projects the conjugate onto exact antisymmetry)
+    seed = 8
+    report = runner(seed=seed, restarts=4, max_iters=0)
+    for k, stop in enumerate(report.stops):
+        start = ACS.validate(stop.rotation @ _vertex_matrix(0) @ stop.rotation.T)
+        assert np.array_equal(start.matrix, random_acs([seed, k]).matrix)
+
+
+def test_search_takes_no_initial_or_callback():
+    for name, obj in vars(search).items():
+        if not name.startswith("_") and callable(obj):
+            assert not {"initial", "on_iterate"} & set(inspect.signature(obj).parameters), name
 
 
 def test_deterministic_per_seed():

@@ -6,6 +6,7 @@ sample rows must reproduce the per-structure loops they replaced, with
 the same rng, which pins their draw order.
 """
 
+import io
 import math
 from types import SimpleNamespace
 
@@ -542,7 +543,8 @@ _ROW_SAMPLERS = {
 
 
 @pytest.mark.parametrize("set_name", sorted(_ROW_SAMPLERS))
-def test_sample_rows_match_single_structure_loop(set_name):
+def test_sample_rows_match_single_structure_loop(set_name, monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK", 20)  # 45 rows cross two chunk boundaries
     count, seed = 45, 3
     rng = np.random.default_rng([seed, sum(map(ord, set_name))])
     looped = [_ROW_SAMPLERS[set_name](rng, [seed, k]) for k in range(count)]
@@ -550,4 +552,6 @@ def test_sample_rows_match_single_structure_loop(set_name):
     assert [c.matrix.shape[0] for c in chunks] == [20, 20, 5]
     _same(np.concatenate([c.matrix for c in chunks]), [s.matrix for s in looped])
     rows = [cli._cloud_row(values) for s in looped for values in cli._cloud_values(ACS(s.matrix[None]))]
-    assert cli._cloud(SimpleNamespace(set=set_name, count=count, seed=seed)) == "\n".join([cli.CSV_HEADER, *rows]) + "\n"
+    out = io.StringIO()
+    cli._write_cloud(SimpleNamespace(set=set_name, count=count, seed=seed), out)
+    assert out.getvalue() == "\n".join([cli.CSV_HEADER, *rows]) + "\n"
