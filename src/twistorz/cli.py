@@ -21,7 +21,10 @@ import sys  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from . import search, verify, zgeom  # noqa: E402
+# every subcommand runs ``acs`` and the modules it imports, so they are
+# imported here; each ``_cmd_*`` imports the rest as its first statements, so
+# that ``optimize`` never loads (or, without a bytecode cache, compiles)
+# ``verify``, ``zgeom``, ``cp3`` or ``nearly_kaehler``
 from .acs import (  # noqa: E402
     ACS,
     DEFAULT_TOL,
@@ -31,13 +34,9 @@ from .acs import (  # noqa: E402
     constraint_residuals,
     fundamental_form,
 )
-from .cp3 import CP3Point, _point_coords, _tetra_coords, acs_to_cp3, cp3_to_acs, tetra_coords  # noqa: E402
 from .exceptions import NotInZError, ParseError, TwistorError  # noqa: E402
 from .exterior import TwoForm  # noqa: E402
 from .kernels import _chunk_sizes  # noqa: E402
-from .nearly_kaehler import is_ank  # noqa: E402
-from .nijenhuis import _random_integrable, max_norm, nijenhuis_norm  # noqa: E402
-from .zgeom import _random_ank, _random_circle, _rows, _unit3  # noqa: E402
 
 CSV_HEADER = "b0,b1,b2,b3,nijenhuis_norm,integrable,ank"
 
@@ -68,6 +67,8 @@ def _int_at_least(low: int):
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_all_checks(seed=args.seed)
     if args.json:
         print(json.dumps([r.to_dict() for r in results], indent=2))
@@ -89,17 +90,40 @@ def _cmd_verify(args) -> int:
 # sample
 
 
+def _draw_ank(rng, row_seeds):
+    from .zgeom import _random_ank
+
+    return _random_ank(rng, len(row_seeds))
+
+
+def _draw_integrable(rng, row_seeds):
+    from .nijenhuis import _random_integrable
+
+    return _random_integrable(rng, len(row_seeds))
+
+
+def _draw_polar(rng, row_seeds):
+    from .cp3 import cp3_to_acs
+    from .zgeom import _random_circle, circle_point
+
+    return cp3_to_acs(circle_point(*_random_circle(rng, len(row_seeds))))
+
+
+def _draw_edge01(rng, row_seeds):
+    from .zgeom import _rows, _unit3, edge01_form
+
+    return acs_from_form(edge01_form(*_rows(len(row_seeds), lambda: _unit3(rng))))
+
+
 #: per sample set, a stack of structures for the rows with seeds [seed, k]
 #: from the set's rng; every row draws what it would draw on its own, in
 #: row order
 _SAMPLERS = {
-    "ank": lambda rng, row_seeds: _random_ank(rng, len(row_seeds)),
-    "integrable": lambda rng, row_seeds: _random_integrable(rng, len(row_seeds)),
+    "ank": _draw_ank,
+    "integrable": _draw_integrable,
     "random": lambda _, row_seeds: _random_structures(row_seeds),
-    "polar": lambda rng, row_seeds: cp3_to_acs(zgeom.circle_point(*_random_circle(rng, len(row_seeds)))),
-    "edge01": lambda rng, row_seeds: acs_from_form(
-        zgeom.edge01_form(*_rows(len(row_seeds), lambda: _unit3(rng)))
-    ),
+    "polar": _draw_polar,
+    "edge01": _draw_edge01,
 }
 
 
@@ -115,6 +139,10 @@ def _sample_structures(set_name: str, count: int, seed: int):
 
 def _cloud_values(stack: ACS):
     """(tetra coordinates, norm, ank) per structure of a stack."""
+    from .cp3 import _point_coords, _tetra_coords
+    from .nearly_kaehler import is_ank
+    from .nijenhuis import nijenhuis_norm
+
     tetra = _tetra_coords(_point_coords(stack.matrix))
     return zip(tetra, nijenhuis_norm(stack), is_ank(stack))
 
@@ -136,6 +164,10 @@ def _write_cloud(args, out) -> None:
 
 
 def _cmd_sample(args) -> int:
+    # the pipeline's modules load before numpy.random (the set's rng) does:
+    # the ``ank`` set then peaks about 0.5 MB lower than when zgeom loads after it
+    from . import cp3, nearly_kaehler, nijenhuis, zgeom  # noqa: F401
+
     if args.out == "-":
         _write_cloud(args, sys.stdout)
         return 0
@@ -163,6 +195,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def _load_structure(args) -> ACS:
+    from .cp3 import CP3Point, cp3_to_acs
+
     if args.cp3 is not None:
         parts = args.cp3.split(",")
         if len(parts) != 4:
@@ -194,6 +228,11 @@ def _load_structure(args) -> ACS:
 
 
 def _cmd_classify(args) -> int:
+    from .cp3 import acs_to_cp3, tetra_coords
+    from .nearly_kaehler import is_ank
+    from .nijenhuis import nijenhuis_norm
+    from .zgeom import polar_contains
+
     try:
         acs = _load_structure(args)
     except NotInZError as exc:
@@ -220,7 +259,7 @@ def _cmd_classify(args) -> int:
         "ank": is_ank(acs),
         "cp3": [f"{_fmt(z.real)}{z.imag:+.17g}i" for z in coords],
         "tetra": [_fmt(v) for v in tetra_coords(point)],
-        "polar_e5e6": zgeom.polar_contains(TwoForm.basis(4, 5), fundamental_form(acs)),
+        "polar_e5e6": polar_contains(TwoForm.basis(4, 5), fundamental_form(acs)),
         "max_constraint_residual": _fmt(float(np.max(constraint_residuals(b)))),
     }
     if args.json:
@@ -242,6 +281,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from . import search
+    from .nijenhuis import max_norm
+
     runner = search.maximize if args.direction == "max" else search.minimize
     report = runner(seed=args.seed, restarts=args.restarts, max_iters=args.max_iters)
     ratio = report.best_value / max_norm()
@@ -315,9 +357,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except TwistorError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): that is no failed check, so
+        # not exit 1.  stdout goes to devnull so that the interpreter's last
+        # flush does not raise again (the recipe of Python's ``signal`` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was complete", file=sys.stderr)
         return 2
 
 

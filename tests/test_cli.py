@@ -256,6 +256,19 @@ def test_sample_writes_each_chunk_before_drawing_the_next(tmp_path, capsys, monk
     assert len(seen) == 2 and seen[1] == 1 + 3
 
 
+def test_sample_to_a_closed_pipe_exits_2_with_one_error_line():
+    # 20000 rows are far more than a pipe buffer holds, so the writer meets the closed pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(twistorz.cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "twistorz.cli", "sample", "--set", "ank", "--count", "20000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.stdout.readline() == CSV_HEADER + "\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_verify_rejects_negative_seed(capsys):
     (line,) = _parser_rejects(capsys, "verify", "--seed", "-1")
     assert "--seed" in line

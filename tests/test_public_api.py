@@ -81,3 +81,26 @@ def test_cli_import_asks_for_one_blas_thread():
 def test_cli_import_keeps_a_user_setting():
     code = "import os, twistorz.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _child(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+#: modules that some subcommand leaves unloaded
+_DEFERRED = ("numpy.random", "twistorz.cp3", "twistorz.nearly_kaehler", "twistorz.search", "twistorz.verify",
+             "twistorz.zgeom")
+
+
+def _deferred_loaded(*argv):
+    """Which of ``_DEFERRED`` a fresh interpreter holds after ``import twistorz.cli`` and,
+    given ``argv``, after ``cli.main(argv)``."""
+    run = f"with contextlib.redirect_stdout(io.StringIO()): cli.main({list(argv)!r})\n" if argv else ""
+    code = ("import contextlib, io, sys\nfrom twistorz import cli\n" + run
+            + f"print(*[m for m in {_DEFERRED!r} if m in sys.modules])")
+    return set(_child(code).split())
+
+
+def test_each_subcommand_loads_only_its_own_modules():
+    assert _deferred_loaded() == set()
+    assert _deferred_loaded("optimize", "--restarts", "1") == {"numpy.random", "twistorz.search"}
+    geometry = {"twistorz.cp3", "twistorz.nearly_kaehler", "twistorz.zgeom"}
+    assert _deferred_loaded("classify", "--cp3", "1,0,0,0") == geometry
+    assert _deferred_loaded("sample", "--set", "ank", "--count", "1") == geometry | {"numpy.random"}
+    assert _deferred_loaded("verify") == set(_DEFERRED)
