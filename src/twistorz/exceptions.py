@@ -12,7 +12,10 @@ class ValidationError(TwistorError):
 
     def __init__(self, message: str, residual: float | None = None):
         if residual is not None:
-            message = f"{message} (max residual {residual:.3e})"
+            text = f"{residual:.3e}"
+            if np.isinf(float(text)) and np.isfinite(residual):  # .3e rounded past the largest float
+                text = repr(float(residual))
+            message = f"{message} (max residual {text})"
         super().__init__(message)
         self.residual = residual
 

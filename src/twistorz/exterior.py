@@ -130,10 +130,10 @@ class TwoForm:
         y = np.asarray(y, dtype=float)
         return float(self.coeffs @ (x[_ROWS] * y[_COLS] - x[_COLS] * y[_ROWS]))
 
-    def allclose(self, other: "TwoForm", tol: float = 1e-12) -> bool:
-        """Coefficients within tol; the default lies far above the rounding of
-        coefficients of order 1 and far below any difference of structure."""
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
+    def allclose(self, other: "TwoForm") -> bool:
+        """Coefficients within 1e-12, far above the rounding of coefficients
+        of order 1 and far below any difference of structure."""
+        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= 1e-12)
 
     def __add__(self, other: "TwoForm") -> "TwoForm":
         return TwoForm(self.coeffs + other.coeffs)

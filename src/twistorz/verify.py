@@ -177,13 +177,10 @@ def _seam_limit_residuals(fixed, theta: np.ndarray) -> np.ndarray:
     mag = [math.sqrt(max(0.0, 1.0 - v * v)) for v in r]
     # the approaching pole (r, 0, mag) at each eta, then the pole at the limit
     pole_r, pole_u = np.array(r + [-1.0]), np.array(mag + [0.0])
-    plus_side = np.array([True, False])[:, None]  # axis of the two sides
-    f = [v[:, None, None] for v in fixed]  # the other pole, on axes (n, side, sample)
-    params = zgeom.PolarPairParams(
-        np.where(plus_side, pole_r, f[0]), np.where(plus_side, 0.0, f[1]), np.where(plus_side, -pole_u, f[2]),
-        np.where(plus_side, f[0], pole_r), np.where(plus_side, f[1], 0.0), np.where(plus_side, f[2], pole_u),
-    )
-    coeffs = zgeom.circle_form(params, theta[:, None, None]).coeffs
+    f = [v[:, None] for v in fixed]  # the other pole, on axes (n, sample)
+    # one call per side (the plus, then the minus pole degenerates), on axes (n, side, sample)
+    sides = zgeom.PolarPairParams(pole_r, 0.0, -pole_u, *f), zgeom.PolarPairParams(*f, pole_r, 0.0, pole_u)
+    coeffs = np.stack([zgeom.circle_form(params, theta[:, None]).coeffs for params in sides], axis=1)
     vals = [coeffs[..., k, :] for k in range(len(_SEAM_ETAS))]
     etas, n = _SEAM_ETAS, len(_SEAM_ETAS)
     for m in range(1, n):

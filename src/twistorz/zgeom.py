@@ -315,7 +315,7 @@ def circle_closed_form(p: PolarPairParams, theta) -> tuple[TwoForm, str]:
     return _by_branch(p, theta, _CORRECTED_BRANCHES)
 
 
-def _branch_both_degenerate(t1, t2) -> TwoForm:
+def _branch_both_degenerate(rp, xp, up, rm, xm, um, t1, t2) -> TwoForm:
     return TwoForm.from_pairs(
         {(0, 1): -1.0, (2, 4): t2, (3, 5): t2, (2, 5): t1, (3, 4): -t1}
     )
@@ -343,7 +343,7 @@ def _branch_generic(rp, xp, up, rm, xm, um, t1, t2) -> TwoForm:
     )
 
 
-def _branch_minus_degenerate(r, x, u, t1, t2) -> TwoForm:
+def _branch_minus_degenerate(r, x, u, rm, xm, um, t1, t2) -> TwoForm:
     # minus pole at its degenerate representative; the t2 cross term sign
     # differs from the literature display (corrected here)
     s = np.sqrt((r + 1.0) / 2.0)
@@ -368,7 +368,7 @@ def _branch_minus_degenerate(r, x, u, t1, t2) -> TwoForm:
     )
 
 
-def _branch_plus_degenerate(r, x, u, t1, t2) -> TwoForm:
+def _branch_plus_degenerate(rp, xp, up, r, x, u, t1, t2) -> TwoForm:
     s = np.sqrt((r + 1.0) / 2.0)
     d = np.sqrt(2.0 * (r + 1.0))
     return TwoForm.from_pairs(
@@ -392,28 +392,20 @@ def _branch_plus_degenerate(r, x, u, t1, t2) -> TwoForm:
 
 
 #: corrected formulas per branch, in the order of ``_BRANCH_LABELS``
-_CORRECTED_BRANCHES = (
-    lambda rp, xp, up, rm, xm, um, t1, t2: _branch_both_degenerate(t1, t2),
-    lambda rp, xp, up, rm, xm, um, t1, t2: _branch_minus_degenerate(rp, xp, up, t1, t2),
-    lambda rp, xp, up, rm, xm, um, t1, t2: _branch_plus_degenerate(rm, xm, um, t1, t2),
-    _branch_generic,
-)
+_CORRECTED_BRANCHES = (_branch_both_degenerate, _branch_minus_degenerate, _branch_plus_degenerate,
+                       _branch_generic)
 
 
-def _printed_minus_degenerate(rp, xp, up, t1, t2) -> TwoForm:
+def _printed_minus_degenerate(rp, xp, up, rm, xm, um, t1, t2) -> TwoForm:
     s = np.sqrt((rp + 1.0) / 2.0)
     flip = TwoForm.from_pairs({(0, 4): -2.0 * t2 * s, (1, 5): 2.0 * t2 * s})
-    return _branch_minus_degenerate(rp, xp, up, t1, t2) + flip
+    return _branch_minus_degenerate(rp, xp, up, rm, xm, um, t1, t2) + flip
 
 
 #: the displayed formulas per branch: generic at twice the form, the
 #: minus-degenerate one with its sign error on the t2 cross term
-_PRINTED_BRANCHES = (
-    _CORRECTED_BRANCHES[0],
-    lambda rp, xp, up, rm, xm, um, t1, t2: _printed_minus_degenerate(rp, xp, up, t1, t2),
-    _CORRECTED_BRANCHES[2],
-    lambda *args: 2.0 * _branch_generic(*args),
-)
+_PRINTED_BRANCHES = (_branch_both_degenerate, _printed_minus_degenerate, _branch_plus_degenerate,
+                     lambda *args: 2.0 * _branch_generic(*args))
 
 
 def printed_circle_form(p: PolarPairParams, theta) -> tuple[TwoForm, str]:
@@ -466,7 +458,10 @@ def invert_circle(point: CP3Point) -> tuple[PolarPairParams, float]:
 
     Valid for points with equal mass on coordinates {0, 3} and {1, 2}
     (equivalently, fundamental form orthogonal to e5^e6), on which it never
-    divides by zero.  The angle is arg(<plus, z> conj(<minus, z>)).  A pole
+    divides by zero.  The angle is arg(<plus, z> conj(<minus, z>)), and a
+    chart pole read off (a, b) = (z0, z3) or (z1, z2) is (a, b) conj(a) / |a|
+    up to a positive factor, so <pole, z> has the phase of a (of b at a
+    degenerate pole, e3 or e2), the pole's lead coordinate.  A pole
     inside the degeneracy band comes back as exactly (-1, 0, 0), and
     :func:`circle_point` of the result then misses the point by at most
     sqrt((r + 1) / 2) < sqrt(DEGENERATE_EPS / 2), with r the pole's Hopf
@@ -484,12 +479,10 @@ def invert_circle(point: CP3Point) -> tuple[PolarPairParams, float]:
         message = f"point is not polar: mass gap {gap[member]:.3e} between coordinates {{0, 3}} and {{1, 2}}"
         raise ValueError(at_member(message, member))
     plus_params, minus_params = _hopf_pole(z0, z3, -1.0), _hopf_pole(z1, z2, 1.0)
-    plus = _pole_coords(*plus_params, plus=True)
-    minus = _pole_coords(*minus_params, plus=False)
-    along_plus = _product(plus[..., 0].conj(), z0) + _product(plus[..., 3].conj(), z3)
-    along_minus = _product(minus[..., 1].conj(), z1) + _product(minus[..., 2].conj(), z2)
+    lead_plus = np.where(_degenerate(plus_params[0]), z3, z0)
+    lead_minus = np.where(_degenerate(minus_params[0]), z2, z1)
     params = PolarPairParams(*(_scalar(v) for v in (*plus_params, *minus_params)))
-    return params, _scalar(np.angle(_product(along_plus, along_minus.conj())))
+    return params, _scalar(np.angle(_product(lead_plus, lead_minus.conj())))
 
 
 def invert_ank_circle(acs: ACS) -> tuple[float, float, float, float]:

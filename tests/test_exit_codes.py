@@ -11,7 +11,6 @@ import io
 import json
 import math
 import warnings
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -64,10 +63,8 @@ def _assert_contract(argv):
         reason = lines[1].removeprefix("reason: ") if lines[0] == "in_z: false" else None
     assert in_z is (code == 0), (argv, out)
     if code == 1 and reason != ORIENTATION_REASON:
-        # as printed: a residual near the float maximum prints as 1.798e+308,
-        # a finite number that float() would round to inf
-        residual = Decimal(reason.rsplit("max residual ", 1)[1].rstrip(")"))
-        assert residual.is_finite(), (argv, reason)
+        residual = float(reason.rsplit("max residual ", 1)[1].rstrip(")"))
+        assert math.isfinite(residual), (argv, reason)
     return code
 
 
@@ -136,3 +133,13 @@ def test_the_properties_reach_every_exit_code(tmp_path):
         path.write_text(json.dumps({"matrix": entries.flatten().tolist()}), encoding="utf-8")
         codes.add(_assert_contract(["classify", "--in", str(path), "--json"]))
     assert codes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_a_residual_at_the_float_maximum_reads_back_finite(tmp_path, as_json):
+    # .3e rounds the largest float up to 1.798e+308, which float() reads as inf
+    entries = np.zeros(36)
+    entries[0] = np.finfo(float).max
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"matrix": entries.tolist()}), encoding="utf-8")
+    assert _assert_contract(["classify", "--in", str(path)] + ["--json"] * as_json) == 1
