@@ -156,18 +156,21 @@ def orientation_sign(matrix):
     return _scalar(np.sign(pf).astype(int))
 
 
-def _vertex_matrix(k: int) -> np.ndarray:
-    signs = {
-        0: (1.0, 1.0, 1.0),
-        1: (1.0, -1.0, -1.0),
-        2: (-1.0, 1.0, -1.0),
-        3: (-1.0, -1.0, 1.0),
-    }[k]
+def _pairing(pairs, signs) -> np.ndarray:
+    """Vector action e_i -> s e_j (so e_j -> -s e_i) for each pair (i, j) and sign s."""
     m = np.zeros((DIM, DIM))
-    for (i, j), s in zip(((0, 1), (2, 3), (4, 5)), signs):
+    for (i, j), s in zip(pairs, signs):
         m[j, i] = s
         m[i, j] = -s
     return m
+
+
+#: signs of the vertex structures on the pairs (e1, e2), (e3, e4), (e5, e6)
+_VERTEX_SIGNS = ((1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0))
+
+
+def _vertex_matrix(k: int) -> np.ndarray:
+    return _pairing(((0, 1), (2, 3), (4, 5)), _VERTEX_SIGNS[k])
 
 
 #: the reference structure ``vertex_acs(0)``, which random structures and
@@ -187,11 +190,7 @@ def vertex_acs(k: int) -> ACS:
 
 def hopf_acs() -> ACS:
     """Integrable reference structure: e1 -> e4, e2 -> e3, e5 -> e6."""
-    m = np.zeros((DIM, DIM))
-    for i, j in ((0, 3), (1, 2), (4, 5)):
-        m[j, i] = 1.0
-        m[i, j] = -1.0
-    return ACS(m)
+    return ACS(_pairing(((0, 3), (1, 2), (4, 5)), (1.0, 1.0, 1.0)))
 
 
 def ank_reference_acs() -> ACS:
@@ -200,9 +199,7 @@ def ank_reference_acs() -> ACS:
     Vector action e_i -> -e_{i+3}, e_{i+3} -> e_i; its covector action is
     the block matrix (0 -E; E 0).
     """
-    e3 = np.eye(3)
-    z3 = np.zeros((3, 3))
-    return ACS(np.block([[z3, e3], [-e3, z3]]))
+    return ACS(_pairing(((0, 3), (1, 4), (2, 5)), (-1.0, -1.0, -1.0)))
 
 
 def fundamental_form(acs: ACS) -> TwoForm:

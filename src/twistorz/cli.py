@@ -49,6 +49,27 @@ def _fmt_opt(x: float | None) -> str:
     return "-" if x is None else _fmt(x)
 
 
+def _show(value) -> str:
+    """A report value as a text line shows it: bools in lower case, lists
+    in brackets, tuples in parentheses."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return f"[{', '.join(value)}]"
+    if isinstance(value, tuple):
+        return f"({', '.join(value)})"
+    return str(value)
+
+
+def _print_report(report: dict, keys, as_json: bool) -> None:
+    """The whole report as JSON, or one ``key: value`` line per key of ``keys``."""
+    if as_json:
+        print(json.dumps(report, indent=2))
+        return
+    for key in keys:
+        print(f"{key}: {_show(report[key])}")
+
+
 def _int_at_least(low: int):
     """argparse type: an int no smaller than ``low``."""
 
@@ -212,7 +233,7 @@ def _load_structure(args) -> ACS:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read structure document: {exc}") from exc
-    matrix = doc.get("matrix") if isinstance(doc, dict) else doc
+    matrix = doc.get("matrix") if isinstance(doc, dict) else None
     shape_error = "structure document needs a row-major list of 36 floats under 'matrix'"
     # JSON numbers only: numpy would also parse strings, and bool is an int
     if (not isinstance(matrix, list) or len(matrix) != 36
@@ -237,10 +258,7 @@ def _cmd_classify(args) -> int:
         acs = _load_structure(args)
     except NotInZError as exc:
         report = {"in_z": False, "reason": str(exc)}
-        if args.json:
-            print(json.dumps(report, indent=2))
-        else:
-            print(f"in_z: false\nreason: {exc}")
+        _print_report(report, report, args.json)
         return 1
 
     b = blocks(acs)
@@ -258,21 +276,11 @@ def _cmd_classify(args) -> int:
         "integrable": norm < DEFAULT_TOL,
         "ank": is_ank(acs),
         "cp3": [f"{_fmt(z.real)}{z.imag:+.17g}i" for z in coords],
-        "tetra": [_fmt(v) for v in tetra_coords(point)],
+        "tetra": tuple(_fmt(v) for v in tetra_coords(point)),
         "polar_e5e6": polar_contains(TwoForm.basis(4, 5), fundamental_form(acs)),
         "max_constraint_residual": _fmt(float(np.max(constraint_residuals(b)))),
     }
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print("in_z: true")
-        print(f"nijenhuis_norm: {report['nijenhuis_norm']}")
-        print(f"integrable: {str(report['integrable']).lower()}")
-        print(f"ank: {str(report['ank']).lower()}")
-        print(f"cp3: [{', '.join(report['cp3'])}]")
-        print(f"tetra: ({', '.join(report['tetra'])})")
-        print(f"polar_e5e6: {str(report['polar_e5e6']).lower()}")
-        print(f"max_constraint_residual: {report['max_constraint_residual']}")
+    _print_report(report, [key for key in report if key != "blocks"], args.json)
     return 0
 
 
@@ -301,14 +309,8 @@ def _cmd_optimize(args) -> int:
             for stop in report.stops
         ],
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key in ("direction", "best_value", "ratio_to_max", "iterations", "restarts", "converged"):
-            value = payload[key]
-            if isinstance(value, bool):
-                value = str(value).lower()
-            print(f"{key}: {value}")
+    keys = ("direction", "best_value", "ratio_to_max", "iterations", "restarts", "converged")
+    _print_report(payload, keys, args.json)
     return 0 if report.converged else 3
 
 

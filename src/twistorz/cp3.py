@@ -79,18 +79,6 @@ class CP3Point:
         """Unit norm, largest-modulus coordinate real positive (ties: lowest index)."""
         return CP3Point(_normalized(self.coords))
 
-    def projective_residual(self, other: "CP3Point"):
-        """1 - |<p, q>| / (|p| |q|); zero exactly on projective equality.
-
-        The ratio is formed from squared moduli, which round alike for a
-        point against itself, and is clamped at 1 so the result is never
-        negative.  A float per point of a stack.
-        """
-        p = self.scaled()
-        q = other.scaled()
-        ratio = np.abs(np.vecdot(p, q)) ** 2 / (np.vecdot(p, p).real * np.vecdot(q, q).real)
-        return _scalar(1.0 - np.sqrt(np.minimum(ratio, 1.0)))
-
     def projective_distance(self, other: "CP3Point"):
         """Sine of the Fubini-Study angle: |p ^ q| for unit representatives.
 

@@ -70,14 +70,9 @@ class TwoForm:
     @classmethod
     def basis(cls, i: int, j: int) -> "TwoForm":
         """e^i ^ e^j for i != j (antisymmetric in the arguments)."""
-        c = np.zeros(len(PAIRS))
         if i == j:
             raise ValueError("basis 2-form needs distinct indices")
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -1.0
-        c[PAIR_INDEX[i, j]] = sign
-        return cls(c)
+        return cls.from_pairs({(i, j): 1.0})
 
     @classmethod
     def from_pairs(cls, entries: dict[tuple[int, int], float]) -> "TwoForm":

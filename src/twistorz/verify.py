@@ -9,7 +9,7 @@ mixed-direction derivative fixture).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,15 +57,9 @@ class CheckResult:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "status": self.status,
-            "residual": self.residual,
-            "paper_value": self.paper_value,
-            "measured_value": self.measured_value,
-        }
-        if self.error is not None:
-            out["error"] = self.error
+        out = asdict(self)
+        if self.error is None:
+            del out["error"]
         return out
 
 
@@ -87,22 +81,16 @@ def _worst(rng: np.random.Generator, count: int, residuals) -> float:
 
 
 def check_cp3_fixtures() -> CheckResult:
-    worst = 0.0
-    targets = {
-        "hopf": (hopf_acs(), CP3Point(np.array([1, 0, 0, -1], dtype=complex))),
-        "swap": (ank_reference_acs(), CP3Point(np.array([1, 1, -1, 1], dtype=complex))),
-    }
-    for acs, target in targets.values():
-        worst = max(worst, acs_to_cp3(acs).projective_residual(target))
-    for k in range(4):
-        corner = np.zeros(4, dtype=complex)
-        corner[k] = 1.0
-        worst = max(worst, acs_to_cp3(vertex_acs(k)).projective_residual(CP3Point(corner)))
-        worst = max(
-            worst,
-            float(np.max(np.abs(cp3_to_acs(CP3Point(corner)).matrix - vertex_acs(k).matrix))),
-        )
-    return _result("cp3_fixture_points", worst, 1e-9)
+    """Projective distance of each fixture structure's point to its
+    pinned point, and the gap of each corner's structure to its vertex."""
+    corners = np.eye(4, dtype=complex)
+    vertices = np.stack([vertex_acs(k).matrix for k in range(4)])
+    # the Hopf and swap structures, then the four vertices
+    structures = ACS(np.concatenate([[hopf_acs().matrix, ank_reference_acs().matrix], vertices]))
+    points = CP3Point(np.concatenate([[[1, 0, 0, -1], [1, 1, -1, 1]], corners]))
+    distance = acs_to_cp3(structures).projective_distance(points)
+    gap = np.abs(cp3_to_acs(corners).matrix - vertices)
+    return _result("cp3_fixture_points", np.maximum(np.max(distance), np.max(gap)), 1e-9)
 
 
 def check_edge01(seed: int) -> CheckResult:

@@ -70,9 +70,9 @@ class Edge:
     u: CP3Point
 
     def __post_init__(self):
-        # a residual of 1e-12 is an angle of 1.4e-6: closer endpoints fix
+        # endpoints within 1.4e-6 rad (where 1 - cos reaches 1e-12) fix
         # their line only to about 1e-16 / angle
-        if self.z.projective_residual(self.u) < 1e-12:
+        if self.z.projective_distance(self.u) < 1.4e-6:
             raise ValueError("edge endpoints must be projectively distinct")
 
 
@@ -142,8 +142,8 @@ def _check_unit3(*vals) -> None:
 def generalized_edge_contains(sigma: TwoForm, omega: TwoForm) -> bool:
     """omega in Z and omega - sigma supported on the plane complement of sigma.
 
-    sigma must be a unit decomposable 2-form e ^ f; its plane is recovered
-    as the column space of the coefficient matrix.
+    sigma must be a unit decomposable 2-form e ^ f; the columns of its
+    coefficient matrix span its plane.
     """
     res = decomposability_residual(sigma)
     if res > DEFAULT_TOL:
@@ -153,12 +153,8 @@ def generalized_edge_contains(sigma: TwoForm, omega: TwoForm) -> bool:
         raise NotUnitError(f"|sigma| = {nrm} != 1")
     if not _in_z(omega.matrix().mT):
         return False
-    sm = sigma.matrix()
-    # rank-2 column space of the antisymmetric coefficient matrix
-    _, sing, vh = np.linalg.svd(sm)
-    plane = vh[:2].T
     tail = (omega - sigma).matrix()
-    return bool(np.max(np.abs(tail @ plane)) <= DEFAULT_TOL)
+    return bool(np.max(np.abs(tail @ sigma.matrix())) <= DEFAULT_TOL)
 
 
 def polar_contains(sigma: TwoForm, omega: TwoForm):
@@ -247,10 +243,11 @@ def pole_minus_closed_form(r, x, u) -> TwoForm:
 
 def circle_point(p: PolarPairParams, theta) -> CP3Point:
     """Equatorial point (p_minus + e^{i theta} p_plus) / sqrt(2)."""
-    plus, minus = polar_pair_points(p)
+    plus = _pole_coords(p.r_plus, p.x_plus, p.u_plus, plus=True)
+    minus = _pole_coords(p.r_minus, p.x_minus, p.u_minus, plus=False)
     theta = np.asarray(theta, dtype=float)[..., None]
     phase = np.cos(theta) + 1j * np.sin(theta)
-    return CP3Point((minus.coords + _product(phase, plus.coords)) / np.sqrt(2.0))
+    return CP3Point((minus + _product(phase, plus)) / np.sqrt(2.0))
 
 
 def circle_form(p: PolarPairParams, theta) -> TwoForm:
@@ -425,7 +422,6 @@ def printed_circle_form(p: PolarPairParams, theta) -> tuple[TwoForm, str]:
 
 def ank_circle_params(r, x, u) -> PolarPairParams:
     """Pole constraint of the maximal set: opposite r and x, equal u."""
-    _check_unit3(r, x, u)
     return PolarPairParams(r, x, u, -r, -x, u)
 
 

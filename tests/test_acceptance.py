@@ -107,8 +107,8 @@ def test_criterion_3_integrable_set():
 def test_criterion_4_projective_fixtures():
     hopf_target = CP3Point(np.array([1, 0, 0, -1], dtype=complex))
     swap_target = CP3Point(np.array([1, 1, -1, 1], dtype=complex))
-    r_hopf = acs_to_cp3(hopf_acs()).projective_residual(hopf_target)
-    r_swap = acs_to_cp3(ank_reference_acs()).projective_residual(swap_target)
+    r_hopf = acs_to_cp3(hopf_acs()).projective_distance(hopf_target)
+    r_swap = acs_to_cp3(ank_reference_acs()).projective_distance(swap_target)
     assert r_hopf < 1e-9
     assert r_swap < 1e-9
     worst_vertex = 0.0
@@ -117,7 +117,7 @@ def test_criterion_4_projective_fixtures():
         corner[k] = 1.0
         worst_vertex = max(
             worst_vertex,
-            acs_to_cp3(vertex_acs(k)).projective_residual(CP3Point(corner)),
+            acs_to_cp3(vertex_acs(k)).projective_distance(CP3Point(corner)),
             float(np.max(np.abs(cp3_to_acs(CP3Point(corner)).matrix - vertex_acs(k).matrix))),
         )
     assert worst_vertex < 1e-12

@@ -77,6 +77,26 @@ def test_verify_negative_control(capsys, monkeypatch):
     assert "fail" in out
 
 
+def test_fixture_check_fails_on_a_fixture_slightly_off(monkeypatch):
+    # the first fixture point turned 1e-7 rad away: the sine of that angle
+    # is far above the threshold 1e-9, while 1 - cos (5e-15) is far below
+    original = twistorz.verify.acs_to_cp3
+
+    def turned(acs):
+        coords = original(acs).coords
+        rows = coords.reshape(-1, 4).copy()
+        p = rows[0]
+        v = np.array([0.0, 1.0, 1j, 0.0])
+        v -= np.vdot(p, v) * p
+        rows[0] = np.cos(1e-7) * p + np.sin(1e-7) * v / np.linalg.norm(v)
+        return twistorz.cp3.CP3Point(rows.reshape(coords.shape))
+
+    monkeypatch.setattr(twistorz.verify, "acs_to_cp3", turned)
+    result = twistorz.verify.check_cp3_fixtures()
+    assert result.status == "fail"
+    assert result.residual == pytest.approx(1e-7, rel=1e-6)
+
+
 def test_verify_reports_why_a_check_raised(capsys, monkeypatch):
     def boom():
         raise RuntimeError("table missing")
@@ -358,7 +378,9 @@ def test_classify_parse_error(tmp_path, capsys):
     '{"matrix": [1' + "0" * 400 + ", 0" * 35 + "]}",
     json.dumps({"matrix": ["0"] * 36}),
     json.dumps({"matrix": [True] * 36}),
-], ids=["string", "pair", "null", "nan", "huge-int", "numeric-string", "bool"])
+    # the matrix of a member of Z, but not under "matrix"
+    json.dumps([float(v) for v in ank_reference_acs().matrix.flatten()]),
+], ids=["string", "pair", "null", "nan", "huge-int", "numeric-string", "bool", "bare-list"])
 def test_classify_malformed_matrix_entries(tmp_path, capsys, text):
     path = tmp_path / "malformed.json"
     path.write_text(text, encoding="utf-8")
@@ -396,6 +418,40 @@ def test_classify_cp3_invalid_point(capsys, coords, mode):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+# --- text reports ---------------------------------------------------------------
+
+
+def _text_report(report: dict, keys, tuples=()) -> str:
+    """The text mode's lines for a JSON report: one ``key: value`` per key,
+    bools in lower case, lists in brackets, the ``tuples`` keys in parentheses."""
+    lines = []
+    for key in keys:
+        value = report[key]
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, list):
+            value = ("({})" if key in tuples else "[{}]").format(", ".join(value))
+        lines.append(f"{key}: {value}\n")
+    return "".join(lines)
+
+
+def test_text_reports_are_the_json_reports(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"matrix": np.random.default_rng(0).standard_normal(36).tolist()}), encoding="utf-8")
+    classify_keys = ("in_z", "nijenhuis_norm", "integrable", "ank", "cp3", "tetra", "polar_e5e6",
+                     "max_constraint_residual")
+    optimize_keys = ("direction", "best_value", "ratio_to_max", "iterations", "restarts", "converged")
+    for argv, expected_code, keys in (
+        (["classify", "--cp3", "0.3+0.2i,1,-0.5i,2"], 0, classify_keys),
+        (["classify", "--in", str(path)], 1, ("in_z", "reason")),
+        (["optimize", "--restarts", "1"], 0, optimize_keys),
+    ):
+        code, text, _ = run_cli(capsys, *argv)
+        json_code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == json_code == expected_code
+        assert text == _text_report(json.loads(out), keys, tuples=("tetra",))
 
 
 # --- optimize -------------------------------------------------------------------

@@ -56,12 +56,12 @@ def test_vertex_points_backward_exact():
         corner = np.zeros(4, dtype=complex)
         corner[k] = 1.0
         point = acs_to_cp3(vertex_acs(k))
-        assert point.projective_residual(CP3Point(corner)) < 1e-12
+        assert point.projective_distance(CP3Point(corner)) < 1e-12
 
 
 def test_named_fixture_points():
-    assert acs_to_cp3(hopf_acs()).projective_residual(HOPF_POINT) < 1e-12
-    assert acs_to_cp3(ank_reference_acs()).projective_residual(SWAP_POINT) < 1e-12
+    assert acs_to_cp3(hopf_acs()).projective_distance(HOPF_POINT) < 1e-12
+    assert acs_to_cp3(ank_reference_acs()).projective_distance(SWAP_POINT) < 1e-12
     assert np.max(np.abs(cp3_to_acs(HOPF_POINT).matrix - hopf_acs().matrix)) < 1e-12
     assert np.max(np.abs(cp3_to_acs(SWAP_POINT).matrix - ank_reference_acs().matrix)) < 1e-12
 
@@ -72,7 +72,7 @@ def test_round_trip_bijection(rng):
         coords = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         p = CP3Point(coords)
         q = acs_to_cp3(cp3_to_acs(p))
-        worst = max(worst, p.projective_residual(q))
+        worst = max(worst, p.projective_distance(q))
     assert worst < 1e-8
 
 
@@ -140,7 +140,7 @@ def test_conjugation_equivariance(rng):
         p = acs_to_cp3(acs)
         direct = acs_to_cp3(acs.conjugate(q))
         mapped = CP3Point(m @ p.coords)
-        worst = max(worst, direct.projective_residual(mapped))
+        worst = max(worst, direct.projective_distance(mapped))
     assert worst < 1e-6
 
 
@@ -174,7 +174,7 @@ def test_inverse_matches_annihilator(rng):
     for seed in range(300):
         acs = random_acs([seed, 7])
         target = CP3Point(oracle_acs_to_cp3(acs.matrix))
-        worst = max(worst, acs_to_cp3(acs).projective_residual(target))
+        worst = max(worst, acs_to_cp3(acs).projective_distance(target))
     assert worst <= 1e-12
 
 
@@ -200,22 +200,22 @@ def test_projective_input_is_scale_invariant(scale):
         # among subnormals (0.5 * 5e-324 rounds to 0)
         coords = 2 * coords
     small, big = CP3Point(coords), CP3Point(scale * coords)
-    assert big.projective_residual(small) <= 1e-15
+    assert big.projective_distance(small) <= 1e-15
     assert np.max(np.abs(big.normalized().coords - small.normalized().coords)) <= 1e-15
     assert np.max(np.abs(tetra_coords(big) - tetra_coords(small))) <= 1e-15
     assert np.max(np.abs(cp3_to_acs(big).matrix - cp3_to_acs(small).matrix)) <= 1e-15
 
 
-def test_projective_residual_is_exact_and_nonnegative(rng):
+def test_projective_distance_is_exact_and_nonnegative(rng):
     points = [HOPF_POINT, SWAP_POINT, CP3Point(np.array([1, 2j, 0.3, -1]))]
     points += [CP3Point(np.eye(4)[k]) for k in range(4)]
     for p in points:
-        assert p.projective_residual(p) == 0.0
-        assert p.projective_residual(CP3Point((0.5 - 2j) * p.coords)) >= 0.0
+        assert p.projective_distance(p) == 0.0
+        assert p.projective_distance(CP3Point((0.5 - 2j) * p.coords)) >= 0.0
     for _ in range(500):
         p, q = (CP3Point(rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(2))
-        assert p.projective_residual(q) >= 0.0
-        assert p.projective_residual(p) >= 0.0
+        assert p.projective_distance(q) >= 0.0
+        assert p.projective_distance(p) >= 0.0
 
 
 @pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9])

@@ -15,9 +15,15 @@ an identity of polynomials with integer coefficients.  Expanding it to
 the zero polynomial proves the law at every point of Z, not only at
 sample points; kappa = 48 comes out of the integer reference structure
 exactly.  The c block is a triple of real quadrics in u, so the maximal
-(ANK) set, |N|^2 = kappa, is {c~ = 0}.  The float checks of the norm law
-stay: they exercise the shipped kernel, this module the algebra it
-implements.
+(ANK) set, |N|^2 = kappa, is {c~ = 0}.  Its third quadric is minus the
+mass gap |z0|^2 + |z3|^2 - |z1|^2 - |z2|^2, which is also the e5^e6
+coefficient of s omega, so the ANK set lies in the polar set of e5^e6.
+Substituting z1 = -lambda conj(z3), z2 = lambda conj(z0) solves the
+first two quadrics identically and turns the third into
+(|lambda|^2 - 1)(|z0|^2 + |z3|^2): the ANK set is the family
+[z0 : -lambda conj(z3) : lambda conj(z0) : z3] with |lambda| = 1.  The
+float checks of the norm law stay: they exercise the shipped kernel, this
+module the algebra it implements.
 """
 
 import numpy as np
@@ -25,11 +31,16 @@ from sympy import ZZ, ring
 
 from twistorz.acs import ank_reference_acs
 from twistorz.algebra import STRUCTURE_CONSTANTS
-from twistorz.cp3 import _FORWARD
+from twistorz.cp3 import CP3Point, _FORWARD, acs_to_cp3
+from twistorz.zgeom import _hopf_pole, _random_ank, ank_circle_params, circle_point
 
-R, *GENS = ring("a0:4, b0:4", ZZ)
-A, B = GENS[:4], GENS[4:]
-S = sum(v * v for v in GENS)  # s = |u|^2
+# z_k = a_k + i b_k, and lambda = l1 + i l2 for the closed form of the ANK set
+R, *GENS = ring("a0:4, b0:4, l1, l2", ZZ)
+A, B, (L1, L2) = GENS[:4], GENS[4:8], GENS[8:]
+S = sum(v * v for v in A + B)  # s = |u|^2
+MASS = [A[i] ** 2 + B[i] ** 2 for i in range(4)]
+#: |z0|^2 + |z3|^2 - |z1|^2 - |z2|^2
+MASS_GAP = MASS[0] + MASS[3] - MASS[1] - MASS[2]
 
 
 def _integral(m: np.ndarray) -> list:
@@ -95,8 +106,7 @@ def test_c_block_is_a_triple_of_quadrics():
     # w = conj(z0) z1 + z2 conj(z3), z = a + ib
     re_w = A[0] * A[1] + B[0] * B[1] + A[2] * A[3] + B[2] * B[3]
     im_w = A[0] * B[1] - B[0] * A[1] + B[2] * A[3] - A[2] * B[3]
-    mass = [A[i] ** 2 + B[i] ** 2 for i in range(4)]
-    quadrics = [2 * re_w, 2 * im_w, mass[1] + mass[2] - mass[0] - mass[3]]
+    quadrics = [2 * re_w, 2 * im_w, -MASS_GAP]
     assert _c_tilde(_scaled_structure(_integral(_FORWARD))) == quadrics
 
 
@@ -105,3 +115,40 @@ def test_a_corrupted_structure_constant_breaks_the_identity():
     ct[2][0][1] = -ct[2][0][1]  # [e1, e2] = -e3, [e2, e1] = -e3 as before
     _, law = _law(_integral(_FORWARD), ct)
     assert law != R.zero
+
+
+def test_ank_set_lies_in_the_polar_set_of_e5e6():
+    k = _scaled_structure(_integral(_FORWARD))
+    # k[5][4] is the e5^e6 coefficient of s omega = (sJ)^T; ANK is c~ = 0
+    assert k[5][4] == MASS_GAP == -_c_tilde(k)[2]
+
+
+def test_ank_set_in_closed_form():
+    # z1 = -lambda conj(z3) and z2 = lambda conj(z0), in real and imaginary parts
+    on_family = [(A[1], -(L1 * A[3] + L2 * B[3])), (B[1], L1 * B[3] - L2 * A[3]),
+                 (A[2], L1 * A[0] + L2 * B[0]), (B[2], L2 * A[0] - L1 * B[0])]
+    c = [v.compose(on_family) for v in _c_tilde(_scaled_structure(_integral(_FORWARD)))]
+    assert c[:2] == [R.zero, R.zero]  # w vanishes identically
+    assert c[2] == (L1**2 + L2**2 - 1) * (MASS[0] + MASS[3])
+
+
+def test_ank_points_have_the_closed_form():
+    # the converse, on sampled ANK points: lambda from the larger of z0 and z3
+    z0, z1, z2, z3 = acs_to_cp3(_random_ank(np.random.default_rng(17), 200)).coords.T
+    from_z0 = np.abs(z0) >= np.abs(z3)
+    lam = np.where(from_z0, z2 / z0.conj(), -z1 / z3.conj())
+    other = np.where(from_z0, z1 + lam * z3.conj(), z2 - lam * z0.conj())
+    assert np.max(np.abs(np.abs(lam) - 1.0)) <= 1e-14
+    assert np.max(np.abs(other)) <= 1e-14
+
+
+def test_ank_circle_family_is_the_closed_form_set():
+    # the circle through the plus pole of [a : 0 : 0 : b] is [p a : conj(b) : -conj(a) : p b]
+    rng = np.random.default_rng(18)
+    g = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
+    a, b = g / np.linalg.norm(g, axis=0)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 200)
+    p = np.exp(1j * theta) * (a * b).conj() / np.abs(a * b)
+    expected = CP3Point(np.stack([p * a, b.conj(), -a.conj(), p * b], axis=-1))
+    point = circle_point(ank_circle_params(*_hopf_pole(a, b, -1.0)), theta)
+    assert np.max(point.projective_distance(expected)) <= 1e-14

@@ -274,8 +274,6 @@ def test_projective_maps_match_loop(n):
     singles = [CP3Point(c) for c in raw]
     _same(cp3_to_acs(points).matrix, [cp3_to_acs(p).matrix for p in singles])
     _same(cp3_to_acs(raw).matrix, [cp3_to_acs(c).matrix for c in raw])
-    _same(points.projective_residual(CP3Point(other)),
-          [p.projective_residual(CP3Point(q)) for p, q in zip(singles, other)])
     _same(points.projective_distance(CP3Point(other)),
           [p.projective_distance(CP3Point(q)) for p, q in zip(singles, other)])
     bivectors = wedge4(raw, other)

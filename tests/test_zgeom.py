@@ -8,7 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation3, unit3
-from twistorz.acs import ACS, ank_reference_acs, blocks, fundamental_form, hopf_acs
+from twistorz.acs import (
+    ACS,
+    DEFAULT_TOL,
+    _haar_rotations,
+    _in_z,
+    ank_reference_acs,
+    blocks,
+    fundamental_form,
+    hopf_acs,
+    random_acs,
+    vertex_acs,
+)
 from twistorz.cp3 import CP3Point, acs_to_cp3, cp3_to_acs
 from twistorz.exceptions import (
     NotDecomposableError,
@@ -17,7 +28,7 @@ from twistorz.exceptions import (
     ZeroCombinationError,
     ZeroFormError,
 )
-from twistorz.exterior import TwoForm
+from twistorz.exterior import PAIRS, TwoForm
 from twistorz.nearly_kaehler import _nabla_tensor, is_ank
 from twistorz.zgeom import (
     DEGENERATE_EPS,
@@ -62,8 +73,8 @@ def test_edge_point_endpoints(rng):
     z = CP3Point(rng.standard_normal(4) + 1j * rng.standard_normal(4))
     u = CP3Point(rng.standard_normal(4) + 1j * rng.standard_normal(4))
     e = Edge(z, u)
-    assert edge_point(e, 1.0, 0.0).projective_residual(z) < 1e-12
-    assert edge_point(e, 0.0, 1.0).projective_residual(u) < 1e-12
+    assert edge_point(e, 1.0, 0.0).projective_distance(z) < 1e-12
+    assert edge_point(e, 0.0, 1.0).projective_distance(u) < 1e-12
     with pytest.raises(ZeroCombinationError):
         edge_point(e, 0.0, 0.0)
 
@@ -71,7 +82,7 @@ def test_edge_point_endpoints(rng):
 def test_edge03_contains_hopf_point():
     e = Edge(_vertex_point(0), _vertex_point(3))
     p = edge_point(e, 1.0, -1.0)
-    assert p.projective_residual(acs_to_cp3(hopf_acs())) < 1e-12
+    assert p.projective_distance(acs_to_cp3(hopf_acs())) < 1e-12
 
 
 def test_edge_points_lie_in_z(rng):
@@ -126,6 +137,35 @@ def test_generalized_edge_examples():
     assert not generalized_edge_contains(TwoForm.basis(0, 1), OMEGA2)
 
 
+def _svd_edge_contains(sigma: TwoForm, omega: TwoForm) -> bool:
+    """Oracle: the plane of sigma as the span of its two leading right singular vectors."""
+    if not _in_z(omega.matrix().mT):
+        return False
+    _, _, vh = np.linalg.svd(sigma.matrix())
+    return bool(np.max(np.abs((omega - sigma).matrix() @ vh[:2].T)) <= DEFAULT_TOL)
+
+
+def _rotated(w: TwoForm, q: np.ndarray) -> TwoForm:
+    return TwoForm.from_matrix(q @ w.matrix() @ q.T)
+
+
+def test_generalized_edge_agrees_with_the_svd_route_under_rotation(rng):
+    # each basis pair of a vertex form, with the vertex's sign (contained) and
+    # the opposite one (not), e5^e6 on the edge through vertices 0 and 1, and
+    # random members against basis pairs (not contained)
+    cases = [(sign * TwoForm.basis(i, j), fundamental_form(vertex_acs(k)))
+             for k in range(4) for i, j in ((0, 1), (2, 3), (4, 5)) for sign in (1.0, -1.0)]
+    cases.append((SIGMA56, edge01_form(1.0, 0.0, 0.0)))
+    cases += [(TwoForm.basis(i, j), fundamental_form(random_acs(seed))) for seed, (i, j) in enumerate(PAIRS)]
+    labels = [generalized_edge_contains(sigma, omega) for sigma, omega in cases]
+    assert sum(labels) == 13
+    # rotations in SO(6) preserve Z and containment
+    for q in _haar_rotations(40, 6, rng):
+        for (sigma, omega), label in zip(cases, labels):
+            rotated = _rotated(sigma, q), _rotated(omega, q)
+            assert generalized_edge_contains(*rotated) == _svd_edge_contains(*rotated) == label
+
+
 def test_generalized_edge_rejects_bad_sigma():
     with pytest.raises(NotDecomposableError):
         generalized_edge_contains(OMEGA0 * (1 / np.sqrt(3)), OMEGA0)
@@ -148,14 +188,14 @@ def test_polar_examples(rng):
 
 def test_pole_vertex_case():
     plus, minus = polar_pair_points(PolarPairParams(1, 0, 0, 1, 0, 0))
-    assert plus.projective_residual(_vertex_point(0)) < 1e-15
-    assert minus.projective_residual(_vertex_point(1)) < 1e-15
+    assert plus.projective_distance(_vertex_point(0)) < 1e-15
+    assert minus.projective_distance(_vertex_point(1)) < 1e-15
 
 
 def test_pole_degenerate_case():
     plus, minus = polar_pair_points(PolarPairParams(-1, 0, 0, -1, 0, 0))
-    assert plus.projective_residual(_vertex_point(3)) < 1e-15
-    assert minus.projective_residual(_vertex_point(2)) < 1e-15
+    assert plus.projective_distance(_vertex_point(3)) < 1e-15
+    assert minus.projective_distance(_vertex_point(2)) < 1e-15
 
 
 def test_pole_forms_match_correspondence(rng):
@@ -184,7 +224,7 @@ def test_circle_periodicity(rng):
     params = _random_params(rng)
     p0 = circle_point(params, 0.0)
     p1 = circle_point(params, 2.0 * np.pi)
-    assert p0.projective_residual(p1) < 1e-12
+    assert p0.projective_distance(p1) < 1e-12
 
 
 def test_circle_points_are_polar(rng):
@@ -317,7 +357,7 @@ def test_ank_reference_point_on_circle():
     # the reference swap structure itself is reproduced by circle parameters
     r, x, u, theta = invert_ank_circle(ank_reference_acs())
     point = circle_point(ank_circle_params(r, x, u), theta)
-    assert point.projective_residual(acs_to_cp3(ank_reference_acs())) < 1e-9
+    assert point.projective_distance(acs_to_cp3(ank_reference_acs())) < 1e-9
 
 
 def test_ank_inversion_round_trip(rng):
