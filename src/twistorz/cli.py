@@ -16,6 +16,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
+import gc  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 
@@ -374,5 +375,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _entry() -> int:
+    """The program's entry (``python -m twistorz.cli``, the ``twistorz`` script)."""
+    try:
+        return main()
+    finally:
+        # once the answer is written, the only work left is finalization,
+        # whose cyclic collection frees the ~22 000 tracked objects of numpy
+        # and the package one at a time (20-33 ms of a 0.15-0.4 s process,
+        # measured; 6-10 ms frozen).  Frozen objects sit in the permanent
+        # generation, which no collection visits, and the OS reclaims them at
+        # once.  Not in ``main``: in-process callers keep their collector
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_entry())

@@ -80,9 +80,7 @@ def edge_point(edge: Edge, alpha: complex, beta: complex) -> CP3Point:
     """alpha z + beta u with unit-norm endpoint representatives."""
     if abs(alpha) + abs(beta) == 0.0:
         raise ZeroCombinationError("alpha and beta cannot both vanish")
-    z = edge.z.scaled()
-    u = edge.u.scaled()
-    return CP3Point(alpha * z / np.linalg.norm(z) + beta * u / np.linalg.norm(u))
+    return CP3Point(alpha * _unit(edge.z.scaled()) + beta * _unit(edge.u.scaled()))
 
 
 # ---------------------------------------------------------------------------

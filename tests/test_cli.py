@@ -390,19 +390,43 @@ def test_classify_malformed_matrix_entries(tmp_path, capsys, text):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-def test_classify_rejects_overflowing_entries_without_warnings(tmp_path, capsys):
-    # an entry above 1 rules out orthogonality before any product overflows
+def _huge_document(tmp_path) -> str:
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"matrix": [1e308] * 36}), encoding="utf-8")
-    argv = ["classify", "--in", str(path), "--json"]
-    in_process = run_cli(capsys, *argv)
+    return str(path)
+
+
+def test_classify_rejects_overflowing_entries_without_warnings(tmp_path, capsys):
+    # an entry above 1 rules out orthogonality before any product overflows
+    code, out, err = run_cli(capsys, "classify", "--in", _huge_document(tmp_path), "--json")
+    assert (code, err) == (1, "")
+    rec = json.loads(out)
+    assert rec["in_z"] is False
+    assert np.isfinite(float(rec["reason"].rsplit("max residual ", 1)[1].rstrip(")")))
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["classify", "--cp3", "1,0,0,-1", "--json"], 0),
+        (["classify", "--in", "HUGE", "--json"], 1),
+        (["classify", "--cp3", "0,0,0,0"], 2),
+        (["sample", "--set", "ank", "--count", "0"], 2),  # argparse's SystemExit
+    ],
+    ids=["accepted", "huge-entries", "zero-point", "parser-error"],
+)
+def test_program_prints_what_main_prints(tmp_path, capsys, argv, exit_code):
+    argv = [_huge_document(tmp_path) if a == "HUGE" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
     env = {**os.environ, "PYTHONPATH": str(Path(twistorz.cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-m", "twistorz.cli", *argv], capture_output=True, text=True, env=env)
-    for code, out, err in (in_process, (proc.returncode, proc.stdout, proc.stderr)):
-        assert (code, err) == (1, "")
-        rec = json.loads(out)
-        assert rec["in_z"] is False
-        assert np.isfinite(float(rec["reason"].rsplit("max residual ", 1)[1].rstrip(")")))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert code == exit_code
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_classify_cp3_parse_error(capsys):

@@ -2,6 +2,7 @@
 imported lazily, so that importing the package sets up nothing; and the one
 exactness tolerance that no public function lets a caller override."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -10,6 +11,8 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import twistorz
 
@@ -81,6 +84,36 @@ def test_cli_import_asks_for_one_blas_thread():
 def test_cli_import_keeps_a_user_setting():
     code = "import os, twistorz.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _child(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_in_process_main_keeps_the_collector():
+    # only the program's entry freezes the heap; a freeze in ``main`` would
+    # leave every later cycle of an in-process caller uncollectable
+    code = ("import contextlib, gc, io\nfrom twistorz import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()): cli.main(['classify', '--cp3', '1,0,0,0'])\n"
+            "print(gc.isenabled(), gc.get_freeze_count())")
+    assert _child(code) == "True 0"
+
+
+def _main_block_entry(module):
+    """The function that ``module``'s ``if __name__ == "__main__"`` block passes to ``sys.exit``."""
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test):
+            (stmt,) = node.body
+            return getattr(module, stmt.value.args[0].func.id)
+    raise AssertionError(f"{module.__name__} has no __main__ block")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is in the stdlib from 3.11")
+def test_console_script_is_the_main_block_entry():
+    import tomllib
+
+    from twistorz import cli
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["twistorz"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is _main_block_entry(cli)
 
 
 #: modules that some subcommand leaves unloaded
