@@ -20,15 +20,14 @@ _EXPORTS = {
                "fundamental_form hopf_acs orientation_sign random_acs vertex_acs",
         "algebra": "bracket nabla",
         "cp3": "CP3Point acs_to_cp3 cp3_to_acs tetra_coords",
-        "exterior": "TwoForm wedge",
+        "exterior": "TwoForm",
         "kernels": "BACKEND",
         "nearly_kaehler": "ank_form is_ank nabla_omega nk_defect",
         "nijenhuis": "calibration_constant closed_form_norm cofactor_checks integrable_acs "
                      "is_integrable max_norm nijenhuis_norm nijenhuis_tensor",
         "search": "SearchReport maximize minimize",
-        "zgeom": "Edge PolarPairParams ank_circle_acs circle_form circle_point edge01_closed_form "
-                 "edge01_form edge_point generalized_edge_contains invert_ank_circle invert_circle "
-                 "polar_contains polar_pair_points",
+        "zgeom": "PolarPairParams ank_circle_acs circle_form circle_point edge01_closed_form edge01_form "
+                 "invert_ank_circle invert_circle polar_contains polar_pair_points",
     }.items()
     for name in names.split()
 }

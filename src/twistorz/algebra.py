@@ -37,17 +37,20 @@ def basis_vector(i: int) -> np.ndarray:
 
 
 def bracket(x, y) -> np.ndarray:
-    """Lie bracket: componentwise cross product on each su(2) factor."""
+    """Lie bracket: componentwise cross product on each su(2) factor.
+
+    Batched: stacks (..., 6) of vectors broadcast against each other.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = np.empty(DIM)
-    out[0:3] = np.cross(x[0:3], y[0:3])
-    out[3:6] = np.cross(x[3:6], y[3:6])
-    return out
+    return np.concatenate([np.cross(x[..., 0:3], y[..., 0:3]), np.cross(x[..., 3:6], y[..., 3:6])], axis=-1)
 
 
 def nabla(x, y) -> np.ndarray:
-    """Levi-Civita connection of the bi-invariant metric: half the bracket."""
+    """Levi-Civita connection of the bi-invariant metric: half the bracket.
+
+    The package's one definition of the connection; batched as :func:`bracket`.
+    """
     return 0.5 * bracket(x, y)
 
 

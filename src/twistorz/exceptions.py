@@ -44,20 +44,8 @@ class DomainError(TwistorError):
     """A closed-form expression was evaluated outside its domain."""
 
 
-class NotDecomposableError(TwistorError):
-    """The 2-form is not a wedge of two covectors."""
-
-
-class NotUnitError(TwistorError):
-    """The 2-form does not have unit norm."""
-
-
 class ZeroFormError(TwistorError):
     """A nonzero 2-form was required."""
-
-
-class ZeroCombinationError(TwistorError):
-    """Both projective-line coefficients vanish."""
 
 
 class NotRotationError(TwistorError):

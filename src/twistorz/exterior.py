@@ -1,8 +1,9 @@
-"""Exterior kernel for 2-forms on an oriented Euclidean 6-space.
+"""2-forms on an oriented Euclidean 6-space.
 
-Covectors e^1..e^6 are stored as length-6 coefficient arrays (0-based
-indices 0..5).  A :class:`TwoForm` stores the 15 coefficients over the
-basis e^i ^ e^j, i < j, in lexicographic pair order.  The inner product
+A :class:`TwoForm` stores the 15 coefficients over the basis e^i ^ e^j,
+i < j (0-based indices 0..5), in lexicographic pair order.  There is no
+wedge product: a form is built from its pair coefficients or from its
+antisymmetric coefficient matrix.  The inner product
 on 2-forms makes that basis orthonormal:
 
     <a, b> = sum_{i<j} a_ij b_ij
@@ -31,20 +32,6 @@ PAIRS: tuple[tuple[int, int], ...] = tuple(combinations(range(DIM), 2))
 PAIR_INDEX: dict[tuple[int, int], int] = {p: k for k, p in enumerate(PAIRS)}
 _ROWS, _COLS = np.array(PAIRS).T
 
-#: ordered index quadruples for the 15 basis 4-forms
-QUADS: tuple[tuple[int, int, int, int], ...] = tuple(combinations(range(DIM), 4))
-#: per quad (i, j, k, l), the coefficient indices of its pairs ij, ik, il, jk, jl, kl
-_IJ, _IK, _IL, _JK, _JL, _KL = np.array(
-    [[PAIR_INDEX[p] for p in combinations(quad, 2)] for quad in QUADS]
-).T
-
-
-def covector(coeffs) -> np.ndarray:
-    a = np.asarray(coeffs, dtype=float)
-    if a.shape != (DIM,) or not np.all(np.isfinite(a)):
-        raise ValueError("covector needs 6 finite coefficients")
-    return a
-
 
 @dataclass(frozen=True)
 class TwoForm:
@@ -62,10 +49,6 @@ class TwoForm:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "coeffs", a)
-
-    @classmethod
-    def zero(cls) -> "TwoForm":
-        return cls(np.zeros(len(PAIRS)))
 
     @classmethod
     def basis(cls, i: int, j: int) -> "TwoForm":
@@ -133,42 +116,8 @@ class TwoForm:
     def __add__(self, other: "TwoForm") -> "TwoForm":
         return TwoForm(self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "TwoForm":
-        return TwoForm(-self.coeffs)
-
     def __mul__(self, s: float) -> "TwoForm":
         return TwoForm(self.coeffs * float(s))
 
     __rmul__ = __mul__
 
-
-def wedge(a, b) -> TwoForm:
-    """Wedge product of two covectors: (a^b)(X, Y) = a(X)b(Y) - a(Y)b(X)."""
-    a = covector(a)
-    b = covector(b)
-    return TwoForm(a[_ROWS] * b[_COLS] - a[_COLS] * b[_ROWS])
-
-
-def wedge_two_forms(a: TwoForm, b: TwoForm) -> np.ndarray:
-    """Coefficients of a ^ b over the 15 basis 4-forms (QUADS order).
-
-    Used for decomposability: a 2-form s is a single wedge e ^ f
-    exactly when s ^ s = 0.
-    """
-    a, b = a.coeffs, b.coeffs
-    return (
-        a[_IJ] * b[_KL]
-        - a[_IK] * b[_JL]
-        + a[_IL] * b[_JK]
-        + a[_KL] * b[_IJ]
-        - a[_JL] * b[_IK]
-        + a[_JK] * b[_IL]
-    )
-
-
-def decomposability_residual(w: TwoForm) -> float:
-    """Max-abs coefficient of w ^ w; zero exactly for decomposable forms."""
-    return float(np.max(np.abs(wedge_two_forms(w, w))))

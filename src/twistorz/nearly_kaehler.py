@@ -1,8 +1,9 @@
 """Covariant derivative of the fundamental form and the ANK membership test.
 
-With left-invariant data the directional term drops out and
+The connection is :func:`twistorz.algebra.nabla`, half the bracket.  With
+left-invariant data the directional term drops out and
 
-    (nabla_X w)(Y, Z) = -1/2 w([X, Y], Z) - 1/2 w(Y, [X, Z]).
+    (nabla_X w)(Y, Z) = -w(nabla_X Y, Z) - w(Y, nabla_X Z).
 
 A structure is nearly Kaehler when (nabla_X w)(X, Y) = 0 for all X, Y;
 the defect below is the norm of the basis symmetrization of that
@@ -18,29 +19,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .acs import ACS, DEFAULT_TOL, acs_from_form
-from .algebra import STRUCTURE_CONSTANTS, basis_vector, bracket
-from .exceptions import NotInZError, WrongOrientationError
-from .exterior import TwoForm, wedge
+from .acs import ACS, DEFAULT_TOL
+from .algebra import DIM, nabla
 from .kernels import _scalar
+
+#: G[i, j] = nabla_{e_i} e_j, the connection on the basis
+_G = nabla(np.eye(DIM)[:, None, :], np.eye(DIM))
 
 
 def nabla_omega(acs: ACS, x, y, z) -> float:
     """(nabla_X w)(Y, Z) for the fundamental form of the structure."""
-    om = acs.matrix.T  # coefficient matrix of the fundamental form
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return float(-0.5 * (bracket(x, y) @ om @ z) - 0.5 * (y @ om @ bracket(x, z)))
+    return float(_nabla_tensor(acs) @ z @ y @ x)
 
 
 def _nabla_tensor(acs: ACS) -> np.ndarray:
     """D[..., i, j, k] = (nabla_{e_i} w)(e_j, e_k), assembled in one shot; batched."""
-    om = acs.matrix.mT
-    # w([e_i, e_j], e_k) = c[m, i, j] om[m, k];  w(e_j, [e_i, e_k]) = om[j, m] c[m, i, k]
-    first = np.einsum("mij,...mk->...ijk", STRUCTURE_CONSTANTS, om)
-    second = np.einsum("...jm,mik->...ijk", om, STRUCTURE_CONSTANTS)
-    return -0.5 * (first + second)
+    # -w(nabla_{e_i} e_j, e_k); the second term, -w(e_j, nabla_{e_i} e_k),
+    # is its swap in j and k, by antisymmetry of w (coefficient matrix J^T)
+    first = -np.einsum("ijm,...km->...ijk", _G, acs.matrix)
+    return first - np.swapaxes(first, -2, -1)
 
 
 def nk_defect(acs: ACS):
@@ -65,26 +62,15 @@ def is_ank(acs: ACS):
     return _scalar((np.sqrt(np.vecdot(a, a)) < DEFAULT_TOL) & (np.sqrt(np.vecdot(c, c)) < DEFAULT_TOL))
 
 
-def ank_form(f1, f2, f3) -> ACS:
+def ank_form(frame) -> ACS:
     """Structure with fundamental form e^4 ^ f1 + e^5 ^ f2 + e^6 ^ f3.
 
-    The fi must be an orthonormal triple inside span(e^1, e^2, e^3); the
-    resulting structure has blocks A = C = 0.  Orientation restricts the
-    triple to frames with determinant +1; frames with determinant -1 are
-    rejected rather than silently sign-flipped.
+    The covectors f_i in span(e^1, e^2, e^3) are the columns of ``frame``,
+    which becomes block B (A = C = 0); a stack (..., 3, 3) of frames gives
+    a stack of structures.  A frame that is not orthonormal, or one with
+    determinant -1 (:class:`WrongOrientationError`: its form leaves Z), is
+    rejected, naming the first such member of a stack.
     """
-    fs = [np.asarray(f, dtype=float) for f in (f1, f2, f3)]
-    frame = np.vstack(fs)
-    if np.max(np.abs(frame[:, 3:6])) > DEFAULT_TOL:
-        raise NotInZError("covectors must lie in span(e^1, e^2, e^3)")
-    gram = frame[:, 0:3] @ frame[:, 0:3].T
-    if np.max(np.abs(gram - np.eye(3))) > DEFAULT_TOL:
-        raise NotInZError("covector triple is not orthonormal")
-    if np.linalg.det(frame[:, 0:3]) < 0:
-        raise WrongOrientationError(
-            "covector frame has determinant -1; the assembled form leaves Z"
-        )
-    w = TwoForm.zero()
-    for i, f in enumerate(fs):
-        w = w + wedge(basis_vector(3 + i), f)
-    return acs_from_form(w)
+    b = np.asarray(frame, dtype=float)
+    zero = np.zeros_like(b)
+    return ACS.validate(np.block([[zero, b], [-b.mT, zero]]))

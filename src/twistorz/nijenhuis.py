@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .acs import ACS, Blocks, DEFAULT_TOL, _haar_rotations, ank_reference_acs, blocks, hopf_acs
-from .exceptions import DomainError, NotRotationError
+from .exceptions import DomainError, NotRotationError, at_member, first_failure
 from .kernels import _scalar
 
 
@@ -49,13 +49,19 @@ def max_norm() -> float:
     return float(np.sqrt(calibration_constant()))
 
 
-def closed_form_norm(b: Blocks) -> float:
-    """sqrt(kappa) * sqrt(1 - |c|^2) from the block decomposition."""
-    c = b.c
-    rest = 1.0 - float(c @ c)
-    if rest < -DEFAULT_TOL:  # the blocks of a structure valid to DEFAULT_TOL
-        raise DomainError(f"1 - |c|^2 = {rest:.3e} < 0: not blocks of a valid structure")
-    return float(np.sqrt(calibration_constant() * max(rest, 0.0)))
+def closed_form_norm(b: Blocks):
+    """The norm law: sqrt(kappa (1 - |c|^2)) from the block decomposition.
+
+    Batched over stacked blocks, a float per member.  Raises ``DomainError``
+    for blocks with |c| > 1, naming the first such member of a stack.
+    """
+    rest = 1.0 - np.vecdot(b.c, b.c)
+    failure = first_failure(rest < -DEFAULT_TOL)  # the blocks of a structure valid to DEFAULT_TOL
+    if failure is not None:
+        member = failure[1]
+        message = f"1 - |c|^2 = {rest[member]:.3e} < 0: not blocks of a valid structure"
+        raise DomainError(at_member(message, member))
+    return _scalar(np.sqrt(calibration_constant() * np.maximum(rest, 0.0)))
 
 
 def cofactor_checks(b: Blocks) -> np.ndarray:
@@ -130,7 +136,5 @@ def _block_rotation(o1, o2) -> np.ndarray:
 
 
 def norm_law_residual(acs: ACS):
-    """|  |N|^2 / kappa - (1 - |c|^2)  | per structure."""
-    c = blocks(acs).c
-    ratio = nijenhuis_norm_sq(acs) / calibration_constant()
-    return _scalar(np.abs(ratio - (1.0 - np.vecdot(c, c))))
+    """|  |N|^2 - closed_form_norm^2  | / kappa per structure."""
+    return _scalar(np.abs(nijenhuis_norm_sq(acs) - closed_form_norm(blocks(acs)) ** 2) / calibration_constant())

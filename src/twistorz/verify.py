@@ -28,7 +28,7 @@ from .algebra import basis_vector
 from .cp3 import CP3Point, acs_to_cp3, cp3_to_acs
 from .exterior import TwoForm
 from .kernels import _chunk_sizes
-from .nearly_kaehler import _nabla_tensor, nabla_omega, nk_defect
+from .nearly_kaehler import _nabla_tensor, ank_form, nabla_omega, nk_defect
 from .nijenhuis import (
     _random_integrable,
     cofactor_checks,
@@ -236,9 +236,7 @@ def check_ank_cover(seed: int) -> CheckResult:
 
 def check_ank_inversion(seed: int) -> CheckResult:
     def residuals(rng, n):
-        b = _haar_rotations(n, 3, rng)
-        z3 = np.zeros((n, 3, 3))
-        acs = ACS(np.block([[z3, b], [-b.mT, z3]]))
+        acs = ank_form(_haar_rotations(n, 3, rng))
         r, x, u, theta = zgeom.invert_ank_circle(acs)
         reproduced = zgeom.circle_point(zgeom.ank_circle_params(r, x, u), theta)
         return [acs_to_cp3(acs).projective_distance(reproduced)]

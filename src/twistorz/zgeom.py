@@ -1,5 +1,5 @@
-"""Projective-geometric subsets of Z: edges, polar sets, equatorial circles
-and the ANK circle decomposition.
+"""Projective-geometric subsets of Z: tetrahedron edges, polar sets,
+equatorial circles and the ANK circle decomposition.
 
 Every parametrized family here is computed CONSTRUCTIVELY through the
 projective correspondence (point -> structure -> fundamental form).
@@ -27,7 +27,8 @@ the degenerate pole, which the chart reproduces.  The degenerate
 representative lies sqrt((r + 1) / 2) < sqrt(DEGENERATE_EPS / 2), about
 7.1e-5, from the pole it stands for, and an equatorial point moves no
 more than its poles, so a round trip through the band misses by at most
-that much.
+that much.  Outside the band the chart forms r + 1 without cancellation,
+and a round trip misses by rounding only.
 
 The parametrized families take parameter arrays as well as floats: a
 :class:`PolarPairParams` with array fields, angles and unit triples of one
@@ -44,43 +45,14 @@ import numpy as np
 
 from .acs import ACS, DEFAULT_TOL, _in_z, fundamental_form
 from .cp3 import CP3Point, _product, _unit, acs_to_cp3, cp3_to_acs, identify, wedge4
-from .exceptions import (
-    NotDecomposableError,
-    NotUnitError,
-    ParamDomainError,
-    ZeroCombinationError,
-    ZeroFormError,
-    at_member,
-    first_failure,
-)
-from .exterior import TwoForm, decomposability_residual
+from .exceptions import ParamDomainError, ZeroFormError, at_member, first_failure
+from .exterior import TwoForm
 from .kernels import _scalar
 
 #: |r + 1| below this selects the degenerate pole representative; nearer
 #: the pole, the generic closed-form branch, which divides by
 #: sqrt((r_plus + 1)(r_minus + 1)), would lose its accuracy to rounding
 DEGENERATE_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Projective line through two distinct points."""
-
-    z: CP3Point
-    u: CP3Point
-
-    def __post_init__(self):
-        # endpoints within 1.4e-6 rad (where 1 - cos reaches 1e-12) fix
-        # their line only to about 1e-16 / angle
-        if self.z.projective_distance(self.u) < 1.4e-6:
-            raise ValueError("edge endpoints must be projectively distinct")
-
-
-def edge_point(edge: Edge, alpha: complex, beta: complex) -> CP3Point:
-    """alpha z + beta u with unit-norm endpoint representatives."""
-    if abs(alpha) + abs(beta) == 0.0:
-        raise ZeroCombinationError("alpha and beta cannot both vanish")
-    return CP3Point(alpha * _unit(edge.z.scaled()) + beta * _unit(edge.u.scaled()))
 
 
 # ---------------------------------------------------------------------------
@@ -134,25 +106,7 @@ def _check_unit3(*vals) -> None:
 
 
 # ---------------------------------------------------------------------------
-# generalized edges and polar sets
-
-
-def generalized_edge_contains(sigma: TwoForm, omega: TwoForm) -> bool:
-    """omega in Z and omega - sigma supported on the plane complement of sigma.
-
-    sigma must be a unit decomposable 2-form e ^ f; the columns of its
-    coefficient matrix span its plane.
-    """
-    res = decomposability_residual(sigma)
-    if res > DEFAULT_TOL:
-        raise NotDecomposableError(f"sigma ^ sigma != 0 (residual {res:.3e})")
-    nrm = sigma.norm()
-    if abs(nrm - 1.0) > DEFAULT_TOL:
-        raise NotUnitError(f"|sigma| = {nrm} != 1")
-    if not _in_z(omega.matrix().mT):
-        return False
-    tail = (omega - sigma).matrix()
-    return bool(np.max(np.abs(tail @ sigma.matrix())) <= DEFAULT_TOL)
+# polar sets
 
 
 def polar_contains(sigma: TwoForm, omega: TwoForm):
@@ -198,14 +152,18 @@ def _pole_coords(r, x, u, plus: bool) -> np.ndarray:
     """Unit coordinates (..., 4) of the poles with parameters r, x, u (arrays or floats)."""
     r, x, u = (np.asarray(v, dtype=float) for v in (r, x, u))
     degenerate = _degenerate(r)
+    # r + 1 cancels near r = -1; there it is (1 - r^2) / (1 - r) =
+    # (x^2 + u^2) / (1 - r) on the unit sphere, which keeps full relative
+    # accuracy (the minimum keeps the unused branch from dividing by 0 at r = 1)
+    r_plus_one = np.where(r < 0.0, (x * x + u * u) / (1.0 - np.minimum(r, 0.0)), r + 1.0)
     # [r + 1, (-u + i x)] scaled to unit norm by its own norm: the form
     # [s, (-u + i x) / (2 s)] with s = sqrt((r + 1) / 2) has unit norm only
     # when r^2 + x^2 + u^2 = 1 exactly, and misses it by the rounding of that
     # sum over 2 (r + 1), which put ANK points near a pole 1e-12 off the set
-    norm = np.where(degenerate, 1.0, np.sqrt((r + 1.0) ** 2 + x * x + u * u))
+    norm = np.where(degenerate, 1.0, np.sqrt(r_plus_one**2 + x * x + u * u))
     lead, tail = (0, 3) if plus else (1, 2)
     coords = np.zeros(np.broadcast_shapes(r.shape, x.shape, u.shape) + (4,), dtype=complex)
-    coords[..., lead] = (r + 1.0) / norm
+    coords[..., lead] = r_plus_one / norm
     coords[..., tail].real = (-u if plus else u) / norm
     coords[..., tail].imag = x / norm
     return np.where(degenerate[..., None], _DEGENERATE_POLES[plus], coords)

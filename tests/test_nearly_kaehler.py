@@ -61,7 +61,8 @@ def test_nabla_omega_matches_oracle(rng):
 
 
 def test_nabla_omega_matches_tensor_on_basis():
-    # the report's basis identity check reads the tensor, so tie it to the scalar route
+    # the basis identity check reads the tensor and the mixed-direction check the
+    # scalar; the scalar is the tensor's contraction, so on basis vectors it is an entry
     eye = np.eye(6)
     for seed in range(20):
         acs = random_acs(seed)
@@ -69,7 +70,7 @@ def test_nabla_omega_matches_tensor_on_basis():
         for i in range(6):
             for j in range(6):
                 for k in range(6):
-                    assert abs(nabla_omega(acs, eye[i], eye[j], eye[k]) - d[i, j, k]) <= 1e-14
+                    assert nabla_omega(acs, eye[i], eye[j], eye[k]) == d[i, j, k]
 
 
 def test_nk_defect_fixtures():
@@ -122,7 +123,7 @@ def test_is_ank_iff_norm_maximal(rng):
 
 
 def test_ank_form_reference_case():
-    acs = ank_form(basis_vector(0), basis_vector(1), basis_vector(2))
+    acs = ank_form(np.eye(3))
     assert np.array_equal(acs.matrix, ank_reference_acs().matrix)
 
 
@@ -130,26 +131,30 @@ def test_ank_form_rejects_reflected_frame():
     # the all-minus frame has determinant -1 and leaves Z; it is rejected,
     # not silently sign-flipped
     with pytest.raises(WrongOrientationError):
-        ank_form(-basis_vector(0), -basis_vector(1), -basis_vector(2))
+        ank_form(-np.eye(3))
 
 
 def test_ank_form_random_rotations(rng):
+    e = np.eye(6)
     for _ in range(20):
         o = random_rotation3(rng)
-        f = [np.concatenate([o[i], np.zeros(3)]) for i in range(3)]
-        acs = ank_form(*f)
+        acs = ank_form(o)
         b = blocks(acs)
         assert float(np.linalg.norm(b.A)) < 1e-12
         assert float(np.linalg.norm(b.C)) < 1e-12
         assert is_ank(acs)
+        # w = e^4 ^ f1 + e^5 ^ f2 + e^6 ^ f3 with f_i column i of the frame
+        w = fundamental_form(acs)
+        for i in range(3):
+            for k in range(3):
+                assert w.evaluate(e[3 + i], e[k]) == pytest.approx(o[k, i], abs=1e-15)
 
 
 def test_ank_form_rejects_degenerate_triples():
-    e1 = basis_vector(0)
     with pytest.raises(NotInZError):
-        ank_form(e1, e1, basis_vector(2))
+        ank_form(np.eye(3)[:, [0, 0, 2]])  # columns e1, e1, e3
     with pytest.raises(NotInZError):
-        ank_form(basis_vector(0), basis_vector(1), basis_vector(5))
+        ank_form(1.01 * np.eye(3))
 
 
 def test_nk_defect_conjugation_invariant_on_ank(rng):

@@ -137,3 +137,33 @@ def test_each_subcommand_loads_only_its_own_modules():
     assert _deferred_loaded("classify", "--cp3", "1,0,0,0") == geometry
     assert _deferred_loaded("sample", "--set", "ank", "--count", "1") == geometry | {"numpy.random"}
     assert _deferred_loaded("verify") == set(_DEFERRED)
+
+
+#: exported functions that no subcommand runs, each with the reason it ships
+_OFF_PATH = {
+    "random_acs": "library API: perfbench's traced pass draws its structures with it",
+    "is_integrable": "library API: perfbench's traced pass times it",
+    "nijenhuis_tensor": "the paper's tensor on an ACS; the subcommands need only its norm",
+    "polar_pair_points": "the constructive side of the pole closed forms, which the tests compare",
+}
+
+
+def test_every_exported_function_runs_on_a_subcommand(tmp_path):
+    doc = tmp_path / "hopf.json"
+    doc.write_text('{"matrix": [0, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, '
+                   '1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0]}', encoding="utf-8")
+    runs = [["verify"], ["optimize", "--restarts", "2"], ["optimize", "--direction", "min", "--restarts", "2"],
+            *(["sample", "--set", name, "--count", "3"]
+              for name in ("ank", "integrable", "random", "polar", "edge01")),
+            ["classify", "--cp3", "1,0,0,-1"], ["classify", "--in", str(doc)]]
+    code = ("import contextlib, inspect, io, sys, twistorz\nfrom twistorz import cli\n"
+            "called = set()\n"
+            "def profile(frame, event, arg):\n"
+            "    if event == 'call': called.add(frame.f_code)\n"
+            "sys.setprofile(profile)\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()): assert cli.main(argv) in (0, 3), argv\n"
+            "sys.setprofile(None)\n"
+            "fns = [(name, inspect.unwrap(getattr(twistorz, name))) for name in twistorz.__all__]\n"
+            "print(*[name for name, fn in fns if inspect.isfunction(fn) and fn.__code__ not in called])")
+    assert set(_child(code).split()) == set(_OFF_PATH)

@@ -17,6 +17,7 @@ from conftest import oracle_nijenhuis
 from twistorz import cli, kernels, verify, zgeom
 from twistorz.acs import (
     ACS,
+    Blocks,
     _haar_rotations,
     acs_from_form,
     blocks,
@@ -41,10 +42,19 @@ from twistorz.cp3 import (
     tetra_coords,
     wedge4,
 )
-from twistorz.exceptions import NotComplexError, NotOrthogonalError, NotRotationError, ParamDomainError
+from twistorz.algebra import bracket, nabla
+from twistorz.exceptions import (
+    DomainError,
+    NotComplexError,
+    NotOrthogonalError,
+    NotRotationError,
+    ParamDomainError,
+    WrongOrientationError,
+)
 from twistorz.exterior import TwoForm
-from twistorz.nearly_kaehler import _nabla_tensor, is_ank, nk_defect
+from twistorz.nearly_kaehler import _nabla_tensor, ank_form, is_ank, nk_defect
 from twistorz.nijenhuis import (
+    closed_form_norm,
     cofactor_checks,
     integrable_acs,
     is_integrable,
@@ -108,6 +118,14 @@ def test_single_matrix_results_keep_scalar_types():
 
 
 @pytest.mark.parametrize("n", SIZES)
+def test_bracket_matches_loop(n):
+    x, y = np.random.default_rng(n).standard_normal((2, n, 6))
+    _same(bracket(x, y), [bracket(a, b) for a, b in zip(x, y)])
+    _same(nabla(x, y), [nabla(a, b) for a, b in zip(x, y)])
+    _same(bracket(x[0], y), [bracket(x[0], b) for b in y])  # one vector against a stack
+
+
+@pytest.mark.parametrize("n", SIZES)
 def test_acs_layer_matches_loop(n):
     ss = _structures(n)
     stack = _stack(ss)
@@ -142,6 +160,7 @@ def test_nijenhuis_layer_matches_loop(n):
     _same(nijenhuis_norm(stack), [nijenhuis_norm(s) for s in ss])
     _same(is_integrable(stack), [is_integrable(s) for s in ss])
     _same(norm_law_residual(stack), [norm_law_residual(s) for s in ss])
+    _same(closed_form_norm(blocks(stack)), [closed_form_norm(blocks(s)) for s in ss])
     _same(cofactor_checks(blocks(stack)), [cofactor_checks(blocks(s)) for s in ss])
     _same(is_ank(stack), [is_ank(s) for s in ss])
 
@@ -265,6 +284,8 @@ def test_validation_and_forms_match_loop(n):
     _same(zgeom.polar_contains(sigma, w), [zgeom.polar_contains(sigma, fundamental_form(s)) for s in ss])
     _same(_nabla_tensor(ACS(m)), [_nabla_tensor(s) for s in ss])
     _same(nk_defect(ACS(m)), [nk_defect(s) for s in ss])
+    frames = _haar_rotations(n, 3, np.random.default_rng(n))
+    _same(ank_form(frames).matrix, [ank_form(f).matrix for f in frames])
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -378,6 +399,16 @@ def test_stack_with_one_bad_member_names_its_index():
     r = np.array([1.0, 0.0, 0.6])
     with pytest.raises(ParamDomainError, match="at member 1"):
         zgeom.ank_circle_acs(r, np.zeros(3), np.array([0.0, 0.5, 0.8]), np.zeros(3))
+
+    frames = _haar_rotations(5, 3, np.random.default_rng(0))
+    frames[3] *= -1.0  # determinant -1
+    with pytest.raises(WrongOrientationError, match="at member 3$"):
+        ank_form(frames)
+    b = blocks(_stack(_structures(7)))
+    c = b.C.copy()
+    c[5] = 2.0 * c[0]  # |c| = 2: the vertex structure has |c| = 1
+    with pytest.raises(DomainError, match=r"^1 - \|c\|\^2 = -3\.000e\+00 < 0: .* at member 5$"):
+        closed_form_norm(Blocks(A=b.A, B=b.B, C=c))
 
 
 # --- chunked checks and sample rows against their per-structure loops
