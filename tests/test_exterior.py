@@ -19,6 +19,14 @@ form_st = st.lists(
 ).map(lambda c: TwoForm(np.array(c)))
 
 
+@given(vector_st, vector_st, vector_st, vector_st)
+def test_eval_decomposable_form(a, b, x, y):
+    # the form with matrix a b^T - b a^T is a ^ b: it evaluates to the determinant
+    lhs = TwoForm.from_matrix(np.outer(a, b) - np.outer(b, a)).evaluate(x, y)
+    rhs = float(a @ x) * float(b @ y) - float(a @ y) * float(b @ x)
+    assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+
 def test_inner_product_examples():
     w0 = _omega0()
     assert w0.inner(w0) == 3.0

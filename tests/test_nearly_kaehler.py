@@ -5,9 +5,9 @@ import pytest
 
 from conftest import oracle_bracket, random_rotation3, unit3
 from twistorz.acs import DEFAULT_TOL, ACS, ank_reference_acs, blocks, fundamental_form, hopf_acs, random_acs
-from twistorz.algebra import basis_vector
+from twistorz.algebra import basis_vector, nabla
 from twistorz.exceptions import NotInZError, WrongOrientationError
-from twistorz.nearly_kaehler import _nabla_tensor, ank_form, is_ank, nabla_omega, nk_defect
+from twistorz.nearly_kaehler import _G, _nabla_tensor, ank_form, is_ank, nabla_omega, nk_defect
 from twistorz.nijenhuis import integrable_acs, max_norm, nijenhuis_norm
 from twistorz.zgeom import ank_circle_acs
 
@@ -71,6 +71,22 @@ def test_nabla_omega_matches_tensor_on_basis():
             for j in range(6):
                 for k in range(6):
                     assert nabla_omega(acs, eye[i], eye[j], eye[k]) == d[i, j, k]
+
+
+def test_connection_table_is_half_the_oracle_bracket():
+    eye = np.eye(6)
+    for i in range(6):
+        for j in range(6):
+            assert np.array_equal(_G[i, j], nabla(eye[i], eye[j]))
+            assert np.array_equal(_G[i, j], 0.5 * oracle_bracket(eye[i], eye[j]))
+
+
+def test_nabla_tensor_is_a_two_form_in_its_last_axes():
+    # (nabla_{e_i} w)(e_j, e_k) = -(nabla_{e_i} w)(e_k, e_j), exactly, on one
+    # structure and on a stack
+    for acs in (random_acs(4), ACS(np.stack([random_acs(s).matrix for s in range(5)]))):
+        d = _nabla_tensor(acs)
+        assert np.array_equal(d, -np.swapaxes(d, -2, -1))
 
 
 def test_nk_defect_fixtures():
@@ -155,6 +171,13 @@ def test_ank_form_rejects_degenerate_triples():
         ank_form(np.eye(3)[:, [0, 0, 2]])  # columns e1, e1, e3
     with pytest.raises(NotInZError):
         ank_form(1.01 * np.eye(3))
+
+
+def test_ank_form_names_the_non_orthonormal_frame_of_a_stack(rng):
+    frames = np.stack([random_rotation3(rng) for _ in range(4)])
+    frames[2] *= 1.01
+    with pytest.raises(NotInZError, match=r"^J\^2 != -identity at member 2 \(max residual 2\.010e-02\)$"):
+        ank_form(frames)
 
 
 def test_nk_defect_conjugation_invariant_on_ank(rng):

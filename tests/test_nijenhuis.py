@@ -1,5 +1,7 @@
 """Nijenhuis functional: fixtures, calibration, closed-form law, integrability."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,22 @@ def test_closed_form_domain_error():
     c = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(DomainError):
         closed_form_norm(Blocks(A=np.zeros((3, 3)), B=np.eye(3), C=c))
+
+
+def test_closed_form_domain_error_names_no_member_of_one_structure():
+    c = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    message = r"1 - |c|^2 = -3.000e+00 < 0: not blocks of a valid structure"
+    with pytest.raises(DomainError, match=re.escape(message) + "$"):
+        closed_form_norm(Blocks(A=np.zeros((3, 3)), B=np.eye(3), C=c))
+
+
+def test_closed_form_norm_is_zero_in_the_tolerance_band():
+    # blocks of a structure valid to DEFAULT_TOL may put |c| just above 1:
+    # the law reads 0 there, not NaN; beyond the tolerance it raises
+    b = blocks(vertex_acs(0))
+    assert closed_form_norm(Blocks(A=b.A, B=b.B, C=(1.0 + 1e-12) * b.C)) == 0.0
+    with pytest.raises(DomainError):
+        closed_form_norm(Blocks(A=b.A, B=b.B, C=(1.0 + 1e-8) * b.C))
 
 
 def test_cofactor_checks_swap_structure():

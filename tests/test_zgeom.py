@@ -1,4 +1,4 @@
-"""The edge through vertices 0 and 1, polar sets, circle branches and the ANK decomposition."""
+"""Lines through two points, the edge through vertices 0 and 1, polar sets, circle branches and the ANK decomposition."""
 
 import re
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation3, unit3
-from twistorz.acs import ACS, ank_reference_acs, blocks, fundamental_form
+from twistorz.acs import ACS, ank_reference_acs, blocks, fundamental_form, hopf_acs
 from twistorz.cp3 import CP3Point, acs_to_cp3, cp3_to_acs
 from twistorz.exceptions import ParamDomainError, ZeroFormError
 from twistorz.exterior import TwoForm
@@ -44,6 +44,25 @@ def _vertex_point(k):
     c = np.zeros(4, dtype=complex)
     c[k] = 1.0
     return CP3Point(c)
+
+
+# --- lines through two points ------------------------------------------------
+
+
+def test_edge03_contains_hopf_point():
+    # the Hopf structure is [1 : 0 : 0 : -1], on the edge through vertices 0 and 3
+    p = CP3Point(_vertex_point(0).coords - _vertex_point(3).coords)
+    assert p.projective_distance(acs_to_cp3(hopf_acs())) < 1e-12
+
+
+def test_edge_points_lie_in_z(rng):
+    # all of CP^3 corresponds to Z, so every point alpha z + beta u of a line
+    # through two points builds a valid structure
+    for _ in range(10):
+        z, u = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        alpha, beta = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
+        acs = cp3_to_acs(alpha[:, None] * z + beta[:, None] * u)
+        ACS.validate(acs.matrix)
 
 
 # --- edge 01 family ---------------------------------------------------------
