@@ -14,21 +14,6 @@ import numpy as np
 DIM = 6
 
 
-def _structure_constants() -> np.ndarray:
-    c = np.zeros((DIM, DIM, DIM))
-    # [e1,e2]=e3, [e1,e3]=-e2, [e2,e3]=e1 on each factor, factors commute
-    for base in (0, 3):
-        for (i, j, k, s) in ((0, 1, 2, 1.0), (0, 2, 1, -1.0), (1, 2, 0, 1.0)):
-            c[base + k, base + i, base + j] = s
-            c[base + k, base + j, base + i] = -s
-    c.setflags(write=False)
-    return c
-
-
-#: c[k, i, j] with [e_i, e_j] = sum_k c[k, i, j] e_k
-STRUCTURE_CONSTANTS: np.ndarray = _structure_constants()
-
-
 def basis_vector(i: int) -> np.ndarray:
     """e_i, which is also the coefficient array of the dual covector e^i."""
     e = np.zeros(DIM)
@@ -44,6 +29,12 @@ def bracket(x, y) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.concatenate([np.cross(x[..., 0:3], y[..., 0:3]), np.cross(x[..., 3:6], y[..., 3:6])], axis=-1)
+
+
+#: c[k, i, j] with [e_i, e_j] = sum_k c[k, i, j] e_k, tabulated from :func:`bracket`
+#: on the basis pairs; read-only
+STRUCTURE_CONSTANTS: np.ndarray = np.moveaxis(bracket(np.eye(DIM)[:, None, :], np.eye(DIM)), -1, 0).copy()
+STRUCTURE_CONSTANTS.setflags(write=False)
 
 
 def nabla(x, y) -> np.ndarray:

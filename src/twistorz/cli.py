@@ -159,20 +159,21 @@ def _sample_structures(set_name: str, count: int, seed: int):
         start += n
 
 
-def _cloud_values(stack: ACS):
-    """(tetra coordinates, norm, ank) per structure of a stack."""
-    from .cp3 import _point_coords, _tetra_coords
+def _evaluate(acs: ACS):
+    """(CP3 coordinates, tetrahedron coordinates, |N|, integrable, ank) of a
+    structure, or per member of a stack: what ``classify`` and ``sample`` print."""
+    from .cp3 import acs_to_cp3, tetra_coords
     from .nearly_kaehler import is_ank
     from .nijenhuis import nijenhuis_norm
 
-    tetra = _tetra_coords(_point_coords(stack.matrix))
-    return zip(tetra, nijenhuis_norm(stack), is_ank(stack))
+    point = acs_to_cp3(acs)
+    norm = nijenhuis_norm(acs)
+    return point.coords, tetra_coords(point), norm, norm < DEFAULT_TOL, is_ank(acs)
 
 
 def _cloud_row(values) -> str:
-    tetra, norm, ank = values
-    cols = [_fmt(v) for v in tetra] + [_fmt(norm), str(norm < DEFAULT_TOL).lower(), str(ank).lower()]
-    return ",".join(cols)
+    _, tetra, norm, integrable, ank = values
+    return ",".join([_fmt(v) for v in tetra] + [_fmt(norm), str(integrable).lower(), str(ank).lower()])
 
 
 def _write_cloud(args, out) -> None:
@@ -181,7 +182,7 @@ def _write_cloud(args, out) -> None:
     # flat in --count
     out.write(CSV_HEADER + "\n")
     for stack in _sample_structures(args.set, args.count, args.seed):
-        out.write("".join(_cloud_row(values) + "\n" for values in _cloud_values(stack)))
+        out.write("".join(_cloud_row(values) + "\n" for values in zip(*_evaluate(stack))))
         out.flush()
 
 
@@ -250,9 +251,6 @@ def _load_structure(args) -> ACS:
 
 
 def _cmd_classify(args) -> int:
-    from .cp3 import acs_to_cp3, tetra_coords
-    from .nearly_kaehler import is_ank
-    from .nijenhuis import nijenhuis_norm
     from .zgeom import polar_contains
 
     try:
@@ -263,9 +261,7 @@ def _cmd_classify(args) -> int:
         return 1
 
     b = blocks(acs)
-    norm = nijenhuis_norm(acs)
-    point = acs_to_cp3(acs)
-    coords = point.normalized().coords
+    coords, tetra, norm, integrable, ank = _evaluate(acs)
     report = {
         "in_z": True,
         "blocks": {
@@ -274,10 +270,10 @@ def _cmd_classify(args) -> int:
             "C": [_fmt(v) for v in b.C.flatten()],
         },
         "nijenhuis_norm": _fmt(norm),
-        "integrable": norm < DEFAULT_TOL,
-        "ank": is_ank(acs),
+        "integrable": integrable,
+        "ank": ank,
         "cp3": [f"{_fmt(z.real)}{z.imag:+.17g}i" for z in coords],
-        "tetra": tuple(_fmt(v) for v in tetra_coords(point)),
+        "tetra": tuple(_fmt(v) for v in tetra),
         "polar_e5e6": polar_contains(TwoForm.basis(4, 5), fundamental_form(acs)),
         "max_constraint_residual": _fmt(float(np.max(constraint_residuals(b)))),
     }

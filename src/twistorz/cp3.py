@@ -217,27 +217,17 @@ def cp3_to_acs(point: CP3Point | np.ndarray) -> ACS:
 
 def acs_to_cp3(acs: ACS) -> CP3Point:
     """Inverse of :func:`cp3_to_acs`; output is phase-normalized."""
-    return CP3Point(_point_coords(acs.matrix))
-
-
-def _point_coords(matrix: np.ndarray) -> np.ndarray:
-    """Phase-normalized coordinates (..., 4) of structures (..., 6, 6); see :func:`acs_to_cp3`."""
-    batch = matrix.shape[:-2]
-    parts = _row_products(matrix.mT.reshape(batch + (36,)), _INVERSE.T)
+    batch = acs.matrix.shape[:-2]
+    parts = _row_products(acs.matrix.mT.reshape(batch + (36,)), _INVERSE.T)
     proj = _QUARTER_EYE + parts.view(complex).reshape(batch + (4, 4))
     # u u* has trace 1, so its largest diagonal entry is at least 1/4
     diagonal = proj.reshape(batch + (16,))[..., ::5].real
     pivot = _one_hot(diagonal.argmax(axis=-1))
     column = proj.mT[pivot].reshape(batch + (4,))  # column k as row k of the transpose
-    return _normalized(column / np.sqrt(diagonal[pivot]).reshape(batch + (1,)))
+    return CP3Point(_normalized(column / np.sqrt(diagonal[pivot]).reshape(batch + (1,))))
 
 
 def tetra_coords(point: CP3Point) -> np.ndarray:
     """Barycentric tetrahedron coordinates |u_a|^2 / sum |u_b|^2."""
-    return _tetra_coords(point.coords)
-
-
-def _tetra_coords(coords: np.ndarray) -> np.ndarray:
-    """:func:`tetra_coords` of each row of coordinates (..., 4)."""
-    mags = np.abs(_scaled(coords)) ** 2
+    mags = np.abs(point.scaled()) ** 2
     return mags / mags.sum(axis=-1, keepdims=True)

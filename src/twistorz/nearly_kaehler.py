@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .acs import ACS, DEFAULT_TOL
+from .acs import ACS, DEFAULT_TOL, Blocks, blocks
 from .algebra import DIM, nabla
 from .kernels import _scalar
 
@@ -56,9 +56,8 @@ def is_ank(acs: ACS):
 
     Batched: a bool per structure of a stack.
     """
-    m = acs.matrix
-    a = m[..., 0:3, 0:3].reshape(m.shape[:-2] + (9,))
-    c = m[..., 3:6, 3:6].reshape(m.shape[:-2] + (9,))
+    b = blocks(acs)
+    a, c = b.A.reshape(b.A.shape[:-2] + (9,)), b.C.reshape(b.C.shape[:-2] + (9,))
     return _scalar((np.sqrt(np.vecdot(a, a)) < DEFAULT_TOL) & (np.sqrt(np.vecdot(c, c)) < DEFAULT_TOL))
 
 
@@ -73,4 +72,4 @@ def ank_form(frame) -> ACS:
     """
     b = np.asarray(frame, dtype=float)
     zero = np.zeros_like(b)
-    return ACS.validate(np.block([[zero, b], [-b.mT, zero]]))
+    return ACS.validate(Blocks(zero, b, zero).reassemble())

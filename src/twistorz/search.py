@@ -27,11 +27,13 @@ draws, and all restarts advance in lockstep as one (R, 6, 6) stack of
 rotations of the reference structure ``vertex_acs(0)``.  Each lockstep
 iteration makes one gradient call over the restarts still running, then
 a backtracking line search whose every trial is one stacked kernel call
-over the restarts still searching; each restart keeps its own step,
-doubled after an accepted step and halved after a rejected trial.  A
-restart stops for one of three reasons: ``gradient`` when its gradient
-falls below ``GRAD_TOL`` (it has converged), ``stalled`` when its step
-collapses below ``MIN_STEP`` first, or ``max_iters``.
+over the restarts still searching.  Both sets are boolean masks over
+the restarts, and every per-restart array (rotation, value, step,
+direction, counts, stop reason) is indexed by restart; each restart keeps
+its own step, doubled after an accepted step and halved after a rejected
+trial.  A restart stops for one of three reasons: ``gradient`` when its
+gradient falls below ``GRAD_TOL`` (it has converged), ``stalled`` when
+its step collapses below ``MIN_STEP`` first, or ``max_iters``.
 """
 
 from __future__ import annotations
@@ -114,28 +116,27 @@ def _run(seed: int, restarts: int, max_iters: int, sign: float) -> SearchReport:
     q = _seeded_rotations([[seed, rs] for rs in range(restarts)])
     f = sign * kernels.conjugated_norm_sq(q, _J_REF)
     step = np.full(restarts, INITIAL_STEP)
+    half = np.zeros((restarts, 6, 6))  # half the unit ascent direction of each restart
     iterations = np.zeros(restarts, dtype=int)
     evaluations = np.ones(restarts, dtype=int)
-    reasons = ["max_iters"] * restarts
-    running = np.arange(restarts)
+    reasons = np.full(restarts, "max_iters", dtype=object)
+    running = np.ones(restarts, dtype=bool)
     for it in range(1, max_iters + 1):
-        if running.size == 0:
+        if not running.any():
             break
         grad = sign * _gradient(q[running], _J_REF)
         evaluations[running] += 1
         iterations[running] = it
         grad_norm = np.linalg.norm(grad, axis=(-2, -1)) / np.sqrt(2.0)
         converged = grad_norm < GRAD_TOL
-        for r in running[converged]:
-            reasons[r] = "gradient"
-        running = running[~converged]
-        # half the unit ascent direction of each restart
-        half = 0.5 * grad[~converged] / grad_norm[~converged, None, None]
-        searching = np.arange(running.size)  # positions in ``running``
-        stalled = np.zeros(running.size, dtype=bool)
-        while searching.size:
-            members = running[searching]
-            w = step[members, None, None] * half[searching]
+        done = running.nonzero()[0][converged]
+        reasons[done] = "gradient"
+        running[done] = False
+        half[running] = 0.5 * grad[~converged] / grad_norm[~converged, None, None]
+        searching = running.copy()
+        while searching.any():
+            members = searching.nonzero()[0]
+            w = step[members, None, None] * half[members]
             q_new = q[members] @ np.linalg.solve(_EYE - w, _EYE + w)
             q_new = q_new @ (1.5 * _EYE - 0.5 * q_new.mT @ q_new)
             f_new = sign * kernels.conjugated_norm_sq(q_new, _J_REF)
@@ -143,15 +144,12 @@ def _run(seed: int, restarts: int, max_iters: int, sign: float) -> SearchReport:
             better = f_new > f[members]
             accepted = members[better]
             q[accepted], f[accepted] = q_new[better], f_new[better]
-            step[accepted] *= 2.0
-            rejected = members[~better]
-            step[rejected] *= 0.5
-            collapsed = step[rejected] < MIN_STEP
-            stalled[searching[~better][collapsed]] = True
-            searching = searching[~better][~collapsed]
-        for r in running[stalled]:
-            reasons[r] = "stalled"
-        running = running[~stalled]
+            step[members] *= np.where(better, 2.0, 0.5)
+            searching[members] = ~better & (step[members] >= MIN_STEP)
+        # a running restart leaves the search accepted, with step >= 2 MIN_STEP, or stalled
+        stalled = running & (step < MIN_STEP)
+        reasons[stalled] = "stalled"
+        running &= ~stalled
 
     stops = tuple(
         RestartStop(rs, reasons[rs], float(f[rs]), int(iterations[rs]), int(evaluations[rs]), q[rs].copy())

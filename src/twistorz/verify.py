@@ -41,6 +41,8 @@ from .zgeom import _angle, _random_ank, _random_circle, _rows, _unit3
 #: literature values reported alongside measurements
 PAPER_MAX_NORM = 8.0 * math.sqrt(3.0)
 PAPER_MIXED_NABLA = -1.0
+#: circle forms drawn per branch of the circle-form checks
+_BRANCH_SAMPLES = 40
 
 
 @dataclass
@@ -66,6 +68,9 @@ class CheckResult:
 def _result(name: str, residual: float, threshold: float,
             paper_value: float | None = None,
             measured_value: float | None = None) -> CheckResult:
+    """Pass below ``threshold``.  Most checks use 1e-9, for the reason of ``acs.DEFAULT_TOL``:
+    an exact identity in order-1 quantities fails by rounding, ~1e-15 (at most 7.8e-13
+    over seeds 0-29), or by order 1 where a formula, sign or branch is wrong."""
     status = "pass" if residual < threshold else "fail"
     return CheckResult(name, status, float(residual), paper_value, measured_value)
 
@@ -101,7 +106,7 @@ def check_edge01(seed: int) -> CheckResult:
     return _result("edge01_family", _worst(np.random.default_rng([seed, 101]), 100, residuals), 1e-9)
 
 
-def _branch_worst(seed: int, tag: int, param_fn, count: int = 40) -> float:
+def _branch_worst(seed: int, tag: int, param_fn) -> float:
     """Worst gap of the constructive circle forms to the closed forms and to
     the bivector route; ``param_fn(rng, n)`` draws n (params, theta)."""
     def residuals(rng, n):
@@ -111,7 +116,7 @@ def _branch_worst(seed: int, tag: int, param_fn, count: int = 40) -> float:
         direct = zgeom.form_from_bivectors(zgeom.circle_point(params, theta))
         return np.abs(constructive - closed.coeffs), np.abs(constructive - direct.coeffs)
 
-    return _worst(np.random.default_rng([seed, tag]), count, residuals)
+    return _worst(np.random.default_rng([seed, tag]), _BRANCH_SAMPLES, residuals)
 
 
 _BOTH_DEGENERATE = zgeom.PolarPairParams(-1.0, 0.0, 0.0, -1.0, 0.0, 0.0)
@@ -184,6 +189,8 @@ def check_circle_seam(seed: int) -> CheckResult:
         *fixed, theta = _rows(n, lambda: (*_unit3(rng), _angle(rng)))
         return [_seam_limit_residuals(fixed, theta)]
 
+    # 1e-6: the extrapolation's truncation error is <= 4.8e-12 (seeds 0-29), a
+    # jump at the seam order 1 (the gap at the coarsest sample alone is ~7e-3)
     return _result("circle_branch_seam", _worst(np.random.default_rng([seed, 107]), 5, residuals), 1e-6)
 
 
@@ -214,6 +221,9 @@ def check_maximum(seed: int) -> CheckResult:
     ratio_gap = max(0.0, 1.0 - report.best_value / max_norm())
     b = blocks(report.best_acs)
     block_gap = max(float(np.linalg.norm(b.A)), float(np.linalg.norm(b.C)))
+    # the gaps measure where the search stopped at |grad| < GRAD_TOL (block gap
+    # <= 2.3e-8 over seeds 0-29, the ratio gap second order in it); the bounds reject
+    # every point with |c| > 0.015, which the norm law puts over 1e-4 below the maximum
     ok = ratio_gap < 1e-4 and block_gap < 1e-3
     return CheckResult(
         "norm_maximum",
@@ -241,6 +251,8 @@ def check_ank_inversion(seed: int) -> CheckResult:
         reproduced = zgeom.circle_point(zgeom.ank_circle_params(r, x, u), theta)
         return [acs_to_cp3(acs).projective_distance(reproduced)]
 
+    # 1e-6: a chart round trip misses by rounding (<= 1.7e-15, seeds 0-29), a wrong pole
+    # or angle by order 1, a pole drawn in the degeneracy band (p ~ 5e-9) by up to 7.1e-5
     return _result("ank_circle_inversion", _worst(np.random.default_rng([seed, 111]), 100, residuals), 1e-6)
 
 
@@ -260,6 +272,7 @@ def check_polar_containment(seed: int) -> CheckResult:
 
     rng = np.random.default_rng([seed, 112])
     worst = np.maximum(_worst(rng, 50, ank_members), _worst(rng, 50, polar_points))
+    # 1e-6: the circle round trip sets the bound, as in ``ank_circle_inversion``
     return _result("polar_containment", worst, 1e-6)
 
 
@@ -269,6 +282,8 @@ def check_nk_basis_identity(seed: int) -> CheckResult:
         # d[..., i, i, j] = (nabla_{e_i} w)(e_i, e_j)
         return [np.abs(d[..., range(6), range(6), :])]
 
+    # 1e-12: 0 on the ANK set up to rounding (<= 2.2e-16, seeds 0-29); it also
+    # fails points 1e-12 off the set, as a pole rounding once made them
     return _result("nk_basis_identity", _worst(np.random.default_rng([seed, 113]), 50, residuals), 1e-12)
 
 
@@ -277,7 +292,8 @@ def check_nk_mixed_direction() -> CheckResult:
     x = basis_vector(1) + basis_vector(3)
     values = [nabla_omega(acs, x, x, basis_vector(k)) for k in range(6)]
     measured = max(values, key=abs)
-    # pass = a mixed direction genuinely breaks the nearly Kaehler identity
+    # pass = a mixed direction genuinely breaks the nearly Kaehler identity: 0.1
+    # splits its -0.5 (the paper's -1) from rounding; 0.5 splits the flag 0 or 1
     residual = 0.0 if abs(measured) > 0.1 else 1.0
     return _result(
         "nk_mixed_direction",
@@ -291,6 +307,7 @@ def check_nk_mixed_direction() -> CheckResult:
 def check_nk_defect_floor(seed: int) -> CheckResult:
     reference = nk_defect(ank_reference_acs())
     floor = reference / 2.0
+    # 1e-12 forgives rounding only: every ANK defect is sqrt(6), twice the floor
     residual = max(0.0, _worst(np.random.default_rng([seed, 114]), 50,
                                lambda rng, n: [floor - nk_defect(_random_ank(rng, n))]))
     return _result(

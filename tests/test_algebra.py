@@ -1,6 +1,7 @@
 """Bracket, metric and connection of su(2) + su(2)."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -31,6 +32,12 @@ def test_structure_constants_match_table():
         expected[k, i, j] = v
         expected[k, j, i] = -v
     assert np.array_equal(STRUCTURE_CONSTANTS, expected)
+
+
+def test_structure_constants_are_read_only():
+    assert not STRUCTURE_CONSTANTS.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        STRUCTURE_CONSTANTS[2, 0, 1] = -1.0
 
 
 @given(vec_st, vec_st)

@@ -14,7 +14,7 @@ import twistorz.cp3
 import twistorz.kernels
 import twistorz.search
 import twistorz.verify
-from twistorz.acs import ank_reference_acs
+from twistorz.acs import ank_reference_acs, random_acs
 from twistorz.cli import CSV_HEADER, main
 
 
@@ -349,6 +349,31 @@ def test_classify_swap_matrix(tmp_path, capsys):
     # printed form round-trips through the --cp3 input syntax
     coords = [complex(c.replace("i", "j")) for c in rec["cp3"]]
     assert coords == pytest.approx([0.5, 0.5, -0.5, 0.5])
+
+
+def test_classify_prints_the_point_acs_to_cp3_returns(capsys):
+    text = "0.3+0.2i,1,-0.5i,2"
+    code, out, _ = run_cli(capsys, "classify", "--cp3", text, "--json")
+    assert code == 0
+    coords = [complex(part.replace("i", "j")) for part in text.split(",")]
+    point = twistorz.cp3.acs_to_cp3(twistorz.cp3.cp3_to_acs(np.array(coords)))
+    assert json.loads(out)["cp3"] == [f"{twistorz.cli._fmt(z.real)}{z.imag:+.17g}i" for z in point.coords]
+
+
+def test_classify_in_prints_what_the_sample_row_prints(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "sample", "--set", "random", "--count", "20", "--seed", "3")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 20
+    path = tmp_path / "row.json"
+    for k, row in enumerate(rows):
+        # row k of the random set is random_acs([seed, k])
+        path.write_text(json.dumps({"matrix": random_acs([3, k]).matrix.flatten().tolist()}), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "classify", "--in", str(path), "--json")
+        assert code == 0
+        rec = json.loads(out)
+        printed = [*rec["tetra"], rec["nijenhuis_norm"], json.dumps(rec["integrable"]), json.dumps(rec["ank"])]
+        assert printed == row
 
 
 def test_classify_random_matrix_not_in_z(tmp_path, capsys):

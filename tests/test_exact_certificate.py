@@ -21,17 +21,21 @@ coefficient of s omega, so the ANK set lies in the polar set of e5^e6.
 Substituting z1 = -lambda conj(z3), z2 = lambda conj(z0) solves the
 first two quadrics identically and turns the third into
 (|lambda|^2 - 1)(|z0|^2 + |z3|^2): the ANK set is the family
-[z0 : -lambda conj(z3) : lambda conj(z0) : z3] with |lambda| = 1.  The
-float checks of the norm law stay: they exercise the shipped kernel, this
+[z0 : -lambda conj(z3) : lambda conj(z0) : z3] with |lambda| = 1.
+Lagrange's identity on the pairs (z0, z3) and (z1, z2) gives
+s^2 - |c~|^2 = 4 |q|^2 with q = z0 z2 - z1 z3, so with the law the norm
+is one complex quadric, |N|^2 = 4 kappa |q|^2 / |z|^4 = 192 |q|^2 / |z|^4.
+The float checks of the norm law stay: they exercise the shipped kernel, this
 module the algebra it implements.
 """
 
 import numpy as np
 from sympy import ZZ, ring
 
+from twistorz import kernels
 from twistorz.acs import ank_reference_acs
 from twistorz.algebra import STRUCTURE_CONSTANTS
-from twistorz.cp3 import CP3Point, _FORWARD, acs_to_cp3
+from twistorz.cp3 import CP3Point, _FORWARD, acs_to_cp3, cp3_to_acs
 from twistorz.zgeom import _hopf_pole, _random_ank, ank_circle_params, circle_point
 
 # z_k = a_k + i b_k, and lambda = l1 + i l2 for the closed form of the ANK set
@@ -130,6 +134,25 @@ def test_ank_set_in_closed_form():
     c = [v.compose(on_family) for v in _c_tilde(_scaled_structure(_integral(_FORWARD)))]
     assert c[:2] == [R.zero, R.zero]  # w vanishes identically
     assert c[2] == (L1**2 + L2**2 - 1) * (MASS[0] + MASS[3])
+
+
+def test_norm_is_one_complex_quadric():
+    # q = z0 z2 - z1 z3 in real and imaginary parts
+    re_q = A[0] * A[2] - B[0] * B[2] - (A[1] * A[3] - B[1] * B[3])
+    im_q = A[0] * B[2] + B[0] * A[2] - (A[1] * B[3] + B[1] * A[3])
+    c = _c_tilde(_scaled_structure(_integral(_FORWARD)))
+    assert S**2 - sum(v * v for v in c) - 4 * (re_q**2 + im_q**2) == R.zero
+
+
+def test_kernel_norm_is_the_quadric_in_floats():
+    # the shipped kernel against 192 |q|^2 / |z|^4, at representatives of every scale from 0.1 to 10
+    rng = np.random.default_rng(19)
+    z = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
+    z *= 10.0 ** rng.uniform(-1.0, 1.0, (500, 1))
+    q = z[:, 0] * z[:, 2] - z[:, 1] * z[:, 3]
+    quadric = 192.0 * np.abs(q) ** 2 / np.vecdot(z, z).real ** 2
+    # |N|^2 <= 48 rounds to a few 1e-14 (measured 5.0e-14)
+    assert np.max(np.abs(kernels.nijenhuis_norm_sq(cp3_to_acs(z).matrix) - quadric)) <= 1e-12
 
 
 def test_ank_points_have_the_closed_form():

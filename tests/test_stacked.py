@@ -32,9 +32,7 @@ from twistorz.acs import (
 from twistorz.cp3 import (
     CP3Point,
     _normalized,
-    _point_coords,
     _scaled,
-    _tetra_coords,
     acs_to_cp3,
     cp3_to_acs,
     identify,
@@ -193,10 +191,10 @@ def test_integrable_family_validates_every_block():
 @pytest.mark.parametrize("n", SIZES)
 def test_projective_core_matches_loop(n):
     ss = _structures(n)
-    coords = _point_coords(_stack(ss).matrix)
+    stacked = acs_to_cp3(_stack(ss))
     points = [acs_to_cp3(s) for s in ss]
-    _same(coords, [p.coords for p in points])
-    _same(_tetra_coords(coords), [tetra_coords(p) for p in points])
+    _same(stacked.coords, [p.coords for p in points])
+    _same(tetra_coords(stacked), [tetra_coords(p) for p in points])
     rng = np.random.default_rng(n)
     raw = (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))) * 10.0 ** rng.integers(-300, 300, (n, 1))
     _same(_scaled(raw), [CP3Point(c).scaled() for c in raw])
@@ -580,7 +578,7 @@ def test_sample_rows_match_single_structure_loop(set_name, monkeypatch):
     chunks = list(cli._sample_structures(set_name, count, seed))
     assert [c.matrix.shape[0] for c in chunks] == [20, 20, 5]
     _same(np.concatenate([c.matrix for c in chunks]), [s.matrix for s in looped])
-    rows = [cli._cloud_row(values) for s in looped for values in cli._cloud_values(ACS(s.matrix[None]))]
+    rows = [cli._cloud_row(values) for s in looped for values in zip(*cli._evaluate(ACS(s.matrix[None])))]
     out = io.StringIO()
     cli._write_cloud(SimpleNamespace(set=set_name, count=count, seed=seed), out)
     assert out.getvalue() == "\n".join([cli.CSV_HEADER, *rows]) + "\n"
