@@ -17,7 +17,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "acs": "ACS Blocks acs_from_form ank_reference_acs blocks constraint_residuals "
-               "fundamental_form hopf_acs orientation_sign random_acs vertex_acs",
+               "fundamental_form hopf_acs orientation_sign polar_contains random_acs vertex_acs",
         "algebra": "bracket nabla",
         "cp3": "CP3Point acs_to_cp3 cp3_to_acs tetra_coords",
         "exterior": "TwoForm",
@@ -27,7 +27,7 @@ _EXPORTS = {
                      "is_integrable max_norm nijenhuis_norm nijenhuis_tensor",
         "search": "SearchReport maximize minimize",
         "zgeom": "PolarPairParams ank_circle_acs circle_form circle_point edge01_closed_form edge01_form "
-                 "invert_ank_circle invert_circle polar_contains polar_pair_points",
+                 "invert_ank_circle invert_circle polar_pair_points",
     }.items()
     for name in names.split()
 }

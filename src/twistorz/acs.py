@@ -26,6 +26,7 @@ from .exceptions import (
     NotComplexError,
     NotOrthogonalError,
     WrongOrientationError,
+    ZeroFormError,
     at_member,
     first_failure,
 )
@@ -205,6 +206,17 @@ def ank_reference_acs() -> ACS:
 def fundamental_form(acs: ACS) -> TwoForm:
     """w(X, Y) = g(JX, Y); coefficient matrix is J^T."""
     return TwoForm.from_matrix(acs.matrix.mT)
+
+
+def polar_contains(sigma: TwoForm, omega: TwoForm):
+    """omega in Z and orthogonal to sigma in the form inner product.
+
+    A bool per form of a stack ``omega``.
+    """
+    if sigma.norm() == 0.0:
+        raise ZeroFormError("polar set of the zero form is undefined")
+    in_z = _in_z(omega.matrix().mT)
+    return _scalar(np.asarray(in_z & (np.abs(sigma.inner(omega)) <= DEFAULT_TOL)))
 
 
 def acs_from_form(w: TwoForm) -> ACS:

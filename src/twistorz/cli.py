@@ -34,6 +34,7 @@ from .acs import (  # noqa: E402
     blocks,
     constraint_residuals,
     fundamental_form,
+    polar_contains,
 )
 from .exceptions import NotInZError, ParseError, TwistorError  # noqa: E402
 from .exterior import TwoForm  # noqa: E402
@@ -251,8 +252,6 @@ def _load_structure(args) -> ACS:
 
 
 def _cmd_classify(args) -> int:
-    from .zgeom import polar_contains
-
     try:
         acs = _load_structure(args)
     except NotInZError as exc:

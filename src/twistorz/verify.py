@@ -22,6 +22,7 @@ from .acs import (
     constraint_residuals,
     fundamental_form,
     hopf_acs,
+    polar_contains,
     vertex_acs,
 )
 from .algebra import basis_vector
@@ -69,7 +70,7 @@ def _result(name: str, residual: float, threshold: float,
             paper_value: float | None = None,
             measured_value: float | None = None) -> CheckResult:
     """Pass below ``threshold``.  Most checks use 1e-9, for the reason of ``acs.DEFAULT_TOL``:
-    an exact identity in order-1 quantities fails by rounding, ~1e-15 (at most 7.8e-13
+    an exact identity in order-1 quantities fails by rounding, ~1e-15 (at most 5.8e-15
     over seeds 0-29), or by order 1 where a formula, sign or branch is wrong."""
     status = "pass" if residual < threshold else "fail"
     return CheckResult(name, status, float(residual), paper_value, measured_value)
@@ -251,9 +252,9 @@ def check_ank_inversion(seed: int) -> CheckResult:
         reproduced = zgeom.circle_point(zgeom.ank_circle_params(r, x, u), theta)
         return [acs_to_cp3(acs).projective_distance(reproduced)]
 
-    # 1e-6: a chart round trip misses by rounding (<= 1.7e-15, seeds 0-29), a wrong pole
-    # or angle by order 1, a pole drawn in the degeneracy band (p ~ 5e-9) by up to 7.1e-5
-    return _result("ank_circle_inversion", _worst(np.random.default_rng([seed, 111]), 100, residuals), 1e-6)
+    # 1e-12: a chart round trip misses by rounding at every distance from a pole
+    # (<= 1.7e-15, seeds 0-29), a wrong pole or angle by order 1
+    return _result("ank_circle_inversion", _worst(np.random.default_rng([seed, 111]), 100, residuals), 1e-12)
 
 
 def check_polar_containment(seed: int) -> CheckResult:
@@ -262,7 +263,7 @@ def check_polar_containment(seed: int) -> CheckResult:
     def ank_members(rng, n):
         w = fundamental_form(_random_ank(rng, n))
         # a member outside the polar set counts as a residual of 1
-        return np.abs(sigma.inner(w)), np.where(zgeom.polar_contains(sigma, w), 0.0, 1.0)
+        return np.abs(sigma.inner(w)), np.where(polar_contains(sigma, w), 0.0, 1.0)
 
     def polar_points(rng, n):
         point = zgeom.sample_polar_point(rng, (n,))
@@ -272,8 +273,9 @@ def check_polar_containment(seed: int) -> CheckResult:
 
     rng = np.random.default_rng([seed, 112])
     worst = np.maximum(_worst(rng, 50, ank_members), _worst(rng, 50, polar_points))
-    # 1e-6: the circle round trip sets the bound, as in ``ank_circle_inversion``
-    return _result("polar_containment", worst, 1e-6)
+    # 1e-12: the inner products and the circle round trip are exact to rounding
+    # (<= 6.4e-16, seeds 0-29), a point off the set or a wrong pole misses by order 1
+    return _result("polar_containment", worst, 1e-12)
 
 
 def check_nk_basis_identity(seed: int) -> CheckResult:
@@ -305,14 +307,13 @@ def check_nk_mixed_direction() -> CheckResult:
 
 
 def check_nk_defect_floor(seed: int) -> CheckResult:
-    reference = nk_defect(ank_reference_acs())
-    floor = reference / 2.0
-    # 1e-12 forgives rounding only: every ANK defect is sqrt(6), twice the floor
-    residual = max(0.0, _worst(np.random.default_rng([seed, 114]), 50,
-                               lambda rng, n: [floor - nk_defect(_random_ank(rng, n))]))
-    return _result(
-        "nk_defect_floor", residual, 1e-12, measured_value=float(reference)
-    )
+    def residuals(rng, n):
+        return [np.abs(nk_defect(_random_ank(rng, n)) - math.sqrt(6.0))]
+
+    # every ANK defect is sqrt(6), the floor of nk_defect on Z (nk_defect^2 =
+    # 8 - |N|^2 / 24); 1e-12 forgives rounding only (<= 8.9e-16, seeds 0-29)
+    return _result("nk_defect_floor", _worst(np.random.default_rng([seed, 114]), 50, residuals), 1e-12,
+                   measured_value=float(nk_defect(ank_reference_acs())))
 
 
 def check_constraints(seed: int) -> CheckResult:

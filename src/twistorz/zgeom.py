@@ -19,16 +19,15 @@ Pole parametrization on the two distinguished edges (unit (r, x, u)):
 
 with the degenerate representatives [0,0,0,1] and [0,0,1,0] at r = -1.
 
-One rule decides pole degeneracy, in the chart, its closed-form branches
-and its inverse alike: |r + 1| < ``DEGENERATE_EPS``.  The inverse reads a
-pole off its coordinate pair (a, b) = (z0, z3) or (z1, z2) by the Hopf
-map, r = (|a|^2 - |b|^2) / (|a|^2 + |b|^2), so inside that band it returns
-the degenerate pole, which the chart reproduces.  The degenerate
-representative lies sqrt((r + 1) / 2) < sqrt(DEGENERATE_EPS / 2), about
-7.1e-5, from the pole it stands for, and an equatorial point moves no
-more than its poles, so a round trip through the band misses by at most
-that much.  Outside the band the chart forms r + 1 without cancellation,
-and a round trip misses by rounding only.
+One exact rule decides pole degeneracy in the chart, its closed-form
+branches and its inverse alike: a pole is degenerate only at (-1, 0, 0).
+The chart forms r + 1 = (x^2 + u^2) / (1 - r) for r < 0, without
+cancellation and, on (x, u) scaled by a power of two, without underflow,
+so it is exact to rounding at every scale.  The inverse reads a pole off
+its coordinate pair (a, b) = (z0, z3) or (z1, z2) by the Hopf map,
+r = (|a|^2 - |b|^2) / (|a|^2 + |b|^2), unsnapped, so a round trip misses
+by rounding only.  The closed-form branches are formulas in r + 1 formed
+as in the chart; they hold wherever r + 1 is 0 or a normal float.
 
 The parametrized families take parameter arrays as well as floats: a
 :class:`PolarPairParams` with array fields, angles and unit triples of one
@@ -43,17 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acs import ACS, DEFAULT_TOL, _in_z, fundamental_form
+from .acs import ACS, DEFAULT_TOL, fundamental_form
 from .cp3 import CP3Point, _product, _unit, acs_to_cp3, cp3_to_acs, identify, wedge4
-from .exceptions import ParamDomainError, ZeroFormError, at_member, first_failure
+from .exceptions import ParamDomainError, at_member, first_failure
 from .exterior import TwoForm
 from .kernels import _scalar
-
-#: |r + 1| below this selects the degenerate pole representative; nearer
-#: the pole, the generic closed-form branch, which divides by
-#: sqrt((r_plus + 1)(r_minus + 1)), would lose its accuracy to rounding
-DEGENERATE_EPS = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # edge through vertices 0 and 1
@@ -106,21 +99,6 @@ def _check_unit3(*vals) -> None:
 
 
 # ---------------------------------------------------------------------------
-# polar sets
-
-
-def polar_contains(sigma: TwoForm, omega: TwoForm):
-    """omega in Z and orthogonal to sigma in the form inner product.
-
-    A bool per form of a stack ``omega``.
-    """
-    if sigma.norm() == 0.0:
-        raise ZeroFormError("polar set of the zero form is undefined")
-    in_z = _in_z(omega.matrix().mT)
-    return _scalar(np.asarray(in_z & (np.abs(sigma.inner(omega)) <= DEFAULT_TOL)))
-
-
-# ---------------------------------------------------------------------------
 # poles and equatorial circles
 
 
@@ -143,24 +121,29 @@ class PolarPairParams:
         _check_unit3(self.r_minus, self.x_minus, self.u_minus)
 
 
-def _degenerate(r):
-    """The pole-degeneracy rule: |r + 1| < DEGENERATE_EPS, per element."""
-    return np.abs(r + 1.0) < DEGENERATE_EPS
+def _r_plus_one(r, x, u):
+    """r + 1 of unit triples (r, x, u) without cancellation: (1 - r^2) / (1 - r) =
+    (x^2 + u^2) / (1 - r) for r < 0, where the minimum keeps the unused branch
+    from dividing by 0 at r = 1.  It is 0 at the degenerate pole."""
+    return np.where(r < 0.0, (x * x + u * u) / (1.0 - np.minimum(r, 0.0)), r + 1.0)
 
 
 def _pole_coords(r, x, u, plus: bool) -> np.ndarray:
     """Unit coordinates (..., 4) of the poles with parameters r, x, u (arrays or floats)."""
     r, x, u = (np.asarray(v, dtype=float) for v in (r, x, u))
-    degenerate = _degenerate(r)
-    # r + 1 cancels near r = -1; there it is (1 - r^2) / (1 - r) =
-    # (x^2 + u^2) / (1 - r) on the unit sphere, which keeps full relative
-    # accuracy (the minimum keeps the unused branch from dividing by 0 at r = 1)
-    r_plus_one = np.where(r < 0.0, (x * x + u * u) / (1.0 - np.minimum(r, 0.0)), r + 1.0)
-    # [r + 1, (-u + i x)] scaled to unit norm by its own norm: the form
-    # [s, (-u + i x) / (2 s)] with s = sqrt((r + 1) / 2) has unit norm only
-    # when r^2 + x^2 + u^2 = 1 exactly, and misses it by the rounding of that
-    # sum over 2 (r + 1), which put ANK points near a pole 1e-12 off the set
-    norm = np.where(degenerate, 1.0, np.sqrt(r_plus_one**2 + x * x + u * u))
+    # for r < 0, [r + 1, (-u + i x)] scaled by the power of two 2^-e that
+    # brings max(|x|, |u|) into [1/2, 1): it rounds nothing, and on the scaled
+    # (x, u) the squares in r + 1 = (x^2 + u^2) / (1 - r) cannot underflow
+    e = np.where(r < 0.0, np.frexp(np.maximum(np.abs(x), np.abs(u)))[1], 0)
+    x, u = np.ldexp(x, -e), np.ldexp(u, -e)
+    r_plus_one = np.ldexp(_r_plus_one(r, x, u), e)
+    # scaled to unit norm by its own norm: the form [s, (-u + i x) / (2 s)]
+    # with s = sqrt((r + 1) / 2) has unit norm only when r^2 + x^2 + u^2 = 1
+    # exactly, and misses it by the rounding of that sum over 2 (r + 1), which
+    # put ANK points near a pole 1e-12 off the set
+    norm = np.sqrt(r_plus_one**2 + x * x + u * u)
+    degenerate = norm == 0.0  # exactly where r < 0 and x = u = 0
+    norm = np.where(degenerate, 1.0, norm)
     lead, tail = (0, 3) if plus else (1, 2)
     coords = np.zeros(np.broadcast_shapes(r.shape, x.shape, u.shape) + (4,), dtype=complex)
     coords[..., lead] = r_plus_one / norm
@@ -241,20 +224,22 @@ def _by_branch(p: PolarPairParams, theta, branches) -> tuple[TwoForm, str]:
     """Each element's form from the formula of its pole-degeneracy branch.
 
     ``branches`` holds, in the order of ``_BRANCH_LABELS``, one function of
-    (rp, xp, up, rm, xm, um, t1, t2) to a TwoForm; each is evaluated on the
-    elements of its branch only.  Returns the forms and the labels (a str
-    for one element).
+    (rp, xp, up, rm, xm, um, t1, t2, p1, m1) to a TwoForm, p1 and m1 the
+    poles' r + 1 as the chart forms them; a pole is degenerate where its
+    r + 1 is 0.  Each is evaluated on the elements of its branch only.
+    Returns the forms and the labels (a str for one element).
     """
     theta = np.asarray(theta, dtype=float)
     *params, t1, t2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in vars(p).values()),
                                           np.cos(theta), np.sin(theta))
-    deg_p, deg_m = _degenerate(params[0]), _degenerate(params[3])
+    p1, m1 = _r_plus_one(*params[:3]), _r_plus_one(*params[3:])
+    deg_p, deg_m = p1 == 0.0, m1 == 0.0
     kind = np.where(deg_p & deg_m, 0, np.where(deg_m, 1, np.where(deg_p, 2, 3)))
     coeffs = np.empty(kind.shape + (15,))
     for k, branch in enumerate(branches):
         mask = kind == k
         if mask.any():
-            coeffs[mask] = branch(*(v[mask] for v in (*params, t1, t2))).coeffs
+            coeffs[mask] = branch(*(v[mask] for v in (*params, t1, t2, p1, m1))).coeffs
     return TwoForm(coeffs), _scalar(_BRANCH_LABELS[kind])
 
 
@@ -263,19 +248,22 @@ def circle_closed_form(p: PolarPairParams, theta) -> tuple[TwoForm, str]:
 
     Returns the form and the branch label among ``generic``,
     ``both_degenerate``, ``minus_degenerate``, ``plus_degenerate`` (an array
-    of labels for a stack).  Agrees with :func:`circle_form` on all branches.
+    of labels for a stack).  Agrees with :func:`circle_form` on all branches,
+    to rounding wherever each pole's r + 1 is 0 or a normal float (at least
+    ``np.finfo(float).tiny``); below that the formulas cannot be evaluated.
     """
     return _by_branch(p, theta, _CORRECTED_BRANCHES)
 
 
-def _branch_both_degenerate(rp, xp, up, rm, xm, um, t1, t2) -> TwoForm:
+def _branch_both_degenerate(rp, xp, up, rm, xm, um, t1, t2, p1, m1) -> TwoForm:
     return TwoForm.from_pairs(
         {(0, 1): -1.0, (2, 4): t2, (3, 5): t2, (2, 5): t1, (3, 4): -t1}
     )
 
 
-def _branch_generic(rp, xp, up, rm, xm, um, t1, t2) -> TwoForm:
-    q = np.sqrt((rm + 1.0) * (rp + 1.0))
+def _branch_generic(rp, xp, up, rm, xm, um, t1, t2, p1, m1) -> TwoForm:
+    # sqrt((r_plus + 1)(r_minus + 1)) as a product of roots, which cannot underflow
+    q = np.sqrt(m1) * np.sqrt(p1)
     return 0.5 * TwoForm.from_pairs(
         {
             (0, 1): rp + rm,
@@ -284,23 +272,23 @@ def _branch_generic(rp, xp, up, rm, xm, um, t1, t2) -> TwoForm:
             (3, 1): xp - xm,
             (0, 3): up + um,
             (1, 2): up - um,
-            (0, 4): ((xp * t1 - up * t2) * (rm + 1) + (um * t2 - xm * t1) * (rp + 1)) / q,
-            (0, 5): (-(xp * t2 + up * t1) * (rm + 1) + (um * t1 + xm * t2) * (rp + 1)) / q,
-            (1, 4): ((xp * t2 + up * t1) * (rm + 1) + (um * t1 + xm * t2) * (rp + 1)) / q,
-            (1, 5): ((xp * t1 - up * t2) * (rm + 1) - (um * t2 - xm * t1) * (rp + 1)) / q,
-            (2, 4): (-t2 * (rp + 1) * (rm + 1) + um * (xp * t1 - up * t2) + xm * (up * t1 + xp * t2)) / q,
-            (2, 5): (-t1 * (rp + 1) * (rm + 1) - um * (xp * t2 + up * t1) + xm * (xp * t1 - up * t2)) / q,
-            (3, 4): (-t1 * (rp + 1) * (rm + 1) + um * (xp * t2 + up * t1) - xm * (xp * t1 - up * t2)) / q,
-            (3, 5): (t2 * (rp + 1) * (rm + 1) + um * (xp * t1 - up * t2) + xm * (up * t1 + xp * t2)) / q,
+            (0, 4): ((xp * t1 - up * t2) * m1 + (um * t2 - xm * t1) * p1) / q,
+            (0, 5): (-(xp * t2 + up * t1) * m1 + (um * t1 + xm * t2) * p1) / q,
+            (1, 4): ((xp * t2 + up * t1) * m1 + (um * t1 + xm * t2) * p1) / q,
+            (1, 5): ((xp * t1 - up * t2) * m1 - (um * t2 - xm * t1) * p1) / q,
+            (2, 4): (-t2 * p1 * m1 + um * (xp * t1 - up * t2) + xm * (up * t1 + xp * t2)) / q,
+            (2, 5): (-t1 * p1 * m1 - um * (xp * t2 + up * t1) + xm * (xp * t1 - up * t2)) / q,
+            (3, 4): (-t1 * p1 * m1 + um * (xp * t2 + up * t1) - xm * (xp * t1 - up * t2)) / q,
+            (3, 5): (t2 * p1 * m1 + um * (xp * t1 - up * t2) + xm * (up * t1 + xp * t2)) / q,
         }
     )
 
 
-def _branch_minus_degenerate(r, x, u, rm, xm, um, t1, t2) -> TwoForm:
+def _branch_minus_degenerate(r, x, u, rm, xm, um, t1, t2, r1, m1) -> TwoForm:
     # minus pole at its degenerate representative; the t2 cross term sign
     # differs from the literature display (corrected here)
-    s = np.sqrt((r + 1.0) / 2.0)
-    d = np.sqrt(2.0 * (r + 1.0))
+    s = np.sqrt(r1 / 2.0)
+    d = np.sqrt(2.0 * r1)
     return TwoForm.from_pairs(
         {
             (0, 1): (r - 1.0) / 2.0,
@@ -312,7 +300,7 @@ def _branch_minus_degenerate(r, x, u, rm, xm, um, t1, t2) -> TwoForm:
             (1, 3): -x / 2.0,
             (0, 4): t2 * s,
             (1, 5): -t2 * s,
-            (2, 3): (r + 1.0) / 2.0,
+            (2, 3): r1 / 2.0,
             (3, 5): (x * t1 - u * t2) / d,
             (2, 4): (x * t1 - u * t2) / d,
             (3, 4): (u * t1 + x * t2) / d,
@@ -321,9 +309,9 @@ def _branch_minus_degenerate(r, x, u, rm, xm, um, t1, t2) -> TwoForm:
     )
 
 
-def _branch_plus_degenerate(rp, xp, up, r, x, u, t1, t2) -> TwoForm:
-    s = np.sqrt((r + 1.0) / 2.0)
-    d = np.sqrt(2.0 * (r + 1.0))
+def _branch_plus_degenerate(rp, xp, up, r, x, u, t1, t2, p1, r1) -> TwoForm:
+    s = np.sqrt(r1 / 2.0)
+    d = np.sqrt(2.0 * r1)
     return TwoForm.from_pairs(
         {
             (0, 1): (r - 1.0) / 2.0,
@@ -339,7 +327,7 @@ def _branch_plus_degenerate(rp, xp, up, r, x, u, t1, t2) -> TwoForm:
             (3, 4): -(u * t1 + x * t2) / d,
             (2, 4): (u * t2 - x * t1) / d,
             (3, 5): (u * t2 - x * t1) / d,
-            (2, 3): -(1.0 + r) / 2.0,
+            (2, 3): -r1 / 2.0,
         }
     )
 
@@ -349,10 +337,10 @@ _CORRECTED_BRANCHES = (_branch_both_degenerate, _branch_minus_degenerate, _branc
                        _branch_generic)
 
 
-def _printed_minus_degenerate(rp, xp, up, rm, xm, um, t1, t2) -> TwoForm:
-    s = np.sqrt((rp + 1.0) / 2.0)
+def _printed_minus_degenerate(rp, xp, up, rm, xm, um, t1, t2, p1, m1) -> TwoForm:
+    s = np.sqrt(p1 / 2.0)
     flip = TwoForm.from_pairs({(0, 4): -2.0 * t2 * s, (1, 5): 2.0 * t2 * s})
-    return _branch_minus_degenerate(rp, xp, up, rm, xm, um, t1, t2) + flip
+    return _branch_minus_degenerate(rp, xp, up, rm, xm, um, t1, t2, p1, m1) + flip
 
 
 #: the displayed formulas per branch: generic at twice the form, the
@@ -395,14 +383,12 @@ def _hopf_pole(a, b, sign: float):
     """Unit (r, x, u) of the poles [a : b] on their edge, by the Hopf map.
 
     r = (|a|^2 - |b|^2) / m and w = 2 conj(a) b / m with m = |a|^2 + |b|^2 > 0
-    give x = Im w and u = sign Re w; a degenerate r gives exactly (-1, 0, 0).
+    give x = Im w and u = sign Re w; a = 0 gives exactly (-1, 0, 0).
     """
     mass_a, mass_b = _mass(a), _mass(b)
     mass = mass_a + mass_b
     w = _product(a.conj(), b)
-    r, x, u = (mass_a - mass_b) / mass, 2.0 * w.imag / mass, sign * 2.0 * w.real / mass
-    degenerate = _degenerate(r)
-    return np.where(degenerate, -1.0, r), np.where(degenerate, 0.0, x), np.where(degenerate, 0.0, u)
+    return (mass_a - mass_b) / mass, 2.0 * w.imag / mass, sign * 2.0 * w.real / mass
 
 
 def invert_circle(point: CP3Point) -> tuple[PolarPairParams, float]:
@@ -410,20 +396,19 @@ def invert_circle(point: CP3Point) -> tuple[PolarPairParams, float]:
 
     Valid for points with equal mass on coordinates {0, 3} and {1, 2}
     (equivalently, fundamental form orthogonal to e5^e6), on which it never
-    divides by zero.  The angle is arg(<plus, z> conj(<minus, z>)), and a
-    chart pole read off (a, b) = (z0, z3) or (z1, z2) is (a, b) conj(a) / |a|
-    up to a positive factor, so <pole, z> has the phase of a (of b at a
-    degenerate pole, e3 or e2), the pole's lead coordinate.  A pole
-    inside the degeneracy band comes back as exactly (-1, 0, 0), and
-    :func:`circle_point` of the result then misses the point by at most
-    sqrt((r + 1) / 2) < sqrt(DEGENERATE_EPS / 2), with r the pole's Hopf
-    value.  For a stack of points the parameters and angles are arrays.
-    A point whose unit representative has a mass gap (|z0|^2 + |z3|^2) -
-    (|z1|^2 + |z2|^2), its coefficient of e5^e6, beyond ``DEFAULT_TOL`` is
-    not polar (the rule of :func:`polar_contains`) and raises
-    ``ValueError``, naming the first such member of a stack and its gap.
+    divides by zero.  The poles are read off (z0, z3) and (z1, z2) by the
+    Hopf map, and the angle is arg(<plus, z> conj(<minus, z>)) with plus
+    and minus the chart's unit poles of those parameters, so
+    :func:`circle_point` of the result reproduces the point to rounding, at
+    every scale of the coordinates.  For a stack of points the parameters
+    and angles are arrays.  A point whose unit representative has a mass
+    gap (|z0|^2 + |z3|^2) - (|z1|^2 + |z2|^2), its coefficient of e5^e6,
+    beyond ``DEFAULT_TOL`` is not polar (the rule of ``acs.polar_contains``)
+    and raises ``ValueError``, naming the first such member of a stack and
+    its gap.
     """
-    z0, z1, z2, z3 = np.moveaxis(_unit(point.scaled()), -1, 0)
+    z = _unit(point.scaled())
+    z0, z1, z2, z3 = np.moveaxis(z, -1, 0)
     gap = _mass(z0) + _mass(z3) - (_mass(z1) + _mass(z2))
     failure = first_failure(np.abs(gap) > DEFAULT_TOL)
     if failure is not None:
@@ -431,10 +416,9 @@ def invert_circle(point: CP3Point) -> tuple[PolarPairParams, float]:
         message = f"point is not polar: mass gap {gap[member]:.3e} between coordinates {{0, 3}} and {{1, 2}}"
         raise ValueError(at_member(message, member))
     plus_params, minus_params = _hopf_pole(z0, z3, -1.0), _hopf_pole(z1, z2, 1.0)
-    lead_plus = np.where(_degenerate(plus_params[0]), z3, z0)
-    lead_minus = np.where(_degenerate(minus_params[0]), z2, z1)
+    plus, minus = _pole_coords(*plus_params, plus=True), _pole_coords(*minus_params, plus=False)
     params = PolarPairParams(*(_scalar(v) for v in (*plus_params, *minus_params)))
-    return params, _scalar(np.angle(_product(lead_plus, lead_minus.conj())))
+    return params, _scalar(np.angle(_product(np.vecdot(plus, z), np.vecdot(minus, z).conj())))
 
 
 def invert_ank_circle(acs: ACS) -> tuple[float, float, float, float]:

@@ -25,6 +25,10 @@ first two quadrics identically and turns the third into
 Lagrange's identity on the pairs (z0, z3) and (z1, z2) gives
 s^2 - |c~|^2 = 4 |q|^2 with q = z0 z2 - z1 z3, so with the law the norm
 is one complex quadric, |N|^2 = 4 kappa |q|^2 / |z|^4 = 192 |q|^2 / |z|^4.
+The nearly-Kaehler defect is the law again: with the connection doubled to
+the integer bracket (2 nabla = [ , ]), the symmetrization that
+``nk_defect`` norms satisfies sum (2 S(sJ))^2 = 4 (6 s^2 + 2 |c~|^2), so
+nk_defect^2 = 6 + 2 |c|^2 = 8 - |N|^2 / 24: sqrt(6) exactly on the ANK set.
 The float checks of the norm law stay: they exercise the shipped kernel, this
 module the algebra it implements.
 """
@@ -33,9 +37,10 @@ import numpy as np
 from sympy import ZZ, ring
 
 from twistorz import kernels
-from twistorz.acs import ank_reference_acs
+from twistorz.acs import _random_structures, ank_reference_acs
 from twistorz.algebra import STRUCTURE_CONSTANTS
 from twistorz.cp3 import CP3Point, _FORWARD, acs_to_cp3, cp3_to_acs
+from twistorz.nearly_kaehler import nk_defect
 from twistorz.zgeom import _hopf_pole, _random_ank, ank_circle_params, circle_point
 
 # z_k = a_k + i b_k, and lambda = l1 + i l2 for the closed form of the ANK set
@@ -153,6 +158,39 @@ def test_kernel_norm_is_the_quadric_in_floats():
     quadric = 192.0 * np.abs(q) ** 2 / np.vecdot(z, z).real ** 2
     # |N|^2 <= 48 rounds to a few 1e-14 (measured 5.0e-14)
     assert np.max(np.abs(kernels.nijenhuis_norm_sq(cp3_to_acs(z).matrix) - quadric)) <= 1e-12
+
+
+def _defect_law(ct: list):
+    """sum (2 S)^2 - 4 (6 s^2 + 2 |c~|^2) on K = sJ, where 2 S is the symmetrization
+    S(e_i, e_j; e_l) = (nabla_{e_i} w)(e_j, e_l) + (nabla_{e_j} w)(e_i, e_l) of
+    ``nk_defect``, with nabla doubled to the bracket of structure constants ``ct``."""
+    k = _scaled_structure(_integral(_FORWARD))
+    # f[i][j][l] = -w([e_i, e_j], e_l) = -sum_m ct[m][i][j] K[l][m], as w has matrix K^T
+    f = [[[sum((-ct[m][i][j] * k[l][m] for m in range(6) if ct[m][i][j]), R.zero) for l in range(6)]
+          for j in range(6)] for i in range(6)]
+    # d[i][j][l] = 2 (nabla_{e_i} w)(e_j, e_l): f and its swap in j and l
+    d = [[[f[i][j][l] - f[i][l][j] for l in range(6)] for j in range(6)] for i in range(6)]
+    symmetrized = [d[i][j][l] + d[j][i][l] for i in range(6) for j in range(6) for l in range(6)]
+    return sum(v * v for v in symmetrized) - 4 * (6 * S**2 + 2 * sum(v * v for v in _c_tilde(k)))
+
+
+def test_nk_defect_is_the_norm_law_again():
+    # 4 s^2 nk_defect^2 = 4 (6 s^2 + 2 |c~|^2): nk_defect^2 = 6 + 2 |c|^2
+    assert _defect_law(_integral(STRUCTURE_CONSTANTS)) == R.zero
+
+
+def test_a_corrupted_structure_constant_breaks_the_defect_identity():
+    ct = _integral(STRUCTURE_CONSTANTS)
+    ct[2][0][1] = -ct[2][0][1]
+    assert _defect_law(ct) != R.zero
+
+
+def test_nk_defect_is_the_norm_law_in_floats():
+    # the shipped nk_defect against sqrt(8 - |N|^2 / 24) on random members of Z
+    # (order-1 values; measured 1.3e-15)
+    acs = _random_structures(range(500))
+    law = np.sqrt(8.0 - kernels.nijenhuis_norm_sq(acs.matrix) / 24.0)
+    assert np.max(np.abs(nk_defect(acs) - law)) <= 1e-12
 
 
 def test_ank_points_have_the_closed_form():

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation3, unit3
-from twistorz.acs import ACS, ank_reference_acs, blocks, fundamental_form, hopf_acs
+from twistorz.acs import ACS, ank_reference_acs, blocks, fundamental_form, hopf_acs, polar_contains
 from twistorz.cp3 import CP3Point, acs_to_cp3, cp3_to_acs
 from twistorz.exceptions import ParamDomainError, ZeroFormError
 from twistorz.exterior import TwoForm
 from twistorz.nearly_kaehler import _nabla_tensor, is_ank
 from twistorz.verify import check_polar_containment
 from twistorz.zgeom import (
-    DEGENERATE_EPS,
     PolarPairParams,
     ank_circle_acs,
     ank_circle_params,
@@ -27,7 +26,6 @@ from twistorz.zgeom import (
     form_from_bivectors,
     invert_ank_circle,
     invert_circle,
-    polar_contains,
     polar_pair_points,
     pole_minus_closed_form,
     pole_plus_closed_form,
@@ -365,16 +363,21 @@ def test_ank_point_near_a_pole_meets_the_basis_identity():
     assert np.max(np.abs(d[range(6), range(6)])) < 1e-13
 
 
-#: how far the round trip may miss inside the degeneracy band
-IN_BAND_BOUND = np.sqrt(DEGENERATE_EPS / 2)
+#: how far the round trip may miss next to a degenerate pole: rounding only
+#: (a band that snapped |r + 1| < 1e-8 to the pole once let it miss by 7.1e-5)
+IN_BAND_BOUND = 1e-14
 
 
-@pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
+@pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-300, 1e-200, 1e-100, 1e-20, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4])
 @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 3, 2)])
-def test_inversion_near_a_degenerate_pole(eps, order):
-    # z1 = eps puts the minus pole's Hopf r + 1 (about 4 eps^2) inside the
-    # degeneracy band; the order (1, 0, 3, 2) moves eps to z0, the plus side
-    point = CP3Point(np.array([0.6, eps, np.sqrt(0.52 - eps * eps), 0.4j])[list(order)])
+@pytest.mark.parametrize("phases", [(0.0, 0.0, 0.0, 0.0), (0.4, 2.2, -1.3, 0.9)])
+def test_inversion_near_a_degenerate_pole(eps, order, phases):
+    # z1 = eps puts the minus pole's Hopf r + 1 at about 4 eps^2, which
+    # underflows for eps below 1e-154 (an r + 1 formed from x^2 + u^2 unscaled
+    # then took the pole for the degenerate one, and the round trip missed by
+    # 1.0); the order (1, 0, 3, 2) moves eps to z0, the plus side
+    coords = np.array([0.6, eps, np.sqrt(0.52 - eps * eps), 0.4j])[list(order)]
+    point = CP3Point(coords * np.exp(1j * np.array(phases)))
     params, theta = invert_circle(point)
     assert np.all(np.isfinite([*vars(params).values(), theta]))
     assert circle_point(params, theta).projective_distance(point) < IN_BAND_BOUND
@@ -391,24 +394,72 @@ def _near_pole_point(log_small, plus_side, t, phases):
 
 @settings(max_examples=300)
 @given(
-    log_small=st.floats(-14.0, -2.0),
+    log_small=st.floats(-323.0, -2.0),
     plus_side=st.booleans(),
     t=st.floats(0.0, 1.4),
     phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=4, max_size=4),
 )
 def test_inversion_round_trip_across_the_band(log_small, plus_side, t, phases):
-    coords = _near_pole_point(log_small, plus_side, t, phases)
-    a, b = (coords[0], coords[3]) if plus_side else (coords[1], coords[2])
-    r_plus_one = 2.0 * abs(a) ** 2 / (abs(a) ** 2 + abs(b) ** 2)
-    point = CP3Point(coords)
+    # the chart forms r + 1 without cancellation and decides degeneracy by exact
+    # zero, so the round trip is exact to rounding at every distance from the
+    # pole (it missed by 5e-13 when r + 1 cancelled, by up to 7.1e-5 when
+    # |r + 1| < 1e-8 snapped to the pole)
+    point = CP3Point(_near_pole_point(log_small, plus_side, t, phases))
     params, theta = invert_circle(point)
-    miss = circle_point(params, theta).projective_distance(point)
-    if r_plus_one >= DEGENERATE_EPS:
-        # the chart forms r + 1 without cancellation, so outside the band the
-        # round trip is exact to rounding (it missed by 5e-13 when r + 1 cancelled)
-        assert miss < 1e-14
-    else:
-        assert miss < np.sqrt(r_plus_one / 2.0)
+    assert circle_point(params, theta).projective_distance(point) < 1e-14
+
+
+def _pole_near_degenerate(eps, phi):
+    """Unit (r, x, u) with r + 1 = eps and (x, u) at angle phi: sqrt(1 - r^2) = sqrt(eps (2 - eps))."""
+    mag = np.sqrt(eps * (2.0 - eps))
+    return -1.0 + eps, mag * np.cos(phi), mag * np.sin(phi)
+
+
+def _chart_pole(r_plus_one, x, u, plus):
+    """The chart's unit pole [r + 1, -u + i x] (plus, on coordinates 0 and 3) or
+    [r + 1, u + i x] (minus, on 1 and 2), from r + 1 as given, without snapping."""
+    c = np.zeros(4, dtype=complex)
+    lead, tail = (0, 3) if plus else (1, 2)
+    c[lead], c[tail] = r_plus_one, (-u if plus else u) + 1j * x
+    # scaled to a largest modulus of 1 first, part by part: |c|^2 underflows
+    # for a tiny tail, and 1 / |c| overflows for a subnormal one
+    m = np.max(np.abs(c))
+    c = c.real / m + 1j * (c.imag / m)
+    return c / np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("eps, mag", [(eps, np.sqrt(eps * (2.0 - eps))) for eps in (1e-9, 1e-12, 1e-14)]
+                         + [(0.0, mag) for mag in (1e-160, 1e-200, 1e-300, 5e-324)])
+@pytest.mark.parametrize("plus_side", [True, False])
+def test_circle_point_near_a_pole_keeps_the_poles_phase(eps, mag, plus_side):
+    # the pole (-1 + eps, x, u) with |(x, u)| = mag and x != 0 is not the
+    # degenerate pole: the phase of its tail enters the circle point (snapping
+    # |r + 1| < 1e-8 to the degenerate pole dropped it, and the point missed by
+    # up to 0.97); for mag below 1e-154 its r + 1 = mag^2 / 2 underflows, and an
+    # unscaled x^2 + u^2 dropped the phase the same way
+    other, theta = (0.2, -0.6, np.sqrt(0.6)), 1.1
+    for phi in np.linspace(0.3, 6.0, 7):
+        near = (-1.0 + eps, mag * np.cos(phi), mag * np.sin(phi))
+        params = PolarPairParams(*near, *other) if plus_side else PolarPairParams(*other, *near)
+        plus = _chart_pole(eps if plus_side else 1.2, *(near if plus_side else other)[1:], plus=True)
+        minus = _chart_pole(1.2 if plus_side else eps, *(other if plus_side else near)[1:], plus=False)
+        expected = CP3Point((minus + np.exp(1j * theta) * plus) / np.sqrt(2.0))
+        assert circle_point(params, theta).projective_distance(expected) <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-20, 1e-50, 1e-100, 1e-200, 1e-300])
+def test_closed_form_agrees_near_a_pole_at_every_scale(eps):
+    # the generic branch is a formula in r + 1, formed as the chart forms it, so
+    # it holds at every normal r + 1 (with r + 1 formed by cancellation it
+    # missed by 3.8e-9 at 1e-8, and a degenerate branch took every |r + 1| < 1e-8)
+    other = (0.2, -0.6, np.sqrt(0.6))
+    for phi, theta in zip(np.linspace(0.3, 6.0, 5), np.linspace(0.5, 5.5, 5)):
+        near_plus, near_minus = _pole_near_degenerate(eps, phi), _pole_near_degenerate(eps, phi + 2.0)
+        for params in (PolarPairParams(*near_plus, *other), PolarPairParams(*other, *near_minus),
+                       PolarPairParams(*near_plus, *near_minus)):
+            closed, branch = circle_closed_form(params, theta)
+            assert branch == "generic"
+            assert np.max(np.abs(closed.coeffs - circle_form(params, theta).coeffs)) <= 1e-12
 
 
 def test_polar_containment_near_a_pole_is_exact_to_rounding():
