@@ -133,9 +133,9 @@ def _draw_polar(rng, row_seeds):
 
 
 def _draw_edge01(rng, row_seeds):
-    from .zgeom import _rows, _unit3, edge01_form
+    from .zgeom import _draw, edge01_form
 
-    return acs_from_form(edge01_form(*_rows(len(row_seeds), lambda: _unit3(rng))))
+    return acs_from_form(edge01_form(*_draw(rng, len(row_seeds), 1, angle=False)))
 
 
 #: per sample set, a stack of structures for the rows with seeds [seed, k]

@@ -37,7 +37,7 @@ from .nijenhuis import (
     nijenhuis_norm,
     norm_law_residual,
 )
-from .zgeom import _angle, _random_ank, _random_circle, _rows, _unit3
+from .zgeom import _draw, _random_ank, _random_circle
 
 #: literature values reported alongside measurements
 PAPER_MAX_NORM = 8.0 * math.sqrt(3.0)
@@ -101,7 +101,7 @@ def check_cp3_fixtures() -> CheckResult:
 
 def check_edge01(seed: int) -> CheckResult:
     def residuals(rng, n):
-        s, c1, c2 = _rows(n, lambda: _unit3(rng))
+        s, c1, c2 = _draw(rng, n, 1, angle=False)
         return [np.abs(zgeom.edge01_form(s, c1, c2).coeffs - zgeom.edge01_closed_form(s, c1, c2).coeffs)]
 
     return _result("edge01_family", _worst(np.random.default_rng([seed, 101]), 100, residuals), 1e-9)
@@ -125,7 +125,7 @@ _BOTH_DEGENERATE = zgeom.PolarPairParams(-1.0, 0.0, 0.0, -1.0, 0.0, 0.0)
 
 def check_circle_degenerate(seed: int) -> CheckResult:
     def params(rng, n):
-        return _BOTH_DEGENERATE, _rows(n, lambda: _angle(rng))[0]
+        return _BOTH_DEGENERATE, _draw(rng, n, 0)[0]
 
     worst = _branch_worst(seed, 102, params)
     # degenerate display is also compared verbatim
@@ -143,11 +143,11 @@ def check_circle_generic(seed: int) -> CheckResult:
 
 def check_circle_mixed(seed: int) -> CheckResult:
     def minus_deg(rng, n):
-        r, x, u, theta = _rows(n, lambda: (*_unit3(rng), _angle(rng)))
+        r, x, u, theta = _draw(rng, n, 1)
         return zgeom.PolarPairParams(r, x, u, -1.0, 0.0, 0.0), theta
 
     def plus_deg(rng, n):
-        r, x, u, theta = _rows(n, lambda: (*_unit3(rng), _angle(rng)))
+        r, x, u, theta = _draw(rng, n, 1)
         return zgeom.PolarPairParams(-1.0, 0.0, 0.0, r, x, u), theta
 
     worst = max(_branch_worst(seed, 105, minus_deg), _branch_worst(seed, 106, plus_deg))
@@ -187,10 +187,10 @@ def _seam_limit_residuals(fixed, theta: np.ndarray) -> np.ndarray:
 
 def check_circle_seam(seed: int) -> CheckResult:
     def residuals(rng, n):
-        *fixed, theta = _rows(n, lambda: (*_unit3(rng), _angle(rng)))
+        *fixed, theta = _draw(rng, n, 1)
         return [_seam_limit_residuals(fixed, theta)]
 
-    # 1e-6: the extrapolation's truncation error is <= 4.8e-12 (seeds 0-29), a
+    # 1e-6: the extrapolation's truncation error is <= 4.9e-12 (seeds 0-29), a
     # jump at the seam order 1 (the gap at the coarsest sample alone is ~7e-3)
     return _result("circle_branch_seam", _worst(np.random.default_rng([seed, 107]), 5, residuals), 1e-6)
 
@@ -274,7 +274,7 @@ def check_polar_containment(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 112])
     worst = np.maximum(_worst(rng, 50, ank_members), _worst(rng, 50, polar_points))
     # 1e-12: the inner products and the circle round trip are exact to rounding
-    # (<= 6.4e-16, seeds 0-29), a point off the set or a wrong pole misses by order 1
+    # (<= 6.7e-16, seeds 0-29), a point off the set or a wrong pole misses by order 1
     return _result("polar_containment", worst, 1e-12)
 
 

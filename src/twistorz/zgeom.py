@@ -54,7 +54,7 @@ from .kernels import _scalar
 
 def edge01_form(s, c1, c2) -> TwoForm:
     """Constructive fundamental form of the point [s, c1 + i c2, 0, 0]."""
-    _check_unit3(s, c1, c2)
+    _check_unit_sphere(s, c1, c2)
     s, c1, c2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (s, c1, c2)))
     coords = np.zeros(s.shape + (4,), dtype=complex)
     coords[..., 0] = s
@@ -67,7 +67,7 @@ def edge01_closed_form(s, c1, c2) -> TwoForm:
 
         e1^e2 + r (e3^e4 + e5^e6) + u (e3^e5 - e4^e6) + x (e3^e6 + e4^e5)
     """
-    _check_unit3(s, c1, c2)
+    _check_unit_sphere(s, c1, c2)
     r = 2.0 * s * s - 1.0
     u = 2.0 * s * c2
     x = -2.0 * s * c1
@@ -84,14 +84,15 @@ def edge01_closed_form(s, c1, c2) -> TwoForm:
     )
 
 
-def _check_unit3(*vals) -> None:
+def _check_unit_sphere(*vals) -> None:
     """Raise for the first element of (arrays of) triples off the unit sphere.
 
     A triple off the sphere by d gives closed forms off Z by about d, so the
-    sphere is held to the tolerance at which structures validate.
+    sphere is held to the tolerance at which structures validate; a
+    non-finite triple is off it too.
     """
     s = sum(np.asarray(v, dtype=float) ** 2 for v in vals)
-    failure = first_failure(np.abs(s - 1.0) > DEFAULT_TOL)
+    failure = first_failure(~(np.abs(s - 1.0) <= DEFAULT_TOL))
     if failure is not None:
         member = failure[1]
         message = f"parameters must lie on the unit sphere (|.|^2 = {s[member]})"
@@ -117,8 +118,8 @@ class PolarPairParams:
     u_minus: float
 
     def __post_init__(self):
-        _check_unit3(self.r_plus, self.x_plus, self.u_plus)
-        _check_unit3(self.r_minus, self.x_minus, self.u_minus)
+        _check_unit_sphere(self.r_plus, self.x_plus, self.u_plus)
+        _check_unit_sphere(self.r_minus, self.x_minus, self.u_minus)
 
 
 def _r_plus_one(r, x, u):
@@ -166,7 +167,7 @@ def polar_pair_points(p: PolarPairParams) -> tuple[CP3Point, CP3Point]:
 
 def pole_plus_closed_form(r, x, u) -> TwoForm:
     """Corrected closed form of a pole on the edge through vertices 0 and 3."""
-    _check_unit3(r, x, u)
+    _check_unit_sphere(r, x, u)
     return TwoForm.from_pairs(
         {(4, 5): 1.0, (0, 1): r, (2, 3): r, (0, 2): x, (1, 3): -x, (0, 3): u, (1, 2): u}
     )
@@ -174,7 +175,7 @@ def pole_plus_closed_form(r, x, u) -> TwoForm:
 
 def pole_minus_closed_form(r, x, u) -> TwoForm:
     """Corrected closed form of a pole on the edge through vertices 1 and 2."""
-    _check_unit3(r, x, u)
+    _check_unit_sphere(r, x, u)
     return TwoForm.from_pairs(
         {(4, 5): -1.0, (0, 1): r, (2, 3): -r, (0, 2): x, (1, 3): x, (0, 3): u, (1, 2): -u}
     )
@@ -427,31 +428,28 @@ def invert_ank_circle(acs: ACS) -> tuple[float, float, float, float]:
     return params.r_plus, params.x_plus, params.u_plus, theta
 
 
-def _unit3(rng: np.random.Generator) -> tuple[float, float, float]:
-    """Uniform point of the unit 2-sphere: one normal draw of size 3."""
-    v = rng.standard_normal(3)
-    v /= np.linalg.norm(v)
-    return float(v[0]), float(v[1]), float(v[2])
-
-
-def _angle(rng: np.random.Generator) -> float:
-    """Uniform angle in [0, 2 pi): one uniform draw."""
-    return float(rng.uniform(0.0, 2.0 * np.pi))
-
-
-def _rows(n: int, draw) -> np.ndarray:
-    """Columns (k, n) of n rows ``draw()``: n structures drawn one at a time, in order."""
-    return np.ascontiguousarray(np.array([draw() for _ in range(n)], dtype=float).reshape(n, -1).T)
+def _draw(rng: np.random.Generator, n: int, triples: int, angle: bool = True) -> np.ndarray:
+    """Columns (k, n) of n random rows, drawn as one normal array (n, 3 triples + 2 angle).
+    Each row reads its own row of normals: three per unit triple, normalized, then two,
+    (a, b), for the angle atan2(b, a) in (-pi, pi], uniform since the planar normal is
+    rotation-invariant.  So n rows draw what n one-row draws do, at every chunking."""
+    g = rng.standard_normal((n, 3 * triples + 2 * angle))
+    v = g[:, :3 * triples].reshape(n, triples, 3)
+    units = (v / np.sqrt(np.vecdot(v, v))[..., None]).reshape(n, 3 * triples)
+    angles = np.arctan2(g[:, -1:], g[:, -2:-1]) if angle else g[:, :0]
+    return np.ascontiguousarray(np.concatenate([units, angles], axis=1).T)
 
 
 def _random_ank(rng: np.random.Generator, n: int) -> ACS:
-    """n random members of the ANK set (a stack): each a unit pole triple, then an angle."""
-    return ank_circle_acs(*_rows(n, lambda: (*_unit3(rng), _angle(rng))))
+    """n random members of the ANK set (a stack); a row draws a unit pole triple, then an
+    angle: 5 normals (see :func:`_draw`)."""
+    return ank_circle_acs(*_draw(rng, n, 1))
 
 
 def _random_circle(rng: np.random.Generator, n: int) -> tuple[PolarPairParams, np.ndarray]:
-    """Parameters of n random equatorial points: each two unit pole triples, then an angle."""
-    *params, theta = _rows(n, lambda: (*_unit3(rng), *_unit3(rng), _angle(rng)))
+    """Parameters of n random equatorial points; a row draws the plus then the minus
+    pole's unit triple, then an angle: 8 normals (see :func:`_draw`)."""
+    *params, theta = _draw(rng, n, 2)
     return PolarPairParams(*params), theta
 
 

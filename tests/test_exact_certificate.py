@@ -29,6 +29,8 @@ The nearly-Kaehler defect is the law again: with the connection doubled to
 the integer bracket (2 nabla = [ , ]), the symmetrization that
 ``nk_defect`` norms satisfies sum (2 S(sJ))^2 = 4 (6 s^2 + 2 |c~|^2), so
 nk_defect^2 = 6 + 2 |c|^2 = 8 - |N|^2 / 24: sqrt(6) exactly on the ANK set.
+Its basis terms alone are |c| too: sum_{i,j} ((nabla_{e_i} w)(e_i, e_j))^2 =
+|c|^2, so the basis identity holds exactly on the ANK set and nowhere else.
 The float checks of the norm law stay: they exercise the shipped kernel, this
 module the algebra it implements.
 """
@@ -37,10 +39,10 @@ import numpy as np
 from sympy import ZZ, ring
 
 from twistorz import kernels
-from twistorz.acs import _random_structures, ank_reference_acs
+from twistorz.acs import _random_structures, ank_reference_acs, blocks
 from twistorz.algebra import STRUCTURE_CONSTANTS
 from twistorz.cp3 import CP3Point, _FORWARD, acs_to_cp3, cp3_to_acs
-from twistorz.nearly_kaehler import nk_defect
+from twistorz.nearly_kaehler import _nabla_tensor, nk_defect
 from twistorz.zgeom import _hopf_pole, _random_ank, ank_circle_params, circle_point
 
 # z_k = a_k + i b_k, and lambda = l1 + i l2 for the closed form of the ANK set
@@ -160,18 +162,31 @@ def test_kernel_norm_is_the_quadric_in_floats():
     assert np.max(np.abs(kernels.nijenhuis_norm_sq(cp3_to_acs(z).matrix) - quadric)) <= 1e-12
 
 
-def _defect_law(ct: list):
-    """sum (2 S)^2 - 4 (6 s^2 + 2 |c~|^2) on K = sJ, where 2 S is the symmetrization
-    S(e_i, e_j; e_l) = (nabla_{e_i} w)(e_j, e_l) + (nabla_{e_j} w)(e_i, e_l) of
-    ``nk_defect``, with nabla doubled to the bracket of structure constants ``ct``."""
+def _doubled_nabla(ct: list) -> tuple[list, list]:
+    """(K, d) on K = sJ, d[i][j][l] = 2 (nabla_{e_i} w)(e_j, e_l), with nabla doubled
+    to the bracket of structure constants ``ct``."""
     k = _scaled_structure(_integral(_FORWARD))
     # f[i][j][l] = -w([e_i, e_j], e_l) = -sum_m ct[m][i][j] K[l][m], as w has matrix K^T
     f = [[[sum((-ct[m][i][j] * k[l][m] for m in range(6) if ct[m][i][j]), R.zero) for l in range(6)]
           for j in range(6)] for i in range(6)]
-    # d[i][j][l] = 2 (nabla_{e_i} w)(e_j, e_l): f and its swap in j and l
-    d = [[[f[i][j][l] - f[i][l][j] for l in range(6)] for j in range(6)] for i in range(6)]
+    # f and its swap in j and l
+    return k, [[[f[i][j][l] - f[i][l][j] for l in range(6)] for j in range(6)] for i in range(6)]
+
+
+def _defect_law(ct: list):
+    """sum (2 S)^2 - 4 (6 s^2 + 2 |c~|^2) on K = sJ, where 2 S is the symmetrization
+    S(e_i, e_j; e_l) = (nabla_{e_i} w)(e_j, e_l) + (nabla_{e_j} w)(e_i, e_l) of
+    ``nk_defect``."""
+    k, d = _doubled_nabla(ct)
     symmetrized = [d[i][j][l] + d[j][i][l] for i in range(6) for j in range(6) for l in range(6)]
     return sum(v * v for v in symmetrized) - 4 * (6 * S**2 + 2 * sum(v * v for v in _c_tilde(k)))
+
+
+def _basis_law(ct: list):
+    """sum_{i,j} d[i][i][j]^2 - 4 |c~|^2 on K = sJ: the basis terms (nabla_{e_i} w)(e_i, e_j)
+    that ``nk_basis_identity`` checks have squares summing to |c|^2."""
+    k, d = _doubled_nabla(ct)
+    return sum(d[i][i][j] ** 2 for i in range(6) for j in range(6)) - 4 * sum(v * v for v in _c_tilde(k))
 
 
 def test_nk_defect_is_the_norm_law_again():
@@ -183,6 +198,30 @@ def test_a_corrupted_structure_constant_breaks_the_defect_identity():
     ct = _integral(STRUCTURE_CONSTANTS)
     ct[2][0][1] = -ct[2][0][1]
     assert _defect_law(ct) != R.zero
+
+
+def test_nk_basis_identity_is_c():
+    # sum (2 s nabla_{e_i} w (e_i, e_j))^2 = 4 s^2 |c|^2: the basis identity holds exactly on the ANK set
+    assert _basis_law(_integral(STRUCTURE_CONSTANTS)) == R.zero
+
+
+def test_a_corrupted_structure_pair_breaks_the_basis_identity():
+    # the identity is a sum of squares, so a sign flip of one constant keeps it;
+    # doubling the antisymmetric pair c^0_12 = -c^0_21 does not
+    ct = _integral(STRUCTURE_CONSTANTS)
+    assert ct[0][1][2] == -ct[0][2][1] != 0
+    ct[0][1][2] *= 2
+    ct[0][2][1] *= 2
+    assert _basis_law(ct) != R.zero
+
+
+def test_nk_basis_identity_is_c_in_floats():
+    # the shipped _nabla_tensor's basis terms against |c|^2 on random members of Z
+    # (order-1 values; measured 5.6e-16)
+    acs = _random_structures(range(500))
+    d = _nabla_tensor(acs)
+    c = blocks(acs).c
+    assert np.max(np.abs(np.sum(d[:, range(6), range(6), :] ** 2, axis=(-2, -1)) - np.vecdot(c, c))) <= 1e-12
 
 
 def test_nk_defect_is_the_norm_law_in_floats():

@@ -62,7 +62,19 @@ from twistorz.nijenhuis import (
     nijenhuis_tensor,
     norm_law_residual,
 )
-from twistorz.zgeom import _angle, _random_ank, _unit3
+from twistorz.zgeom import _draw, _random_ank
+
+
+def _one(rng, triples, angle=True):
+    """One row of the samplers' draw layout, as floats: :func:`zgeom._draw` at n = 1."""
+    return [float(c[0]) for c in _draw(rng, 1, triples, angle)]
+
+
+def _circle_row(rng):
+    """(params, theta) of one random equatorial point, drawn as a sampler row."""
+    *params, theta = _one(rng, 2)
+    return zgeom.PolarPairParams(*params), theta
+
 
 SIZES = [1, 7]
 
@@ -254,7 +266,7 @@ def _points(n, seed=0):
 def _circle_columns(n, seed=0):
     """Seven columns (pole pair parameters, angle); for n > 3 rows 0-2 are degenerate branches."""
     rng = np.random.default_rng([seed, 6])
-    rows = np.array([[*_unit3(rng), *_unit3(rng), _angle(rng)] for _ in range(n)])
+    rows = np.array([_one(rng, 2) for _ in range(n)])
     if n > 3:
         rows[0, :6] = [-1.0, 0.0, 0.0, -1.0, 0.0, 0.0]
         rows[1, 3:6] = [-1.0, 0.0, 0.0]
@@ -359,10 +371,26 @@ def test_inversion_picks_each_members_branch_as_its_single_call_does():
     _same(np.array(zgeom.invert_ank_circle(acs)).T, [zgeom.invert_ank_circle(ACS(m)) for m in acs.matrix])
 
 
+@pytest.mark.parametrize("n", [1, 7, 100])
+@pytest.mark.parametrize("triples, angle", [(1, False), (0, True), (1, True), (2, True)])
+def test_draw_layout_is_one_normal_row_per_row(n, triples, angle):
+    chunk_rng, row_rng = np.random.default_rng(17), np.random.default_rng(17)
+    cols = _draw(chunk_rng, n, triples, angle)
+    rows = []
+    for _ in range(n):
+        g = row_rng.standard_normal(3 * triples + 2 * angle)
+        units = [v / np.linalg.norm(v) for v in g[:3 * triples].reshape(triples, 3)]
+        angles = [[np.arctan2(g[-1], g[-2])]] if angle else []
+        rows.append(np.concatenate(units + angles))
+    _same(cols, np.array(rows).T)
+    assert cols.flags.c_contiguous
+    assert chunk_rng.standard_normal() == row_rng.standard_normal()
+
+
 def test_draws_match_loop_and_leave_rng_alike():
     for draw, single in (
         (lambda rng: _random_ank(rng, 7).matrix,
-         lambda rng: zgeom.ank_circle_acs(*_unit3(rng), _angle(rng)).matrix),
+         lambda rng: zgeom.ank_circle_acs(*_one(rng, 1)).matrix),
         (lambda rng: zgeom.sample_polar_point(rng, (7,)).coords,
          lambda rng: zgeom.sample_polar_point(rng).coords),
     ):
@@ -418,7 +446,7 @@ def _loop_edge01(seed):
     rng = np.random.default_rng([seed, 101])
     worst = 0.0
     for _ in range(100):
-        s, c1, c2 = _unit3(rng)
+        s, c1, c2 = _one(rng, 1, angle=False)
         gap = zgeom.edge01_form(s, c1, c2).coeffs - zgeom.edge01_closed_form(s, c1, c2).coeffs
         worst = max(worst, float(np.max(np.abs(gap))))
     return worst
@@ -439,23 +467,30 @@ def _loop_branch(seed, tag, draw, count=40):
 
 def _loop_circle_degenerate(seed):
     p = zgeom.PolarPairParams(-1.0, 0.0, 0.0, -1.0, 0.0, 0.0)
-    worst = _loop_branch(seed, 102, lambda rng: (p, _angle(rng)))
+    worst = _loop_branch(seed, 102, lambda rng: (p, *_one(rng, 0)))
     rng = np.random.default_rng([seed, 103])
     for _ in range(10):
-        theta = _angle(rng)
+        theta, = _one(rng, 0)
         printed, _ = zgeom.printed_circle_form(p, theta)
         worst = max(worst, float(np.max(np.abs(zgeom.circle_form(p, theta).coeffs - printed.coeffs))))
     return worst
 
 
 def _loop_circle_generic(seed):
-    return _loop_branch(seed, 104, lambda rng: (zgeom.PolarPairParams(*_unit3(rng), *_unit3(rng)), _angle(rng)))
+    return _loop_branch(seed, 104, _circle_row)
+
+
+def _mixed_row(rng, plus_side):
+    """(params, theta) with one random pole, the plus pole if ``plus_side``, and the other degenerate."""
+    *pole, theta = _one(rng, 1)
+    degenerate = [-1.0, 0.0, 0.0]
+    return zgeom.PolarPairParams(*(pole + degenerate if plus_side else degenerate + pole)), theta
 
 
 def _loop_circle_mixed(seed):
     return max(
-        _loop_branch(seed, 105, lambda rng: (zgeom.PolarPairParams(*_unit3(rng), -1.0, 0.0, 0.0), _angle(rng))),
-        _loop_branch(seed, 106, lambda rng: (zgeom.PolarPairParams(-1.0, 0.0, 0.0, *_unit3(rng)), _angle(rng))),
+        _loop_branch(seed, 105, lambda rng: _mixed_row(rng, True)),
+        _loop_branch(seed, 106, lambda rng: _mixed_row(rng, False)),
     )
 
 
@@ -480,14 +515,13 @@ def _loop_circle_seam(seed):
     rng = np.random.default_rng([seed, 107])
     worst = 0.0
     for _ in range(5):
-        fixed = _unit3(rng)
-        theta = _angle(rng)
+        *fixed, theta = _one(rng, 1)
         worst = max(worst, _loop_seam_residual(theta, fixed, True), _loop_seam_residual(theta, fixed, False))
     return worst
 
 
 def _single_ank(rng):
-    return zgeom.ank_circle_acs(*_unit3(rng), _angle(rng))
+    return zgeom.ank_circle_acs(*_one(rng, 1))
 
 
 def _loop_ank_cover(seed):
@@ -563,10 +597,8 @@ _ROW_SAMPLERS = {
     "ank": lambda rng, _: _single_ank(rng),
     "integrable": lambda rng, _: integrable_acs(haar_rotation(3, rng), haar_rotation(3, rng)),
     "random": lambda _, row_seed: random_acs(row_seed),
-    "polar": lambda rng, _: cp3_to_acs(
-        zgeom.circle_point(zgeom.PolarPairParams(*_unit3(rng), *_unit3(rng)), _angle(rng))
-    ),
-    "edge01": lambda rng, _: acs_from_form(zgeom.edge01_form(*_unit3(rng))),
+    "polar": lambda rng, _: cp3_to_acs(zgeom.circle_point(*_circle_row(rng))),
+    "edge01": lambda rng, _: acs_from_form(zgeom.edge01_form(*_one(rng, 1, angle=False))),
 }
 
 
