@@ -28,10 +28,9 @@ from .exceptions import (
     WrongOrientationError,
     ZeroFormError,
     at_member,
-    first_failure,
 )
 from .exterior import TwoForm
-from .kernels import _scalar
+from .kernels import _first_failure, _scalar
 
 #: the package's one exactness tolerance, for J^2 = -1, orthogonality, the
 #: integrable (N = 0), ANK (A = C = 0) and polar predicates: far above the
@@ -69,7 +68,7 @@ class ACS:
         if m.shape[-2:] != (DIM, DIM):
             raise NotComplexError("expected a finite 6x6 matrix")
         residuals = _residuals(m)
-        failure = first_failure(*_failed(residuals))
+        failure = _first_failure(*_failed(residuals))
         if failure is not None:
             check, member = failure
             error, message, reports_residual = _FAILURES[check]

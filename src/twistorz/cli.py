@@ -7,38 +7,25 @@ digits so byte-level determinism is checkable end to end.
 
 from __future__ import annotations
 
+import argparse
+import gc
+import json
+import math
 import os
+import sys
+
+# the top level is the stdlib and ``exceptions``, so the parser and every
+# input check run before numpy loads: a call rejected with exit 2 never
+# imports it.  Each ``_cmd_*`` imports only what it runs, so that ``optimize``
+# never loads (or, without a bytecode cache, compiles) ``verify``, ``zgeom``,
+# ``cp3`` or ``nearly_kaehler``
+from .exceptions import NotInZError, ParseError, TwistorError
 
 # numpy's bundled OpenBLAS starts a pool of threads at import that 6x6
 # linear algebra never uses; in a CLI process they only spin and burn CPU.
-# Set before numpy is first imported (``import twistorz`` does not import
-# it), and never over a value the user set
+# Set before a handler first imports numpy (``import twistorz`` does not
+# import it), and never over a value the user set
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import argparse  # noqa: E402
-import gc  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-# every subcommand runs ``acs`` and the modules it imports, so they are
-# imported here; each ``_cmd_*`` imports the rest as its first statements, so
-# that ``optimize`` never loads (or, without a bytecode cache, compiles)
-# ``verify``, ``zgeom``, ``cp3`` or ``nearly_kaehler``
-from .acs import (  # noqa: E402
-    ACS,
-    DEFAULT_TOL,
-    _random_structures,
-    acs_from_form,
-    blocks,
-    constraint_residuals,
-    fundamental_form,
-    polar_contains,
-)
-from .exceptions import NotInZError, ParseError, TwistorError  # noqa: E402
-from .exterior import TwoForm  # noqa: E402
-from .kernels import _chunk_sizes  # noqa: E402
 
 CSV_HEADER = "b0,b1,b2,b3,nijenhuis_norm,integrable,ank"
 
@@ -133,9 +120,16 @@ def _draw_polar(rng, row_seeds):
 
 
 def _draw_edge01(rng, row_seeds):
+    from .acs import acs_from_form
     from .zgeom import _draw, edge01_form
 
     return acs_from_form(edge01_form(*_draw(rng, len(row_seeds), 1, angle=False)))
+
+
+def _draw_random(rng, row_seeds):
+    from .acs import _random_structures
+
+    return _random_structures(row_seeds)
 
 
 #: per sample set, a stack of structures for the rows with seeds [seed, k]
@@ -144,7 +138,7 @@ def _draw_edge01(rng, row_seeds):
 _SAMPLERS = {
     "ank": _draw_ank,
     "integrable": _draw_integrable,
-    "random": lambda _, row_seeds: _random_structures(row_seeds),
+    "random": _draw_random,
     "polar": _draw_polar,
     "edge01": _draw_edge01,
 }
@@ -152,6 +146,10 @@ _SAMPLERS = {
 
 def _sample_structures(set_name: str, count: int, seed: int):
     """The sample's structures, one stack per chunk of rows."""
+    import numpy as np
+
+    from .kernels import _chunk_sizes
+
     rng = np.random.default_rng([seed, sum(map(ord, set_name))])
     draw = _SAMPLERS[set_name]
     start = 0
@@ -160,9 +158,10 @@ def _sample_structures(set_name: str, count: int, seed: int):
         start += n
 
 
-def _evaluate(acs: ACS):
+def _evaluate(acs):
     """(CP3 coordinates, tetrahedron coordinates, |N|, integrable, ank) of a
     structure, or per member of a stack: what ``classify`` and ``sample`` print."""
+    from .acs import DEFAULT_TOL
     from .cp3 import acs_to_cp3, tetra_coords
     from .nearly_kaehler import is_ank
     from .nijenhuis import nijenhuis_norm
@@ -218,19 +217,22 @@ def _parse_complex(text: str) -> complex:
         raise ParseError(f"cannot parse complex number {text!r}") from exc
 
 
-def _load_structure(args) -> ACS:
-    from .cp3 import CP3Point, cp3_to_acs
-
+def _load_structure(args):
+    """The structure that ``--cp3`` or ``--in`` names.  Every ``ParseError``
+    is raised in pure Python, before numpy or a numerical module loads."""
     if args.cp3 is not None:
         parts = args.cp3.split(",")
         if len(parts) != 4:
             raise ParseError("--cp3 needs four comma-separated complex coordinates")
-        coords = np.array([_parse_complex(p) for p in parts])
-        try:
-            point = CP3Point(coords)
-        except ValueError as exc:
-            raise ParseError(f"--cp3: {exc}") from exc
-        return cp3_to_acs(point)
+        coords = [_parse_complex(p) for p in parts]
+        # CP3Point's domain rule and messages, here so that a bad point never loads numpy
+        if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in coords):
+            raise ParseError("--cp3: expected 4 finite complex coordinates")
+        if not any(coords):
+            raise ParseError("--cp3: homogeneous coordinates cannot all vanish")
+        from .cp3 import cp3_to_acs
+
+        return cp3_to_acs(coords)
     try:
         with open(args.infile, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -238,17 +240,21 @@ def _load_structure(args) -> ACS:
         raise ParseError(f"cannot read structure document: {exc}") from exc
     matrix = doc.get("matrix") if isinstance(doc, dict) else None
     shape_error = "structure document needs a row-major list of 36 floats under 'matrix'"
-    # JSON numbers only: numpy would also parse strings, and bool is an int
+    # JSON numbers only: float() would also parse strings, and bool is an int
     if (not isinstance(matrix, list) or len(matrix) != 36
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in matrix)):
         raise ParseError(shape_error)
     try:
-        values = np.array(matrix, dtype=float)
+        values = [float(v) for v in matrix]
     except OverflowError as exc:  # an integer literal beyond the float range
         raise ParseError(f"{shape_error}: {exc}") from exc
-    if not np.isfinite(values).all():
+    if not all(map(math.isfinite, values)):
         raise ParseError("structure document has a non-finite matrix entry")
-    return ACS.validate(values.reshape(6, 6))
+    import numpy as np
+
+    from .acs import ACS
+
+    return ACS.validate(np.reshape(values, (6, 6)))
 
 
 def _cmd_classify(args) -> int:
@@ -258,6 +264,9 @@ def _cmd_classify(args) -> int:
         report = {"in_z": False, "reason": str(exc)}
         _print_report(report, report, args.json)
         return 1
+
+    from .acs import blocks, constraint_residuals, fundamental_form, polar_contains
+    from .exterior import TwoForm
 
     b = blocks(acs)
     coords, tetra, norm, integrable, ank = _evaluate(acs)
@@ -274,7 +283,7 @@ def _cmd_classify(args) -> int:
         "cp3": [f"{_fmt(z.real)}{z.imag:+.17g}i" for z in coords],
         "tetra": tuple(_fmt(v) for v in tetra),
         "polar_e5e6": polar_contains(TwoForm.basis(4, 5), fundamental_form(acs)),
-        "max_constraint_residual": _fmt(float(np.max(constraint_residuals(b)))),
+        "max_constraint_residual": _fmt(constraint_residuals(b).max()),
     }
     _print_report(report, [key for key in report if key != "blocks"], args.json)
     return 0

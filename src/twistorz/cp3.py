@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acs import ACS
-from .exceptions import at_member, first_failure
-from .kernels import _scalar
+from .exceptions import at_member
+from .kernels import _first_failure, _scalar
 
 #: ordered bivector index pairs
 BIVECTOR_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -62,7 +62,7 @@ class CP3Point:
         if c.shape[-1:] != (4,):
             raise ValueError("expected 4 finite complex coordinates")
         finite = np.isfinite(c).all(axis=-1)
-        failure = first_failure(~finite, finite & (np.abs(c).max(axis=-1) == 0.0))
+        failure = _first_failure(~finite, finite & (np.abs(c).max(axis=-1) == 0.0))
         if failure is not None:
             check, member = failure
             message = ("expected 4 finite complex coordinates",

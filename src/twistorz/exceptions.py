@@ -1,6 +1,6 @@
 """Typed failure modes for validation and geometry operations."""
 
-import numpy as np
+import math
 
 
 class TwistorError(Exception):
@@ -13,7 +13,7 @@ class ValidationError(TwistorError):
     def __init__(self, message: str, residual: float | None = None):
         if residual is not None:
             text = f"{residual:.3e}"
-            if np.isinf(float(text)) and np.isfinite(residual):  # .3e rounded past the largest float
+            if math.isinf(float(text)) and math.isfinite(residual):  # .3e rounded past the largest float
                 text = repr(float(residual))
             message = f"{message} (max residual {text})"
         super().__init__(message)
@@ -54,26 +54,6 @@ class NotRotationError(TwistorError):
 
 class ParseError(TwistorError):
     """Command-line or file input could not be parsed."""
-
-
-def first_failure(*failed):
-    """(check, member) of the first member of a stack that fails a check.
-
-    Each argument is a bool array over the stack's members (0-d for one
-    member), one per check in check order.  Members are taken in row-major
-    order; ``check`` is the position of the first check that member fails
-    and ``member`` its index tuple (``()`` for a single member).  None when
-    every member passes.
-    """
-    anything = failed[0]
-    for f in failed[1:]:
-        anything = anything | f
-    if not np.asarray(anything).any():
-        return None
-    failed = np.stack(np.broadcast_arrays(*failed))
-    any_failed = failed.any(axis=0)
-    member = tuple(int(i) for i in np.unravel_index(any_failed.argmax(), any_failed.shape))
-    return int(failed[(slice(None),) + member].argmax()), member
 
 
 def at_member(message: str, member: tuple[int, ...]) -> str:

@@ -24,8 +24,8 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import DIM
-from .exceptions import at_member, first_failure
-from .kernels import _scalar
+from .exceptions import at_member
+from .kernels import _first_failure, _scalar
 
 #: ordered index pairs (i, j), i < j, for the 15 basis 2-forms
 PAIRS: tuple[tuple[int, int], ...] = tuple(combinations(range(DIM), 2))
@@ -78,7 +78,7 @@ class TwoForm:
         # m + m^T of a computed antisymmetric matrix is rounding, far below
         # 1e-12 of its largest entry; a matrix that is not one misses by O(1)
         scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-        failure = first_failure(np.abs(m + m.mT).max(axis=(-2, -1)) > 1e-12 * scale)
+        failure = _first_failure(np.abs(m + m.mT).max(axis=(-2, -1)) > 1e-12 * scale)
         if failure is not None:
             raise ValueError(at_member("matrix is not antisymmetric", failure[1]))
         return cls(m[..., _ROWS, _COLS])

@@ -4,7 +4,8 @@ Every kernel takes one matrix or a stack (..., 6, 6) and returns one value
 per matrix; a single 6x6 input gives a Python float where a scalar is
 returned.  The public functions never call each other through their
 public names, so patching or wrapping one of them leaves the others
-unchanged.
+unchanged.  The private stack helpers beside them (chunk sizes, the scalar
+of a 0-d result, the first failing member) serve every numerical module.
 """
 
 from __future__ import annotations
@@ -32,6 +33,26 @@ def _chunk_sizes(total: int):
 def _scalar(x):
     """The Python scalar (float, int, bool) of a 0-d numpy result, an array as it is."""
     return x.item() if np.ndim(x) == 0 else x
+
+
+def _first_failure(*failed):
+    """(check, member) of the first member of a stack that fails a check.
+
+    Each argument is a bool array over the stack's members (0-d for one
+    member), one per check in check order.  Members are taken in row-major
+    order; ``check`` is the position of the first check that member fails
+    and ``member`` its index tuple (``()`` for a single member).  None when
+    every member passes.
+    """
+    anything = failed[0]
+    for f in failed[1:]:
+        anything = anything | f
+    if not np.asarray(anything).any():
+        return None
+    failed = np.stack(np.broadcast_arrays(*failed))
+    any_failed = failed.any(axis=0)
+    member = tuple(int(i) for i in np.unravel_index(any_failed.argmax(), any_failed.shape))
+    return int(failed[(slice(None),) + member].argmax()), member
 
 
 def nijenhuis_components(j: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import kernels
 from .acs import ACS, Blocks, DEFAULT_TOL, _haar_rotations, ank_reference_acs, blocks, hopf_acs
-from .exceptions import DomainError, NotRotationError, at_member, first_failure
-from .kernels import _scalar
+from .exceptions import DomainError, NotRotationError, at_member
+from .kernels import _first_failure, _scalar
 
 
 def nijenhuis_tensor(acs: ACS) -> np.ndarray:
@@ -56,7 +56,7 @@ def closed_form_norm(b: Blocks):
     for blocks with |c| > 1, naming the first such member of a stack.
     """
     rest = 1.0 - np.vecdot(b.c, b.c)
-    failure = first_failure(rest < -DEFAULT_TOL)  # the blocks of a structure valid to DEFAULT_TOL
+    failure = _first_failure(rest < -DEFAULT_TOL)  # the blocks of a structure valid to DEFAULT_TOL
     if failure is not None:
         member = failure[1]
         message = f"1 - |c|^2 = {rest[member]:.3e} < 0: not blocks of a valid structure"

@@ -471,6 +471,18 @@ def test_classify_cp3_invalid_point(capsys, coords, mode):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("coords", ["nan,1,1,1", "1,1e400,0,0", "nan,0,0,0", "0,0,0,0", "-0.0,0,0,0"])
+def test_classify_cp3_rejects_what_cp3point_rejects(capsys, coords):
+    # the command line checks --cp3 before numpy loads, with its own copy of
+    # CP3Point's domain rule; this keeps the two from drifting apart.  1e400
+    # parses to inf (the literal "inf" is no complex number to the parser,
+    # which reads "i" as the imaginary unit), and "--cp3=" keeps argparse
+    # from taking "-0.0,..." for an option
+    with pytest.raises(ValueError) as excinfo:
+        twistorz.cp3.CP3Point(np.array([complex(part) for part in coords.split(",")]))
+    assert run_cli(capsys, "classify", f"--cp3={coords}") == (2, "", f"error: --cp3: {excinfo.value}\n")
+
+
 # --- text reports ---------------------------------------------------------------
 
 

@@ -25,6 +25,10 @@ first two quadrics identically and turns the third into
 Lagrange's identity on the pairs (z0, z3) and (z1, z2) gives
 s^2 - |c~|^2 = 4 |q|^2 with q = z0 z2 - z1 z3, so with the law the norm
 is one complex quadric, |N|^2 = 4 kappa |q|^2 / |z|^4 = 192 |q|^2 / |z|^4.
+Its consequences are checked in floats on the shipped route: the integrable
+set lies on the quadric Q = {q = 0}, the ANK set on {|q| = |z|^2 / 2}, Q
+holds the tetrahedron edges 01, 12, 23 and 30, and edge 02 meets the ANK set
+in its circle |z0| = |z2|.
 The nearly-Kaehler defect is the law again: with the connection doubled to
 the integer bracket (2 nabla = [ , ]), the symmetrization that
 ``nk_defect`` norms satisfies sum (2 S(sJ))^2 = 4 (6 s^2 + 2 |c~|^2), so
@@ -36,13 +40,15 @@ module the algebra it implements.
 """
 
 import numpy as np
+import pytest
 from sympy import ZZ, ring
 
 from twistorz import kernels
 from twistorz.acs import _random_structures, ank_reference_acs, blocks
 from twistorz.algebra import STRUCTURE_CONSTANTS
-from twistorz.cp3 import CP3Point, _FORWARD, acs_to_cp3, cp3_to_acs
+from twistorz.cp3 import CP3Point, _FORWARD, acs_to_cp3, cp3_to_acs, tetra_coords
 from twistorz.nearly_kaehler import _nabla_tensor, nk_defect
+from twistorz.nijenhuis import _random_integrable, nijenhuis_norm
 from twistorz.zgeom import _hopf_pole, _random_ank, ank_circle_params, circle_point
 
 # z_k = a_k + i b_k, and lambda = l1 + i l2 for the closed form of the ANK set
@@ -151,15 +157,53 @@ def test_norm_is_one_complex_quadric():
     assert S**2 - sum(v * v for v in c) - 4 * (re_q**2 + im_q**2) == R.zero
 
 
+def _quadric(z: np.ndarray) -> np.ndarray:
+    """q = z0 z2 - z1 z3 per row of coordinates (..., 4)."""
+    return z[..., 0] * z[..., 2] - z[..., 1] * z[..., 3]
+
+
 def test_kernel_norm_is_the_quadric_in_floats():
     # the shipped kernel against 192 |q|^2 / |z|^4, at representatives of every scale from 0.1 to 10
     rng = np.random.default_rng(19)
     z = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
     z *= 10.0 ** rng.uniform(-1.0, 1.0, (500, 1))
-    q = z[:, 0] * z[:, 2] - z[:, 1] * z[:, 3]
-    quadric = 192.0 * np.abs(q) ** 2 / np.vecdot(z, z).real ** 2
+    quadric = 192.0 * np.abs(_quadric(z)) ** 2 / np.vecdot(z, z).real ** 2
     # |N|^2 <= 48 rounds to a few 1e-14 (measured 5.0e-14)
     assert np.max(np.abs(kernels.nijenhuis_norm_sq(cp3_to_acs(z).matrix) - quadric)) <= 1e-12
+
+
+def test_integrable_set_lies_on_the_quadric():
+    # |N| = 0 exactly where q = 0: the integrable set is the complex quadric Q
+    # (measured 2.2e-16 at acs_to_cp3's unit coordinates)
+    z = acs_to_cp3(_random_integrable(np.random.default_rng(20), 300)).coords
+    assert np.max(np.abs(_quadric(z))) <= 1e-13
+
+
+def test_ank_set_lies_on_half_the_quadric_bound():
+    # |N|^2 = 48 exactly where |q| = |z|^2 / 2 (measured 3.9e-16), and the ANK
+    # set's tetrahedron image is the segment b0 = b2, b1 = b3 (measured 5.6e-16)
+    point = acs_to_cp3(_random_ank(np.random.default_rng(21), 300))
+    assert np.max(np.abs(np.abs(_quadric(point.coords)) - 0.5)) <= 1e-13
+    b = tetra_coords(point)
+    assert np.max(np.abs(b[:, :2] - b[:, 2:])) <= 1e-13
+
+
+@pytest.mark.parametrize("edge", [(0, 1), (1, 2), (2, 3), (3, 0)])
+def test_four_tetrahedron_edges_lie_on_the_quadric(edge):
+    # q has no term in z_i z_j for these four edges, so every point of them is
+    # integrable (measured 2.7e-15)
+    rng = np.random.default_rng(22)
+    z = np.zeros((200, 4), dtype=complex)
+    z[:, edge] = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    assert np.max(nijenhuis_norm(cp3_to_acs(z))) <= 1e-13
+
+
+def test_edge02_meets_the_ank_set_in_its_circle():
+    # on [1 : 0 : lambda : 0] with |lambda| = 1, |q| = |z|^2 / 2, so |N| = sqrt(48)
+    # (measured 2.7e-15)
+    lam = np.exp(1j * np.random.default_rng(23).uniform(0.0, 2.0 * np.pi, 200))
+    z = np.stack([np.ones(200), np.zeros(200), lam, np.zeros(200)], axis=-1)
+    assert np.max(np.abs(nijenhuis_norm(cp3_to_acs(z)) - np.sqrt(48.0))) <= 1e-13
 
 
 def _doubled_nabla(ct: list) -> tuple[list, list]:

@@ -5,6 +5,7 @@ exactness tolerance that no public function lets a caller override."""
 import ast
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -117,26 +118,56 @@ def test_console_script_is_the_main_block_entry():
 
 
 #: modules that some subcommand leaves unloaded
-_DEFERRED = ("numpy.random", "twistorz.cp3", "twistorz.nearly_kaehler", "twistorz.search", "twistorz.verify",
-             "twistorz.zgeom")
+_DEFERRED = ("numpy", "numpy.random", "twistorz.cp3", "twistorz.nearly_kaehler", "twistorz.search",
+             "twistorz.verify", "twistorz.zgeom")
+
+
+def _main_in_child(*argv):
+    """(exit code, stdout, stderr, which of ``_DEFERRED`` are loaded) of a fresh interpreter after
+    ``import twistorz.cli`` and, given ``argv``, after ``cli.main(argv)``."""
+    script = ("import contextlib, io, json, sys\nfrom twistorz import cli\n"
+              "out, err = io.StringIO(), io.StringIO()\n"
+              "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              f"    code = cli.main({list(argv)!r}) if {list(argv)!r} else None\n"
+              f"print(json.dumps([code, out.getvalue(), err.getvalue(), [m for m in {_DEFERRED!r} if m in sys.modules]]))")
+    code, out, err, loaded = json.loads(_child(script))
+    return code, out, err, set(loaded)
 
 
 def _deferred_loaded(*argv):
-    """Which of ``_DEFERRED`` a fresh interpreter holds after ``import twistorz.cli`` and,
-    given ``argv``, after ``cli.main(argv)``."""
-    run = f"with contextlib.redirect_stdout(io.StringIO()): cli.main({list(argv)!r})\n" if argv else ""
-    code = ("import contextlib, io, sys\nfrom twistorz import cli\n" + run
-            + f"print(*[m for m in {_DEFERRED!r} if m in sys.modules])")
-    return set(_child(code).split())
+    """Which of ``_DEFERRED`` are loaded after ``import twistorz.cli`` and ``cli.main(argv)``."""
+    return _main_in_child(*argv)[3]
 
 
-def test_each_subcommand_loads_only_its_own_modules():
+def test_each_subcommand_loads_only_its_own_modules(tmp_path):
     assert _deferred_loaded() == set()
-    assert _deferred_loaded("optimize", "--restarts", "1") == {"numpy.random", "twistorz.search"}
-    geometry = {"twistorz.cp3", "twistorz.nearly_kaehler"}
+    assert _deferred_loaded("optimize", "--restarts", "1") == {"numpy", "numpy.random", "twistorz.search"}
+    geometry = {"numpy", "twistorz.cp3", "twistorz.nearly_kaehler"}
     assert _deferred_loaded("classify", "--cp3", "1,0,0,0") == geometry
     assert _deferred_loaded("sample", "--set", "ank", "--count", "1") == geometry | {"numpy.random", "twistorz.zgeom"}
     assert _deferred_loaded("verify") == set(_DEFERRED)
+    # a structure rejected as not in Z is never mapped to CP^3 or tested for ANK
+    off_z = tmp_path / "off_z.json"
+    off_z.write_text(json.dumps({"matrix": [0.5] * 36}), encoding="utf-8")
+    assert _deferred_loaded("classify", "--in", str(off_z)) == {"numpy"}
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["--cp3", "nan,1,1,1"], None), (["--cp3", "0,0,0,0"], None), (["--cp3", "1,2,3"], None),
+    (["--in"], "[0" + ", 0" * 35 + "]"),
+    (["--in"], '{"matrix": [NaN' + ", 0" * 35 + "]}"),
+    (["--in"], '{"matrix": [1' + "0" * 400 + ", 0" * 35 + "]}"),
+    (["--in"], None),
+], ids=["cp3-nan", "cp3-zero", "cp3-three", "bare-list", "nan", "huge-int", "missing-file"])
+def test_classify_input_errors_exit_before_numpy_loads(tmp_path, argv, document):
+    if argv == ["--in"]:
+        path = tmp_path / "structure.json"
+        if document is not None:
+            path.write_text(document, encoding="utf-8")
+        argv = ["--in", str(path)]
+    code, out, err, loaded = _main_in_child("classify", *argv)
+    assert (code, out, loaded) == (2, "", set())
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 #: exported functions that no subcommand runs, each with the reason it ships
