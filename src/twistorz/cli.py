@@ -12,6 +12,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 
 # the top level is the stdlib and ``exceptions``, so the parser and every
@@ -212,7 +213,8 @@ def _parse_complex(text: str) -> complex:
     if not cleaned:
         raise ParseError("empty complex literal")
     try:
-        return complex(cleaned.replace("i", "j"))
+        # "i" is the imaginary unit only at the end (before a ")"), not in "inf"
+        return complex(re.sub(r"i(\)?)$", r"j\1", cleaned))
     except ValueError as exc:
         raise ParseError(f"cannot parse complex number {text!r}") from exc
 
@@ -233,28 +235,23 @@ def _load_structure(args):
         from .cp3 import cp3_to_acs
 
         return cp3_to_acs(coords)
+    # every JSON number arrives as a float, an integer beyond the float range as inf;
+    # ValueError covers bytes that are not UTF-8 and text that is not JSON
     try:
         with open(args.infile, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh, parse_int=float)
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read structure document: {exc}") from exc
     matrix = doc.get("matrix") if isinstance(doc, dict) else None
-    shape_error = "structure document needs a row-major list of 36 floats under 'matrix'"
-    # JSON numbers only: float() would also parse strings, and bool is an int
-    if (not isinstance(matrix, list) or len(matrix) != 36
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in matrix)):
-        raise ParseError(shape_error)
-    try:
-        values = [float(v) for v in matrix]
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise ParseError(f"{shape_error}: {exc}") from exc
-    if not all(map(math.isfinite, values)):
+    if not isinstance(matrix, list) or len(matrix) != 36 or not all(type(v) is float for v in matrix):
+        raise ParseError("structure document needs a row-major list of 36 floats under 'matrix'")
+    if not all(map(math.isfinite, matrix)):
         raise ParseError("structure document has a non-finite matrix entry")
     import numpy as np
 
     from .acs import ACS
 
-    return ACS.validate(np.reshape(values, (6, 6)))
+    return ACS.validate(np.reshape(matrix, (6, 6)))
 
 
 def _cmd_classify(args) -> int:
@@ -345,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="classify one structure")
     group = p_classify.add_mutually_exclusive_group(required=True)
     group.add_argument("--in", dest="infile", help="JSON structure document")
-    group.add_argument("--cp3", help="four comma-separated complex coordinates, e.g. '1,0,0,-1'")
+    group.add_argument("--cp3", help="four comma-separated complex coordinates, e.g. '1,0,0,-1' "
+                       "or '-0.5,1i,0,2'")
     p_classify.add_argument("--json", action="store_true")
     p_classify.set_defaults(func=_cmd_classify)
 
@@ -361,8 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse takes a value that starts with "-" for an option unless it reads
+    # as a negative number; no option holds a comma, so a token after --cp3
+    # that holds one is its value
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] == "--cp3" and "," in token:
+            tokens[-1] = f"--cp3={token}"
+        else:
+            tokens.append(token)
+    args = build_parser().parse_args(tokens)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -50,7 +50,12 @@ BIVECTOR_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (2, 3), (
 
 @dataclass(frozen=True)
 class CP3Point:
-    """Homogeneous complex 4-tuple, or a stack (..., 4); equality is projective.
+    """Homogeneous complex 4-tuple, or a stack (..., 4).
+
+    Compare points with :meth:`projective_distance`, which is 0 for two
+    representatives of one point: ``==`` compares the coordinate arrays
+    (and raises ``ValueError`` unless both sides are one object), and a
+    point is not hashable.
 
     Every point of a stack is checked; the error names the first bad one.
     """

@@ -54,6 +54,16 @@ def test_zero_matrix_not_complex():
         ACS.validate(np.zeros((6, 6)))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ACS.validate(np.eye(5)), NotComplexError, "expected a finite 6x6 matrix"),
+    (lambda: vertex_acs(4), ValueError, "vertex index must be 0..3"),
+], ids=["validate-5x5", "vertex-4"])
+def test_malformed_input_raises_its_message(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_non_orthogonal_rejected(rng):
     # S J S^-1 still squares to -1 but is no longer metric-compatible
     s = np.eye(6) + 0.2 * rng.standard_normal((6, 6))

@@ -14,7 +14,7 @@ import twistorz.cp3
 import twistorz.kernels
 import twistorz.search
 import twistorz.verify
-from twistorz.acs import ank_reference_acs, random_acs
+from twistorz.acs import ank_reference_acs, hopf_acs, random_acs
 from twistorz.cli import CSV_HEADER, main
 
 
@@ -471,16 +471,42 @@ def test_classify_cp3_invalid_point(capsys, coords, mode):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("coords", ["nan,1,1,1", "1,1e400,0,0", "nan,0,0,0", "0,0,0,0", "-0.0,0,0,0"])
+@pytest.mark.parametrize("coords", ["nan,1,1,1", "1,inf,0,0", "1,1e400,0,0", "nan,0,0,0", "0,0,0,0", "-0.0,0,0,0"])
 def test_classify_cp3_rejects_what_cp3point_rejects(capsys, coords):
     # the command line checks --cp3 before numpy loads, with its own copy of
-    # CP3Point's domain rule; this keeps the two from drifting apart.  1e400
-    # parses to inf (the literal "inf" is no complex number to the parser,
-    # which reads "i" as the imaginary unit), and "--cp3=" keeps argparse
-    # from taking "-0.0,..." for an option
+    # CP3Point's domain rule; this keeps the two from drifting apart.  "inf"
+    # and 1e400 are infinite coordinates, not unparseable ones
     with pytest.raises(ValueError) as excinfo:
         twistorz.cp3.CP3Point(np.array([complex(part) for part in coords.split(",")]))
     assert run_cli(capsys, "classify", f"--cp3={coords}") == (2, "", f"error: --cp3: {excinfo.value}\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("coords", ["-1,0,0,0", "-0.5,1i,0,2"])
+def test_classify_cp3_value_may_start_with_a_minus(capsys, coords, mode):
+    # argparse would take "-1,0,0,0" for an option; a token after --cp3 with a comma is its value
+    code, out, err = run_cli(capsys, "classify", "--cp3", coords, *mode)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, "classify", f"--cp3={coords}", *mode)
+
+
+def test_classify_cp3_without_a_value_is_a_parser_error(capsys):
+    (line,) = _parser_rejects(capsys, "classify", "--cp3", "--json")
+    assert "--cp3: expected one argument" in line
+
+
+@pytest.mark.parametrize("zero", ["0", "-0"])
+def test_classify_in_reads_every_json_number_as_a_float(tmp_path, capsys, zero):
+    # the Hopf matrix in integer literals, its zeros spelled ``zero``, prints what its floats print
+    entries = hopf_acs().matrix.flatten()
+    spelled = {0.0: zero, 1.0: "1", -1.0: "-1"}
+    floats, integers = tmp_path / "floats.json", tmp_path / "integers.json"
+    floats.write_text(json.dumps({"matrix": entries.tolist()}), encoding="utf-8")
+    integers.write_text('{"matrix": [%s]}' % ", ".join(spelled[v] for v in entries), encoding="utf-8")
+    for mode in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "classify", "--in", str(integers), *mode)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "classify", "--in", str(floats), *mode)[1]
 
 
 # --- text reports ---------------------------------------------------------------

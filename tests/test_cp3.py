@@ -115,6 +115,13 @@ def test_rejects_zero_point():
         CP3Point(np.zeros(4, dtype=complex))
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 5)])
+def test_rejects_a_last_axis_other_than_4(shape):
+    with pytest.raises(ValueError) as excinfo:
+        CP3Point(np.ones(shape, dtype=complex))
+    assert str(excinfo.value) == "expected 4 finite complex coordinates"
+
+
 def _projective_map_from_images(images, extra_image):
     """PGL(4) element from the images of the four corners plus [1,1,1,1]."""
     basis = np.column_stack([img.coords for img in images])

@@ -35,6 +35,13 @@ the integer bracket (2 nabla = [ , ]), the symmetrization that
 nk_defect^2 = 6 + 2 |c|^2 = 8 - |N|^2 / 24: sqrt(6) exactly on the ANK set.
 Its basis terms alone are |c| too: sum_{i,j} ((nabla_{e_i} w)(e_i, e_j))^2 =
 |c|^2, so the basis identity holds exactly on the ANK set and nowhere else.
+The corrected pole displays are identities on the two poles: s omega is s times
+``pole_plus_closed_form`` on (alpha, 0, 0, beta) and ``pole_minus_closed_form``
+on (0, gamma, delta, 0), at (r, x, u) homogeneous in the coordinates.  In floats,
+every integrable structure is ``integrable_acs`` of the frames of its blocks'
+axial vectors (the converse of its docstring), Q maps to the saddle
+b0 b2 = b1 b3 of the tetrahedron and the polar set of e5^e6 to the plane
+b0 + b3 = 1/2.
 The float checks of the norm law stay: they exercise the shipped kernel, this
 module the algebra it implements.
 """
@@ -44,12 +51,21 @@ import pytest
 from sympy import ZZ, ring
 
 from twistorz import kernels
-from twistorz.acs import _random_structures, ank_reference_acs, blocks
+from twistorz.acs import _random_structures, ank_reference_acs, blocks, fundamental_form, polar_contains
 from twistorz.algebra import STRUCTURE_CONSTANTS
 from twistorz.cp3 import CP3Point, _FORWARD, acs_to_cp3, cp3_to_acs, tetra_coords
+from twistorz.exterior import PAIRS, TwoForm
 from twistorz.nearly_kaehler import _nabla_tensor, nk_defect
-from twistorz.nijenhuis import _random_integrable, nijenhuis_norm
-from twistorz.zgeom import _hopf_pole, _random_ank, ank_circle_params, circle_point
+from twistorz.nijenhuis import _random_integrable, integrable_acs, nijenhuis_norm
+from twistorz.zgeom import (
+    _hopf_pole,
+    _random_ank,
+    ank_circle_params,
+    circle_point,
+    pole_minus_closed_form,
+    pole_plus_closed_form,
+    sample_polar_point,
+)
 
 # z_k = a_k + i b_k, and lambda = l1 + i l2 for the closed form of the ANK set
 R, *GENS = ring("a0:4, b0:4, l1, l2", ZZ)
@@ -157,6 +173,49 @@ def test_norm_is_one_complex_quadric():
     assert S**2 - sum(v * v for v in c) - 4 * (re_q**2 + im_q**2) == R.zero
 
 
+def _affine_coefficients(closed_form) -> list:
+    """(F0, Fr, Fx, Fu), integral, with closed_form(r, x, u) = F0 + r Fr + x Fx + u Fu: the
+    shipped closed form read off at the unit points (+-1, 0, 0), (0, 1, 0) and (0, 0, 1)."""
+    def at(r, x, u):
+        return closed_form(r, x, u).coeffs
+
+    f0, fr = (at(1.0, 0.0, 0.0) + at(-1.0, 0.0, 0.0)) / 2, (at(1.0, 0.0, 0.0) - at(-1.0, 0.0, 0.0)) / 2
+    fx, fu = at(0.0, 1.0, 0.0) - f0, at(0.0, 0.0, 1.0) - f0
+    # affine in (r, x, u): checked at a unit point off every axis
+    assert np.max(np.abs(at(0.36, 0.48, 0.8) - (f0 + 0.36 * fr + 0.48 * fx + 0.8 * fu))) <= 1e-15
+    return [_integral(f) for f in (f0, fr, fx, fu)]
+
+
+def _pole_residual(closed_form, zeros: list, triple: tuple) -> list:
+    """The 15 coefficients of s omega minus s closed_form(triple / s) on the pole where the
+    generators ``zeros`` vanish; ``triple`` is s (r, x, u) there, so no relation is needed."""
+    on_pole = [(g, R.zero) for g in zeros]
+    k = _scaled_structure(_integral(_FORWARD))
+    f0, fr, fx, fu = _affine_coefficients(closed_form)
+    scaled = [S.compose(on_pole), *triple]
+    # s omega has matrix (sJ)^T: its (i, j) coefficient is k[j][i]
+    return [k[j][i].compose(on_pole) - sum(c[n] * v for c, v in zip((f0, fr, fx, fu), scaled))
+            for n, (i, j) in enumerate(PAIRS)]
+
+
+#: the generators that vanish on the plus pole u = (alpha, 0, 0, beta1 + i beta2), and s (r, x, u) there
+PLUS_POLE = ([B[0], A[1], B[1], A[2], B[2]], (A[0] ** 2 - A[3] ** 2 - B[3] ** 2, 2 * A[0] * B[3], -2 * A[0] * A[3]))
+#: the same for the minus pole u = (0, gamma, delta1 + i delta2, 0)
+MINUS_POLE = ([A[0], B[0], B[1], A[3], B[3]], (A[1] ** 2 - A[2] ** 2 - B[2] ** 2, 2 * A[1] * B[2], 2 * A[1] * A[2]))
+
+
+def test_pole_closed_forms_are_polynomial_identities():
+    # s omega = s pole_*_closed_form(r, x, u) at the unit triples of the two poles
+    assert _pole_residual(pole_plus_closed_form, *PLUS_POLE) == [R.zero] * 15
+    assert _pole_residual(pole_minus_closed_form, *MINUS_POLE) == [R.zero] * 15
+
+
+def test_a_flipped_u_breaks_the_minus_pole_identity():
+    # the minus pole's u = +2 gamma delta1 has the opposite sign of the plus pole's -2 alpha beta1
+    zeros, (r, x, u) = MINUS_POLE
+    assert _pole_residual(pole_minus_closed_form, zeros, (r, x, -u)) != [R.zero] * 15
+
+
 def _quadric(z: np.ndarray) -> np.ndarray:
     """q = z0 z2 - z1 z3 per row of coordinates (..., 4)."""
     return z[..., 0] * z[..., 2] - z[..., 1] * z[..., 3]
@@ -204,6 +263,47 @@ def test_edge02_meets_the_ank_set_in_its_circle():
     lam = np.exp(1j * np.random.default_rng(23).uniform(0.0, 2.0 * np.pi, 200))
     z = np.stack([np.ones(200), np.zeros(200), lam, np.zeros(200)], axis=-1)
     assert np.max(np.abs(nijenhuis_norm(cp3_to_acs(z)) - np.sqrt(48.0))) <= 1e-13
+
+
+def _axial(m: np.ndarray) -> np.ndarray:
+    """The vector w with m v = w x v, per antisymmetric 3x3 matrix of a stack."""
+    return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
+
+
+def _frame(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Rotations [w, v, m v] per block m = [w]x of unit w, with a random unit v orthogonal to w."""
+    w = _axial(m)
+    v = np.cross(w, rng.standard_normal(w.shape))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.stack([w, v, (m @ v[..., None])[..., 0]], axis=-1)
+
+
+def test_every_integrable_structure_is_an_integrable_acs():
+    # the converse in integrable_acs's docstring, on Segre points [a : mu a : mu b : b] of Q:
+    # the blocks' axial vectors, each completed to a frame, are the rotation pair
+    rng = np.random.default_rng(24)
+    a, b, mu = rng.standard_normal((3, 300)) + 1j * rng.standard_normal((3, 300))
+    acs = cp3_to_acs(np.stack([a, mu * a, mu * b, b], axis=-1))
+    assert np.max(nijenhuis_norm(acs)) <= 1e-13  # measured 2.0e-15
+    block = blocks(acs)
+    rebuilt = integrable_acs(_frame(block.A, rng), _frame(block.C, rng))
+    assert np.max(np.abs(rebuilt.matrix - acs.matrix)) <= 1e-12  # measured 3.3e-16
+    # B carries the one axial vector to the other (measured 3.3e-16)
+    assert np.max(np.abs(-(block.B.mT @ _axial(block.A)[..., None])[..., 0] - _axial(block.C))) <= 1e-13
+
+
+def test_integrable_set_maps_to_the_saddle():
+    # q = 0 gives |z0 z2| = |z1 z3|: in the tetrahedron, b0 b2 = b1 b3 (measured 1.0e-16)
+    b = tetra_coords(acs_to_cp3(_random_integrable(np.random.default_rng(25), 300)))
+    assert np.max(np.abs(b[:, 0] * b[:, 2] - b[:, 1] * b[:, 3])) <= 1e-13
+
+
+def test_polar_set_of_e5e6_maps_to_a_plane():
+    # the e5^e6 coefficient is the mass gap, so the polar set is b0 + b3 = 1/2 (measured 3.9e-16)
+    acs = cp3_to_acs(sample_polar_point(np.random.default_rng(26), (300,)))
+    assert np.all(polar_contains(TwoForm.basis(4, 5), fundamental_form(acs)))
+    b = tetra_coords(acs_to_cp3(acs))
+    assert np.max(np.abs(b[:, 0] + b[:, 3] - 0.5)) <= 1e-13
 
 
 def _doubled_nabla(ct: list) -> tuple[list, list]:

@@ -1,10 +1,14 @@
 """2-forms: coefficients, inner product, evaluation."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from twistorz.exterior import PAIRS, TwoForm
+
+#: a stack of two 6x6 matrices whose second member is not antisymmetric
+_SECOND_SYMMETRIC = np.stack([np.zeros((6, 6)), np.eye(6)])
 
 
 def _omega0():
@@ -81,3 +85,17 @@ def test_index_arrays_match_loops(rng):
         u, v = rng.standard_normal((2, 6))
         loop = sum(a.coeffs[k] * (u[i] * v[j] - u[j] * v[i]) for k, (i, j) in enumerate(PAIRS))
         assert abs(a.evaluate(u, v) - loop) <= 1e-14 * max(1.0, abs(loop))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TwoForm(np.zeros(14)), "TwoForm needs 15 finite coefficients"),
+    (lambda: TwoForm(np.full(15, np.nan)), "TwoForm needs 15 finite coefficients"),
+    (lambda: TwoForm.basis(2, 2), "basis 2-form needs distinct indices"),
+    (lambda: TwoForm.from_matrix(np.zeros((5, 5))), "expected a 6x6 matrix"),
+    (lambda: TwoForm.from_matrix(np.eye(6)), "matrix is not antisymmetric"),
+    (lambda: TwoForm.from_matrix(_SECOND_SYMMETRIC), "matrix is not antisymmetric at member 1"),
+], ids=["14-coefficients", "nan", "basis-2-2", "5x5", "symmetric", "stack"])
+def test_malformed_input_raises_its_message(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -150,6 +150,14 @@ def test_integrable_family_rejects_bad_blocks(rng):
         integrable_acs(reflect, np.eye(3))
 
 
+@pytest.mark.parametrize("o1, o2", [(np.eye(2), np.eye(2)), (np.eye(3), np.stack([np.eye(3)] * 2))],
+                         ids=["2x2", "unequal-stacks"])
+def test_integrable_family_rejects_misshapen_blocks(o1, o2):
+    with pytest.raises(NotRotationError) as excinfo:
+        integrable_acs(o1, o2)
+    assert str(excinfo.value) == "blocks must be 3x3"
+
+
 def test_proportionality_law():
     for seed in range(300):
         assert norm_law_residual(random_acs(seed)) < 1e-9

@@ -154,15 +154,23 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
 
 @pytest.mark.parametrize("argv, document", [
     (["--cp3", "nan,1,1,1"], None), (["--cp3", "0,0,0,0"], None), (["--cp3", "1,2,3"], None),
+    (["--cp3", "1,inf,0,0"], None), (["--cp3=1,-inf+2i,0,0"], None),
     (["--in"], "[0" + ", 0" * 35 + "]"),
     (["--in"], '{"matrix": [NaN' + ", 0" * 35 + "]}"),
     (["--in"], '{"matrix": [1' + "0" * 400 + ", 0" * 35 + "]}"),
+    # past the digit limit of int(), which the parser never calls
+    (["--in"], '{"matrix": [1' + "0" * 5000 + ", 0" * 35 + "]}"),
+    (["--in"], b'{"matrix": [\xff' + b", 0" * 35 + b"]}"),
+    (["--in"], '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}"),
     (["--in"], None),
-], ids=["cp3-nan", "cp3-zero", "cp3-three", "bare-list", "nan", "huge-int", "missing-file"])
+], ids=["cp3-nan", "cp3-zero", "cp3-three", "cp3-inf", "cp3-minus-inf", "bare-list", "nan", "huge-int",
+        "int-past-digit-limit", "not-utf8", "nested", "missing-file"])
 def test_classify_input_errors_exit_before_numpy_loads(tmp_path, argv, document):
     if argv == ["--in"]:
         path = tmp_path / "structure.json"
-        if document is not None:
+        if isinstance(document, bytes):
+            path.write_bytes(document)
+        elif document is not None:
             path.write_text(document, encoding="utf-8")
         argv = ["--in", str(path)]
     code, out, err, loaded = _main_in_child("classify", *argv)
