@@ -30,7 +30,7 @@ from .exceptions import (
     at_member,
 )
 from .exterior import TwoForm
-from .kernels import _first_failure, _scalar
+from .kernels import _first_failure, _Normals, _scalar
 
 #: the package's one exactness tolerance, for J^2 = -1, orthogonality, the
 #: integrable (N = 0), ANK (A = C = 0) and polar predicates: far above the
@@ -289,19 +289,26 @@ def _rotations(normals: np.ndarray) -> np.ndarray:
     return q
 
 
-def _haar_rotations(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-uniform elements of SO(dim), drawn as n calls of :func:`haar_rotation` would."""
+def _haar_rotations(n: int, dim: int, rng) -> np.ndarray:
+    """n Haar-uniform elements of SO(dim), drawn as n calls of :func:`haar_rotation` would;
+    ``rng`` is anything with ``standard_normal(shape)``."""
     return _rotations(rng.standard_normal((n, dim, dim)))
 
 
-def haar_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform element of SO(dim) via QR with sign correction."""
+def haar_rotation(dim: int, rng) -> np.ndarray:
+    """Haar-uniform element of SO(dim) via QR with sign correction, from the
+    normals of ``rng`` (a :class:`kernels._Normals` stream or a numpy ``Generator``)."""
     return _haar_rotations(1, dim, rng)[0]
 
 
 def _seeded_rotations(seeds) -> np.ndarray:
-    """``haar_rotation(6, default_rng(seed))`` per seed, with one QR over the stack."""
-    return _rotations(np.stack([np.random.default_rng(s).standard_normal((DIM, DIM)) for s in seeds]))
+    """``haar_rotation(6, _Normals(seed))`` per seed, with one QR over the stack.
+
+    Each seed (an int or a sequence of ints, such as ``[seed, k]``) keys its
+    own stream, so a rotation depends on its seed alone: ``random_acs``, the
+    ``random`` sample set and the search's restarts all draw here.
+    """
+    return _rotations(np.stack([_Normals(s).standard_normal((DIM, DIM)) for s in seeds]))
 
 
 def _random_structures(seeds) -> ACS:
@@ -311,5 +318,6 @@ def _random_structures(seeds) -> ACS:
 
 
 def random_acs(seed) -> ACS:
-    """Q J_ref Q^T with Q Haar-uniform in SO(6); deterministic per seed."""
+    """Q J_ref Q^T with Q Haar-uniform in SO(6); deterministic per seed, a
+    non-negative int or a sequence of them (a negative one raises ``ValueError``)."""
     return ACS(_random_structures([seed]).matrix[0])

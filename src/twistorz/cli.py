@@ -134,8 +134,8 @@ def _draw_random(rng, row_seeds):
 
 
 #: per sample set, a stack of structures for the rows with seeds [seed, k]
-#: from the set's rng; every row draws what it would draw on its own, in
-#: row order
+#: from the set's stream; every row draws what it would draw on its own, in
+#: row order (the ``random`` set reads a stream of its own per row seed)
 _SAMPLERS = {
     "ank": _draw_ank,
     "integrable": _draw_integrable,
@@ -146,12 +146,12 @@ _SAMPLERS = {
 
 
 def _sample_structures(set_name: str, count: int, seed: int):
-    """The sample's structures, one stack per chunk of rows."""
-    import numpy as np
+    """The sample's structures, one stack per chunk of rows, drawn from the
+    set's seeded stream ``_Normals([seed, tag])``, the tag the sum of the
+    set name's code points."""
+    from .kernels import _chunk_sizes, _Normals
 
-    from .kernels import _chunk_sizes
-
-    rng = np.random.default_rng([seed, sum(map(ord, set_name))])
+    rng = _Normals([seed, sum(map(ord, set_name))])
     draw = _SAMPLERS[set_name]
     start = 0
     for n in _chunk_sizes(count):
@@ -188,10 +188,6 @@ def _write_cloud(args, out) -> None:
 
 
 def _cmd_sample(args) -> int:
-    # the pipeline's modules load before numpy.random (the set's rng) does:
-    # the ``ank`` set then peaks about 0.5 MB lower than when zgeom loads after it
-    from . import cp3, nearly_kaehler, nijenhuis, zgeom  # noqa: F401
-
     if args.out == "-":
         _write_cloud(args, sys.stdout)
         return 0
@@ -361,10 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # argparse takes a value that starts with "-" for an option unless it reads
     # as a negative number; no option holds a comma, so a token after --cp3
-    # that holds one is its value
+    # that holds one is its value.  Under classify argparse resolves every
+    # prefix of --cp3 down to --c to it (no other option there starts so)
+    argv = sys.argv[1:] if argv is None else argv
+    cp3_names = ("--c", "--cp", "--cp3") if argv[:1] == ["classify"] else ()
     tokens = []
-    for token in sys.argv[1:] if argv is None else argv:
-        if tokens and tokens[-1] == "--cp3" and "," in token:
+    for token in argv:
+        if tokens and tokens[-1] in cp3_names and "," in token:
             tokens[-1] = f"--cp3={token}"
         else:
             tokens.append(token)

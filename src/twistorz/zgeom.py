@@ -428,11 +428,14 @@ def invert_ank_circle(acs: ACS) -> tuple[float, float, float, float]:
     return params.r_plus, params.x_plus, params.u_plus, theta
 
 
-def _draw(rng: np.random.Generator, n: int, triples: int, angle: bool = True) -> np.ndarray:
-    """Columns (k, n) of n random rows, drawn as one normal array (n, 3 triples + 2 angle).
+def _draw(rng, n: int, triples: int, angle: bool = True) -> np.ndarray:
+    """Columns (k, n) of n random rows, drawn as one normal array (n, 3 triples + 2 angle)
+    from ``rng``, anything with ``standard_normal(shape)``: the package passes its seeded
+    :class:`kernels._Normals` stream, a caller may pass a numpy ``Generator``.
     Each row reads its own row of normals: three per unit triple, normalized, then two,
     (a, b), for the angle atan2(b, a) in (-pi, pi], uniform since the planar normal is
-    rotation-invariant.  So n rows draw what n one-row draws do, at every chunking."""
+    rotation-invariant.  Both kinds of ``rng`` continue a stream across calls, so n rows
+    draw what n one-row draws do, at every chunking."""
     g = rng.standard_normal((n, 3 * triples + 2 * angle))
     v = g[:, :3 * triples].reshape(n, triples, 3)
     units = (v / np.sqrt(np.vecdot(v, v))[..., None]).reshape(n, 3 * triples)
@@ -440,26 +443,27 @@ def _draw(rng: np.random.Generator, n: int, triples: int, angle: bool = True) ->
     return np.ascontiguousarray(np.concatenate([units, angles], axis=1).T)
 
 
-def _random_ank(rng: np.random.Generator, n: int) -> ACS:
+def _random_ank(rng, n: int) -> ACS:
     """n random members of the ANK set (a stack); a row draws a unit pole triple, then an
     angle: 5 normals (see :func:`_draw`)."""
     return ank_circle_acs(*_draw(rng, n, 1))
 
 
-def _random_circle(rng: np.random.Generator, n: int) -> tuple[PolarPairParams, np.ndarray]:
+def _random_circle(rng, n: int) -> tuple[PolarPairParams, np.ndarray]:
     """Parameters of n random equatorial points; a row draws the plus then the minus
     pole's unit triple, then an angle: 8 normals (see :func:`_draw`)."""
     *params, theta = _draw(rng, n, 2)
     return PolarPairParams(*params), theta
 
 
-def sample_polar_point(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> CP3Point:
+def sample_polar_point(rng, shape: tuple[int, ...] = ()) -> CP3Point:
     """Random point, or stack of points, with equal mass on coordinate pairs {0,3} and {1,2}.
 
     Such points are exactly the members of the polar set of e5^e6 (the
     coefficient of e5^e6 in the fundamental form equals the mass
     difference of the two pairs).  Each point draws its four real parts,
-    then its four imaginary parts.
+    then its four imaginary parts, from ``rng`` (anything with
+    ``standard_normal(shape)``, as for :func:`_draw`).
     """
     g = rng.standard_normal(tuple(shape) + (2, 4))
     z = g[..., 0, :] + 1j * g[..., 1, :]

@@ -141,11 +141,13 @@ def _deferred_loaded(*argv):
 
 def test_each_subcommand_loads_only_its_own_modules(tmp_path):
     assert _deferred_loaded() == set()
-    assert _deferred_loaded("optimize", "--restarts", "1") == {"numpy", "numpy.random", "twistorz.search"}
+    # no subcommand loads numpy.random: every sample reads kernels._Normals
+    assert _deferred_loaded("optimize", "--restarts", "1") == {"numpy", "twistorz.search"}
     geometry = {"numpy", "twistorz.cp3", "twistorz.nearly_kaehler"}
     assert _deferred_loaded("classify", "--cp3", "1,0,0,0") == geometry
-    assert _deferred_loaded("sample", "--set", "ank", "--count", "1") == geometry | {"numpy.random", "twistorz.zgeom"}
-    assert _deferred_loaded("verify") == set(_DEFERRED)
+    assert _deferred_loaded("sample", "--set", "ank", "--count", "1") == geometry | {"twistorz.zgeom"}
+    assert _deferred_loaded("sample", "--set", "random", "--count", "1") == geometry
+    assert _deferred_loaded("verify") == set(_DEFERRED) - {"numpy.random"}
     # a structure rejected as not in Z is never mapped to CP^3 or tested for ANK
     off_z = tmp_path / "off_z.json"
     off_z.write_text(json.dumps({"matrix": [0.5] * 36}), encoding="utf-8")

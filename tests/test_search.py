@@ -234,9 +234,9 @@ def test_restarts_must_be_positive():
 
 
 def test_converged_is_the_best_restarts_own_flag(capsys):
-    # at 14 iterations restart 0 holds the best value without having met
-    # the gradient test, while restarts 3 and 4 did meet it
-    report = maximize(seed=6, restarts=5, max_iters=14)
+    # at 14 iterations restart 3 holds the best value without having met
+    # the gradient test, while restart 1 did meet it
+    report = maximize(seed=37, restarts=5, max_iters=14)
     values = [stop.value for stop in report.stops]
     best = values.index(max(values))
     assert report.stops[best].reason != "gradient"
@@ -245,19 +245,20 @@ def test_converged_is_the_best_restarts_own_flag(capsys):
 
     from twistorz.cli import main
 
-    code = main(["optimize", "--seed", "6", "--restarts", "5", "--max-iters", "14", "--json"])
+    code = main(["optimize", "--seed", "37", "--restarts", "5", "--max-iters", "14", "--json"])
     assert code == 3
     assert '"converged": false' in capsys.readouterr().out
 
 
 def test_rotations_do_not_drift_into_a_rounding_ascent(capsys):
-    # without re-orthonormalization restart 17 of this seed drifts off SO(6)
-    # by 1.7e-13, "improves" |N|^2 past 48 by rounding and runs to max_iters
-    report = maximize(seed=551744689)
+    # without re-orthonormalization restart 3 of this seed drifts off SO(6)
+    # by 2.2e-13, "improves" |N|^2 past 48 by rounding (1.5e-11) and runs to
+    # max_iters; with it, that restart stops on the gradient after 11 iterations
+    report = maximize(seed=8002)
     assert [stop.reason for stop in report.stops] == ["gradient"] * 20
     assert report.best_value <= max_norm() * (1.0 + 1e-12)
 
     from twistorz.cli import main
 
-    assert main(["optimize", "--json", "--direction", "max", "--seed", "551744689"]) == 0
+    assert main(["optimize", "--json", "--direction", "max", "--seed", "8002"]) == 0
     assert '"converged": true' in capsys.readouterr().out
