@@ -43,10 +43,3 @@ def nabla(x, y) -> np.ndarray:
     The package's one definition of the connection; batched as :func:`bracket`.
     """
     return 0.5 * bracket(x, y)
-
-
-def jacobi_residual() -> float:
-    """Max-abs Jacobi residual over all basis triples."""
-    # t[n, i, j, k] = [[e_i, e_j], e_k]_n; the other two terms are its cyclic shifts
-    t = np.einsum("mij,nmk->nijk", STRUCTURE_CONSTANTS, STRUCTURE_CONSTANTS)
-    return float(np.max(np.abs(t + t.transpose(0, 3, 1, 2) + t.transpose(0, 2, 3, 1))))

@@ -80,10 +80,6 @@ class CP3Point:
         """Coordinates divided by their largest modulus (no overflow in norms)."""
         return _scaled(self.coords)
 
-    def normalized(self) -> "CP3Point":
-        """Unit norm, largest-modulus coordinate real positive (ties: lowest index)."""
-        return CP3Point(_normalized(self.coords))
-
     def projective_distance(self, other: "CP3Point"):
         """Sine of the Fubini-Study angle: |p ^ q| for unit representatives.
 
@@ -112,7 +108,8 @@ def _unit(c: np.ndarray) -> np.ndarray:
 
 
 def _normalized(c: np.ndarray) -> np.ndarray:
-    """Phase-normalized unit rows of coordinates (..., 4); see :meth:`CP3Point.normalized`."""
+    """Phase-normalized rows of coordinates (..., 4): unit norm, the largest-modulus
+    coordinate real positive (ties: lowest index)."""
     c = _unit(_scaled(c))
     mags = np.abs(c)
     # moduli within 1e-12 of the largest tie, so points equal up to rounding
@@ -157,22 +154,6 @@ def identify(bivector) -> np.ndarray:
             1j * (b02 - b31),
             b03 + b12,
             1j * (b03 - b12),
-        ],
-        axis=-1,
-    )
-
-
-def identify_inverse(w) -> np.ndarray:
-    """Bivector coefficients matching a complex covector."""
-    w1, w2, w3, w4, w5, w6 = np.moveaxis(np.asarray(w, dtype=complex), -1, 0)
-    return np.stack(
-        [
-            w1 - 1j * w2,
-            w3 - 1j * w4,
-            w5 - 1j * w6,
-            w1 + 1j * w2,
-            w3 + 1j * w4,
-            w5 + 1j * w6,
         ],
         axis=-1,
     )

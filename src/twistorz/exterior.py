@@ -12,8 +12,7 @@ which keeps the four fundamental vertex forms at squared norm 3 and makes
 polar-set membership an exact zero test.
 
 A :class:`TwoForm` may also hold a stack of forms, coefficients
-(..., 15); construction, ``matrix``, ``inner`` and the arithmetic keep the
-leading axes.
+(..., 15); construction, ``matrix`` and ``inner`` keep the leading axes.
 """
 
 from __future__ import annotations
@@ -89,35 +88,9 @@ class TwoForm:
         m[..., _COLS, _ROWS] = -self.coeffs
         return m
 
-    def coeff(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if i < j:
-            return float(self.coeffs[PAIR_INDEX[i, j]])
-        return -float(self.coeffs[PAIR_INDEX[j, i]])
-
     def inner(self, other: "TwoForm"):
         """Form inner product; a float per form of a stack."""
         return _scalar(np.vecdot(self.coeffs, other.coeffs))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-    def evaluate(self, x, y) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return float(self.coeffs @ (x[_ROWS] * y[_COLS] - x[_COLS] * y[_ROWS]))
-
-    def allclose(self, other: "TwoForm") -> bool:
-        """Coefficients within 1e-12, far above the rounding of coefficients
-        of order 1 and far below any difference of structure."""
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= 1e-12)
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(self.coeffs + other.coeffs)
-
-    def __mul__(self, s: float) -> "TwoForm":
-        return TwoForm(self.coeffs * float(s))
-
-    __rmul__ = __mul__
-

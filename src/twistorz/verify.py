@@ -108,15 +108,22 @@ def check_edge01(seed: int) -> CheckResult:
     return _result("edge01_family", _worst(_Normals([seed, 101]), 100, residuals), 1e-9)
 
 
-def _branch_worst(seed: int, tag: int, param_fn) -> float:
+def _branch_worst(seed: int, tag: int, param_fn, poles: bool = False) -> float:
     """Worst gap of the constructive circle forms to the closed forms and to
-    the bivector route; ``param_fn(rng, n)`` draws n (params, theta)."""
+    the bivector route; ``param_fn(rng, n)`` draws n (params, theta).  With
+    ``poles``, also the gap of each constructive pole form to its corrected
+    pole display, on the same params."""
     def residuals(rng, n):
         params, theta = param_fn(rng, n)
         constructive = zgeom.circle_form(params, theta).coeffs
         closed, _ = zgeom.circle_closed_form(params, theta)
         direct = zgeom.form_from_bivectors(zgeom.circle_point(params, theta))
-        return np.abs(constructive - closed.coeffs), np.abs(constructive - direct.coeffs)
+        gaps = [np.abs(constructive - closed.coeffs), np.abs(constructive - direct.coeffs)]
+        if poles:
+            plus, minus = (fundamental_form(cp3_to_acs(point)).coeffs for point in zgeom.polar_pair_points(params))
+            gaps += [np.abs(plus - zgeom.pole_plus_closed_form(params.r_plus, params.x_plus, params.u_plus).coeffs),
+                     np.abs(minus - zgeom.pole_minus_closed_form(params.r_minus, params.x_minus, params.u_minus).coeffs)]
+        return gaps
 
     return _worst(_Normals([seed, tag]), _BRANCH_SAMPLES, residuals)
 
@@ -139,7 +146,7 @@ def check_circle_degenerate(seed: int) -> CheckResult:
 
 
 def check_circle_generic(seed: int) -> CheckResult:
-    return _result("circle_branch_generic", _branch_worst(seed, 104, _random_circle), 1e-9)
+    return _result("circle_branch_generic", _branch_worst(seed, 104, _random_circle, poles=True), 1e-9)
 
 
 def check_circle_mixed(seed: int) -> CheckResult:

@@ -7,6 +7,14 @@ Closed-form coefficient expressions are provided separately so tests can
 compare the two routes; where the literature displays of those formulas
 carry typos, the corrected versions live in the ``*_closed_form``
 functions and the literal transcriptions in ``printed_circle_form``.
+Each closed form is stated once, as a private table of pair coefficients
+{(i, j): value} that only adds, subtracts, multiplies and divides its
+arguments; any root it needs is passed in.  So the tables are ring-generic:
+the public functions check their parameters and build a :class:`TwoForm`
+from them on floats, and the tests run the same tables on exact
+polynomial elements.  The printed displays are derived from the corrected
+tables: twice the generic one, and the minus-degenerate one with the sign
+of its e1^e5 and e2^e6 entries flipped.
 
 Pole parametrization on the two distinguished edges (unit (r, x, u)):
 
@@ -68,20 +76,14 @@ def edge01_closed_form(s, c1, c2) -> TwoForm:
         e1^e2 + r (e3^e4 + e5^e6) + u (e3^e5 - e4^e6) + x (e3^e6 + e4^e5)
     """
     _check_unit_sphere(s, c1, c2)
-    r = 2.0 * s * s - 1.0
-    u = 2.0 * s * c2
-    x = -2.0 * s * c1
-    return TwoForm.from_pairs(
-        {
-            (0, 1): 1.0,
-            (2, 3): r,
-            (4, 5): r,
-            (2, 4): u,
-            (3, 5): -u,
-            (2, 5): x,
-            (3, 4): x,
-        }
-    )
+    return TwoForm.from_pairs(_edge01_pairs(s, c1, c2))
+
+
+def _edge01_pairs(s, c1, c2) -> dict:
+    r = 2 * s * s - 1
+    u = 2 * s * c2
+    x = -2 * s * c1
+    return {(0, 1): 1, (2, 3): r, (4, 5): r, (2, 4): u, (3, 5): -u, (2, 5): x, (3, 4): x}
 
 
 def _check_unit_sphere(*vals) -> None:
@@ -168,17 +170,21 @@ def polar_pair_points(p: PolarPairParams) -> tuple[CP3Point, CP3Point]:
 def pole_plus_closed_form(r, x, u) -> TwoForm:
     """Corrected closed form of a pole on the edge through vertices 0 and 3."""
     _check_unit_sphere(r, x, u)
-    return TwoForm.from_pairs(
-        {(4, 5): 1.0, (0, 1): r, (2, 3): r, (0, 2): x, (1, 3): -x, (0, 3): u, (1, 2): u}
-    )
+    return TwoForm.from_pairs(_pole_plus_pairs(r, x, u))
 
 
 def pole_minus_closed_form(r, x, u) -> TwoForm:
     """Corrected closed form of a pole on the edge through vertices 1 and 2."""
     _check_unit_sphere(r, x, u)
-    return TwoForm.from_pairs(
-        {(4, 5): -1.0, (0, 1): r, (2, 3): -r, (0, 2): x, (1, 3): x, (0, 3): u, (1, 2): -u}
-    )
+    return TwoForm.from_pairs(_pole_minus_pairs(r, x, u))
+
+
+def _pole_plus_pairs(r, x, u) -> dict:
+    return {(4, 5): 1, (0, 1): r, (2, 3): r, (0, 2): x, (1, 3): -x, (0, 3): u, (1, 2): u}
+
+
+def _pole_minus_pairs(r, x, u) -> dict:
+    return {(4, 5): -1, (0, 1): r, (2, 3): -r, (0, 2): x, (1, 3): x, (0, 3): u, (1, 2): -u}
 
 
 def circle_point(p: PolarPairParams, theta) -> CP3Point:
@@ -222,25 +228,31 @@ _BRANCH_LABELS = np.array(["both_degenerate", "minus_degenerate", "plus_degenera
 
 
 def _by_branch(p: PolarPairParams, theta, branches) -> tuple[TwoForm, str]:
-    """Each element's form from the formula of its pole-degeneracy branch.
+    """Each element's form from the table of its pole-degeneracy branch.
 
-    ``branches`` holds, in the order of ``_BRANCH_LABELS``, one function of
-    (rp, xp, up, rm, xm, um, t1, t2, p1, m1) to a TwoForm, p1 and m1 the
-    poles' r + 1 as the chart forms them; a pole is degenerate where its
-    r + 1 is 0.  Each is evaluated on the elements of its branch only.
+    ``branches`` holds, in the order of ``_BRANCH_LABELS``, one table per
+    branch: a function of (rp, xp, up, rm, xm, um, t1, t2, p1, m1, q, dp, dm)
+    to its pair coefficients {(i, j): value}, with p1 and m1 the poles' r + 1
+    as the chart forms them and the roots passed in: q = sqrt(p1) sqrt(m1),
+    dp = sqrt(2 p1), dm = sqrt(2 m1).  A table only adds, subtracts,
+    multiplies and divides its arguments, so it runs on floats here and on
+    exact ring elements in the tests.  A pole is degenerate where its r + 1
+    is 0; each table is evaluated on the elements of its branch only.
     Returns the forms and the labels (a str for one element).
     """
     theta = np.asarray(theta, dtype=float)
     *params, t1, t2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in vars(p).values()),
                                           np.cos(theta), np.sin(theta))
     p1, m1 = _r_plus_one(*params[:3]), _r_plus_one(*params[3:])
+    # q as a product of roots, which cannot underflow
+    args = (*params, t1, t2, p1, m1, np.sqrt(m1) * np.sqrt(p1), np.sqrt(2.0 * p1), np.sqrt(2.0 * m1))
     deg_p, deg_m = p1 == 0.0, m1 == 0.0
     kind = np.where(deg_p & deg_m, 0, np.where(deg_m, 1, np.where(deg_p, 2, 3)))
     coeffs = np.empty(kind.shape + (15,))
     for k, branch in enumerate(branches):
         mask = kind == k
         if mask.any():
-            coeffs[mask] = branch(*(v[mask] for v in (*params, t1, t2, p1, m1))).coeffs
+            coeffs[mask] = TwoForm.from_pairs(branch(*(v[mask] for v in args))).coeffs
     return TwoForm(coeffs), _scalar(_BRANCH_LABELS[kind])
 
 
@@ -256,98 +268,88 @@ def circle_closed_form(p: PolarPairParams, theta) -> tuple[TwoForm, str]:
     return _by_branch(p, theta, _CORRECTED_BRANCHES)
 
 
-def _branch_both_degenerate(rp, xp, up, rm, xm, um, t1, t2, p1, m1) -> TwoForm:
-    return TwoForm.from_pairs(
-        {(0, 1): -1.0, (2, 4): t2, (3, 5): t2, (2, 5): t1, (3, 4): -t1}
-    )
+def _branch_both_degenerate(rp, xp, up, rm, xm, um, t1, t2, p1, m1, q, dp, dm) -> dict:
+    return {(0, 1): -1, (2, 4): t2, (3, 5): t2, (2, 5): t1, (3, 4): -t1}
 
 
-def _branch_generic(rp, xp, up, rm, xm, um, t1, t2, p1, m1) -> TwoForm:
-    # sqrt((r_plus + 1)(r_minus + 1)) as a product of roots, which cannot underflow
-    q = np.sqrt(m1) * np.sqrt(p1)
-    return 0.5 * TwoForm.from_pairs(
-        {
-            (0, 1): rp + rm,
-            (2, 3): rp - rm,
-            (0, 2): xp + xm,
-            (3, 1): xp - xm,
-            (0, 3): up + um,
-            (1, 2): up - um,
-            (0, 4): ((xp * t1 - up * t2) * m1 + (um * t2 - xm * t1) * p1) / q,
-            (0, 5): (-(xp * t2 + up * t1) * m1 + (um * t1 + xm * t2) * p1) / q,
-            (1, 4): ((xp * t2 + up * t1) * m1 + (um * t1 + xm * t2) * p1) / q,
-            (1, 5): ((xp * t1 - up * t2) * m1 - (um * t2 - xm * t1) * p1) / q,
-            (2, 4): (-t2 * p1 * m1 + um * (xp * t1 - up * t2) + xm * (up * t1 + xp * t2)) / q,
-            (2, 5): (-t1 * p1 * m1 - um * (xp * t2 + up * t1) + xm * (xp * t1 - up * t2)) / q,
-            (3, 4): (-t1 * p1 * m1 + um * (xp * t2 + up * t1) - xm * (xp * t1 - up * t2)) / q,
-            (3, 5): (t2 * p1 * m1 + um * (xp * t1 - up * t2) + xm * (up * t1 + xp * t2)) / q,
-        }
-    )
+def _branch_generic(rp, xp, up, rm, xm, um, t1, t2, p1, m1, q, dp, dm) -> dict:
+    return {
+        (0, 1): (rp + rm) / 2,
+        (2, 3): (rp - rm) / 2,
+        (0, 2): (xp + xm) / 2,
+        (1, 3): (xm - xp) / 2,
+        (0, 3): (up + um) / 2,
+        (1, 2): (up - um) / 2,
+        (0, 4): ((xp * t1 - up * t2) * m1 + (um * t2 - xm * t1) * p1) / q / 2,
+        (0, 5): (-(xp * t2 + up * t1) * m1 + (um * t1 + xm * t2) * p1) / q / 2,
+        (1, 4): ((xp * t2 + up * t1) * m1 + (um * t1 + xm * t2) * p1) / q / 2,
+        (1, 5): ((xp * t1 - up * t2) * m1 - (um * t2 - xm * t1) * p1) / q / 2,
+        (2, 4): (-t2 * p1 * m1 + um * (xp * t1 - up * t2) + xm * (up * t1 + xp * t2)) / q / 2,
+        (2, 5): (-t1 * p1 * m1 - um * (xp * t2 + up * t1) + xm * (xp * t1 - up * t2)) / q / 2,
+        (3, 4): (-t1 * p1 * m1 + um * (xp * t2 + up * t1) - xm * (xp * t1 - up * t2)) / q / 2,
+        (3, 5): (t2 * p1 * m1 + um * (xp * t1 - up * t2) + xm * (up * t1 + xp * t2)) / q / 2,
+    }
 
 
-def _branch_minus_degenerate(r, x, u, rm, xm, um, t1, t2, r1, m1) -> TwoForm:
+def _branch_minus_degenerate(r, x, u, rm, xm, um, t1, t2, p1, m1, q, d, dm) -> dict:
     # minus pole at its degenerate representative; the t2 cross term sign
     # differs from the literature display (corrected here)
-    s = np.sqrt(r1 / 2.0)
-    d = np.sqrt(2.0 * r1)
-    return TwoForm.from_pairs(
-        {
-            (0, 1): (r - 1.0) / 2.0,
-            (0, 5): t1 * s,
-            (1, 4): t1 * s,
-            (0, 3): u / 2.0,
-            (1, 2): u / 2.0,
-            (0, 2): x / 2.0,
-            (1, 3): -x / 2.0,
-            (0, 4): t2 * s,
-            (1, 5): -t2 * s,
-            (2, 3): r1 / 2.0,
-            (3, 5): (x * t1 - u * t2) / d,
-            (2, 4): (x * t1 - u * t2) / d,
-            (3, 4): (u * t1 + x * t2) / d,
-            (2, 5): -(u * t1 + x * t2) / d,
-        }
-    )
+    return {
+        (0, 1): (r - 1) / 2,
+        (0, 5): t1 * d / 2,
+        (1, 4): t1 * d / 2,
+        (0, 3): u / 2,
+        (1, 2): u / 2,
+        (0, 2): x / 2,
+        (1, 3): -x / 2,
+        (0, 4): t2 * d / 2,
+        (1, 5): -t2 * d / 2,
+        (2, 3): p1 / 2,
+        (3, 5): (x * t1 - u * t2) / d,
+        (2, 4): (x * t1 - u * t2) / d,
+        (3, 4): (u * t1 + x * t2) / d,
+        (2, 5): -(u * t1 + x * t2) / d,
+    }
 
 
-def _branch_plus_degenerate(rp, xp, up, r, x, u, t1, t2, p1, r1) -> TwoForm:
-    s = np.sqrt(r1 / 2.0)
-    d = np.sqrt(2.0 * r1)
-    return TwoForm.from_pairs(
-        {
-            (0, 1): (r - 1.0) / 2.0,
-            (0, 3): u / 2.0,
-            (1, 2): -u / 2.0,
-            (0, 2): x / 2.0,
-            (1, 3): x / 2.0,
-            (0, 5): t1 * s,
-            (1, 4): -t1 * s,
-            (0, 4): t2 * s,
-            (1, 5): t2 * s,
-            (2, 5): (u * t1 + x * t2) / d,
-            (3, 4): -(u * t1 + x * t2) / d,
-            (2, 4): (u * t2 - x * t1) / d,
-            (3, 5): (u * t2 - x * t1) / d,
-            (2, 3): -r1 / 2.0,
-        }
-    )
+def _branch_plus_degenerate(rp, xp, up, r, x, u, t1, t2, p1, m1, q, dp, d) -> dict:
+    return {
+        (0, 1): (r - 1) / 2,
+        (0, 3): u / 2,
+        (1, 2): -u / 2,
+        (0, 2): x / 2,
+        (1, 3): x / 2,
+        (0, 5): t1 * d / 2,
+        (1, 4): -t1 * d / 2,
+        (0, 4): t2 * d / 2,
+        (1, 5): t2 * d / 2,
+        (2, 5): (u * t1 + x * t2) / d,
+        (3, 4): -(u * t1 + x * t2) / d,
+        (2, 4): (u * t2 - x * t1) / d,
+        (3, 5): (u * t2 - x * t1) / d,
+        (2, 3): -m1 / 2,
+    }
 
 
-#: corrected formulas per branch, in the order of ``_BRANCH_LABELS``
+#: corrected tables per branch, in the order of ``_BRANCH_LABELS``
 _CORRECTED_BRANCHES = (_branch_both_degenerate, _branch_minus_degenerate, _branch_plus_degenerate,
                        _branch_generic)
 
 
-def _printed_minus_degenerate(rp, xp, up, rm, xm, um, t1, t2, p1, m1) -> TwoForm:
-    s = np.sqrt(p1 / 2.0)
-    flip = TwoForm.from_pairs({(0, 4): -2.0 * t2 * s, (1, 5): 2.0 * t2 * s})
-    return _branch_minus_degenerate(rp, xp, up, rm, xm, um, t1, t2, p1, m1) + flip
+def _printed_minus_degenerate(*args) -> dict:
+    # the display's sign error on its t2 cross term
+    entries = _branch_minus_degenerate(*args)
+    return {**entries, (0, 4): -entries[0, 4], (1, 5): -entries[1, 5]}
+
+
+def _printed_generic(*args) -> dict:
+    return {pair: 2 * v for pair, v in _branch_generic(*args).items()}
 
 
 #: the displayed formulas per branch: generic at twice the form, the
 #: minus-degenerate one with its sign error on the t2 cross term
 _PRINTED_BRANCHES = (_branch_both_degenerate, _printed_minus_degenerate, _branch_plus_degenerate,
-                     lambda *args: 2.0 * _branch_generic(*args))
+                     _printed_generic)
 
 
 def printed_circle_form(p: PolarPairParams, theta) -> tuple[TwoForm, str]:

@@ -1,8 +1,10 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracles here deliberately avoid the library's vectorized code paths:
-the bracket is a literal structure-constant table lookup and the
-Nijenhuis tensor is expanded term by term, so every comparison against
+The oracles here deliberately avoid the library's code paths and import
+nothing from it: the bracket is a literal structure-constant table lookup,
+the Nijenhuis tensor is expanded term by term, the identification of
+bivectors with covectors is read off its table one line at a time, and a
+2-form is evaluated over its coefficient pairs, so every comparison against
 them is a genuine dual-route check.  The projective correspondence and
 the orientation test are checked against the eigenspace constructions
 the library's linear maps replaced: a 6x6 solve for the structure of a
@@ -10,11 +12,11 @@ point, Gram-Schmidt plus an SVD annihilator for the point of a
 structure, and the adapted-frame determinant for the orientation.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
-
-from twistorz.cp3 import identify, identify_inverse, wedge4
 
 settings.register_profile(
     "ci",
@@ -64,6 +66,33 @@ def oracle_nijenhuis(matrix):
     return out
 
 
+#: the identification table, 2 v^a ^ v^b = e_k + sign i e_(k+1), as ((a, b), k, sign) with
+#: 0-based k, in the bivector order [01, 02, 03, 23, 31, 12]
+IDENTIFICATION = (((0, 1), 0, 1), ((0, 2), 2, 1), ((0, 3), 4, 1),
+                  ((2, 3), 0, -1), ((3, 1), 2, -1), ((1, 2), 4, -1))
+
+
+def oracle_identify(u, v):
+    """Complex covector of the bivector u ^ v, one table line at a time."""
+    w = np.zeros(6, dtype=complex)
+    for (a, b), k, sign in IDENTIFICATION:
+        half = (u[a] * v[b] - u[b] * v[a]) / 2  # the coefficient of v^a ^ v^b, halved
+        w[k] += half
+        w[k + 1] += sign * 1j * half
+    return w
+
+
+def oracle_identify_inverse(w):
+    """Bivector coefficients, in the table's order, of a complex covector: the line
+    2 v^a ^ v^b = e_k + sign i e_(k+1) gives w_k - sign i w_(k+1)."""
+    return np.array([w[k] - sign * 1j * w[k + 1] for _, k, sign in IDENTIFICATION])
+
+
+def oracle_form_value(w, x, y):
+    """w(x, y) summed over the 15 coefficient pairs i < j, without the form's matrix."""
+    return sum(c * (x[i] * y[j] - x[j] * y[i]) for c, (i, j) in zip(w.coeffs, combinations(range(6), 2)))
+
+
 def oracle_nijenhuis_norm_sq(matrix):
     n = oracle_nijenhuis(matrix)
     return float(np.sum(n * n))
@@ -80,7 +109,7 @@ def oracle_cp3_to_acs(coords):
     u = u / np.linalg.norm(u)
     a_star = int(np.argmax(np.abs(u)))
     basis4 = np.eye(4, dtype=complex)
-    ws = [identify(wedge4(u, basis4[a])) for a in range(4) if a != a_star]
+    ws = [oracle_identify(u, basis4[a]) for a in range(4) if a != a_star]
     m = np.empty((6, 6))
     t = np.empty((6, 6))
     for k, w in enumerate(ws):
@@ -112,7 +141,7 @@ def oracle_acs_to_cp3(matrix):
     assert len(basis) == 3, "eigenspace did not have complex dimension 3"
     rows = []
     for w in basis:
-        b01, b02, b03, b23, b31, b12 = identify_inverse(w)
+        b01, b02, b03, b23, b31, b12 = oracle_identify_inverse(w)
         # components of u ^ beta over v^{012}, v^{013}, v^{023}, v^{123}
         rows.append([b12, -b02, b01, 0.0])
         rows.append([-b31, -b03, 0.0, b01])

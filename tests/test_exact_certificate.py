@@ -48,22 +48,29 @@ module the algebra it implements.
 
 import numpy as np
 import pytest
-from sympy import ZZ, ring
+from sympy import QQ, ZZ, field, ring
 
 from twistorz import kernels
-from twistorz.acs import _random_structures, ank_reference_acs, blocks, fundamental_form, polar_contains
+from twistorz.acs import _UPPER, _random_structures, ank_reference_acs, blocks, fundamental_form, polar_contains
 from twistorz.algebra import STRUCTURE_CONSTANTS
 from twistorz.cp3 import CP3Point, _FORWARD, acs_to_cp3, cp3_to_acs, tetra_coords
 from twistorz.exterior import PAIRS, TwoForm
 from twistorz.nearly_kaehler import _nabla_tensor, nk_defect
 from twistorz.nijenhuis import _random_integrable, integrable_acs, nijenhuis_norm
 from twistorz.zgeom import (
+    _branch_both_degenerate,
+    _branch_generic,
+    _branch_minus_degenerate,
+    _branch_plus_degenerate,
+    _edge01_pairs,
     _hopf_pole,
+    _pole_minus_pairs,
+    _pole_plus_pairs,
+    _printed_generic,
+    _printed_minus_degenerate,
     _random_ank,
     ank_circle_params,
     circle_point,
-    pole_minus_closed_form,
-    pole_plus_closed_form,
     sample_polar_point,
 )
 
@@ -82,14 +89,20 @@ def _integral(m: np.ndarray) -> list:
     return np.round(m).astype(int).tolist()
 
 
-def _scaled_structure(forward: list) -> list:
-    """sJ = F(u u*)^T as a 6x6 nested list of ring elements."""
+#: the correspondence matrix F as nested ints
+FORWARD = _integral(_FORWARD)
+
+
+def _scaled_structure(re: list = A, im: list = B) -> list:
+    """sJ = F(u u*)^T as a 6x6 nested list, for u = re + i im with entries in any ring
+    (the integer generators by default) and s = |u|^2."""
     # u u* flattened row-major, each entry as its (real, imaginary) pair
     parts = []
     for i in range(4):
         for j in range(4):
-            parts += [A[i] * A[j] + B[i] * B[j], B[i] * A[j] - A[i] * B[j]]
-    omega = [sum((f * p for f, p in zip(row, parts) if f), R.zero) for row in forward]
+            parts += [re[i] * re[j] + im[i] * im[j], im[i] * re[j] - re[i] * im[j]]
+    zero = parts[0] * 0
+    omega = [sum((f * p for f, p in zip(row, parts) if f), zero) for row in FORWARD]
     return [[omega[6 * j + i] for j in range(6)] for i in range(6)]
 
 
@@ -120,17 +133,17 @@ def _c_tilde(k: list) -> list:
     return [k[3][4], k[3][5], k[4][5]]
 
 
-def _law(forward: list, ct: list):
+def _law(ct: list):
     """|2 s^2 N|^2 - 4 kappa (s^4 - s^2 |c~|^2), kappa from the integer ANK reference."""
     kappa = sum(v * v for v in _doubled_tensor(_integral(ank_reference_acs().matrix), 1, ct)) // 4
-    k = _scaled_structure(forward)
+    k = _scaled_structure()
     c = _c_tilde(k)
     n = _doubled_tensor(k, S * S, ct)
     return kappa, sum(v * v for v in n) - 4 * kappa * (S**4 - S**2 * sum(v * v for v in c))
 
 
 def test_norm_law_is_a_polynomial_identity():
-    kappa, law = _law(_integral(_FORWARD), _integral(STRUCTURE_CONSTANTS))
+    kappa, law = _law(_integral(STRUCTURE_CONSTANTS))
     assert kappa == 48
     assert law == R.zero
 
@@ -140,18 +153,18 @@ def test_c_block_is_a_triple_of_quadrics():
     re_w = A[0] * A[1] + B[0] * B[1] + A[2] * A[3] + B[2] * B[3]
     im_w = A[0] * B[1] - B[0] * A[1] + B[2] * A[3] - A[2] * B[3]
     quadrics = [2 * re_w, 2 * im_w, -MASS_GAP]
-    assert _c_tilde(_scaled_structure(_integral(_FORWARD))) == quadrics
+    assert _c_tilde(_scaled_structure()) == quadrics
 
 
 def test_a_corrupted_structure_constant_breaks_the_identity():
     ct = _integral(STRUCTURE_CONSTANTS)
     ct[2][0][1] = -ct[2][0][1]  # [e1, e2] = -e3, [e2, e1] = -e3 as before
-    _, law = _law(_integral(_FORWARD), ct)
+    _, law = _law(ct)
     assert law != R.zero
 
 
 def test_ank_set_lies_in_the_polar_set_of_e5e6():
-    k = _scaled_structure(_integral(_FORWARD))
+    k = _scaled_structure()
     # k[5][4] is the e5^e6 coefficient of s omega = (sJ)^T; ANK is c~ = 0
     assert k[5][4] == MASS_GAP == -_c_tilde(k)[2]
 
@@ -160,7 +173,7 @@ def test_ank_set_in_closed_form():
     # z1 = -lambda conj(z3) and z2 = lambda conj(z0), in real and imaginary parts
     on_family = [(A[1], -(L1 * A[3] + L2 * B[3])), (B[1], L1 * B[3] - L2 * A[3]),
                  (A[2], L1 * A[0] + L2 * B[0]), (B[2], L2 * A[0] - L1 * B[0])]
-    c = [v.compose(on_family) for v in _c_tilde(_scaled_structure(_integral(_FORWARD)))]
+    c = [v.compose(on_family) for v in _c_tilde(_scaled_structure())]
     assert c[:2] == [R.zero, R.zero]  # w vanishes identically
     assert c[2] == (L1**2 + L2**2 - 1) * (MASS[0] + MASS[3])
 
@@ -169,51 +182,224 @@ def test_norm_is_one_complex_quadric():
     # q = z0 z2 - z1 z3 in real and imaginary parts
     re_q = A[0] * A[2] - B[0] * B[2] - (A[1] * A[3] - B[1] * B[3])
     im_q = A[0] * B[2] + B[0] * A[2] - (A[1] * B[3] + B[1] * A[3])
-    c = _c_tilde(_scaled_structure(_integral(_FORWARD)))
+    c = _c_tilde(_scaled_structure())
     assert S**2 - sum(v * v for v in c) - 4 * (re_q**2 + im_q**2) == R.zero
 
 
-def _affine_coefficients(closed_form) -> list:
-    """(F0, Fr, Fx, Fu), integral, with closed_form(r, x, u) = F0 + r Fr + x Fx + u Fu: the
-    shipped closed form read off at the unit points (+-1, 0, 0), (0, 1, 0) and (0, 0, 1)."""
-    def at(r, x, u):
-        return closed_form(r, x, u).coeffs
-
-    f0, fr = (at(1.0, 0.0, 0.0) + at(-1.0, 0.0, 0.0)) / 2, (at(1.0, 0.0, 0.0) - at(-1.0, 0.0, 0.0)) / 2
-    fx, fu = at(0.0, 1.0, 0.0) - f0, at(0.0, 0.0, 1.0) - f0
-    # affine in (r, x, u): checked at a unit point off every axis
-    assert np.max(np.abs(at(0.36, 0.48, 0.8) - (f0 + 0.36 * fr + 0.48 * fx + 0.8 * fu))) <= 1e-15
-    return [_integral(f) for f in (f0, fr, fx, fu)]
+# --- the constraint system of the blocks ------------------------------------------
 
 
-def _pole_residual(closed_form, zeros: list, triple: tuple) -> list:
-    """The 15 coefficients of s omega minus s closed_form(triple / s) on the pole where the
-    generators ``zeros`` vanish; ``triple`` is s (r, x, u) there, so no relation is needed."""
-    on_pole = [(g, R.zero) for g in zeros]
-    k = _scaled_structure(_integral(_FORWARD))
-    f0, fr, fx, fu = _affine_coefficients(closed_form)
-    scaled = [S.compose(on_pole), *triple]
+def _blocks() -> tuple:
+    """sA, sB, sC: the 3x3 blocks of sJ = s (A B; -B^T C), as nested lists."""
+    k = _scaled_structure()
+    return [row[:3] for row in k[:3]], [row[3:] for row in k[:3]], [row[3:] for row in k[3:]]
+
+
+def _mul(x: list, y: list) -> list:
+    return [[sum(x[i][m] * y[m][j] for m in range(3)) for j in range(3)] for i in range(3)]
+
+
+def _plus_s_squared(m: list) -> list:
+    """s^2 + m for a 3x3 m: s^2 added on the diagonal."""
+    return [[v + S * S if i == j else v for j, v in enumerate(row)] for i, row in enumerate(m)]
+
+
+def _is_zero(m: list) -> bool:
+    return all(v == R.zero for row in m for v in row)
+
+
+def test_b_block_identity_is_polynomial():
+    # J^2 = -1, lower right block: B^T B = 1 + C^2, scaled by s^2
+    _, sb, sc = _blocks()
+    btb, cc = _mul([list(col) for col in zip(*sb)], sb), _mul(sc, sc)
+    assert _is_zero([[u - v for u, v in zip(*rows)] for rows in zip(btb, _plus_s_squared(cc))])
+    # negative control: 1 - C^2
+    assert not _is_zero([[u - v for u, v in zip(*rows)] for rows in zip(btb, _plus_s_squared([[-v for v in row] for row in cc]))])
+
+
+def test_off_diagonal_block_identity_is_polynomial():
+    # J^2 = -1, upper right block: AB + BC = 0, scaled by s^2
+    sa, sb, sc = _blocks()
+    ab, bc = _mul(sa, sb), _mul(sb, sc)
+    assert _is_zero([[u + v for u, v in zip(*rows)] for rows in zip(ab, bc)])
+    assert not _is_zero([[u - v for u, v in zip(*rows)] for rows in zip(ab, bc)])  # negative control: AB - BC
+
+
+def _cofactor(m: list) -> list:
+    """Row i is the cross product of rows i + 1 and i + 2, as ``nijenhuis._cofactor_matrix``."""
+    return [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3] for j in range(3)] for i in range(3)]
+
+
+def _cofactor_law(sign: int):
+    """2 |cof(sB)|^2 - 2 e2(s^2 + sign (sC)^2), with 2 e2(M) = (tr M)^2 - tr M^2."""
+    _, sb, sc = _blocks()
+    m = _plus_s_squared([[sign * v for v in row] for row in _mul(sc, sc)])
+    doubled_e2 = sum(m[i][i] for i in range(3)) ** 2 - sum(m[i][j] * m[j][i] for i in range(3) for j in range(3))
+    return 2 * sum(v * v for row in _cofactor(sb) for v in row) - doubled_e2
+
+
+def test_cofactor_identity_is_polynomial():
+    # cofactor_checks (iii): |cof B|^2 = e2(1 + C^2), scaled by s^4
+    assert _cofactor_law(1) == R.zero
+    assert _cofactor_law(-1) != R.zero  # negative control: e2(1 - C^2)
+
+
+def _norm_equations(shift: int) -> list:
+    """The six norm equations of ``constraint_residuals`` on sJ, scaled by s^2: row i of sB with
+    the a-entries of row i + shift of sA, column i of sB with the c-entries of row i + shift
+    of sC, paired as the shipped code pairs them through ``acs._UPPER``."""
+    sa, sb, sc = _blocks()
+    a, c = ([m[i][j] for i, j in zip(*_UPPER)] for m in (sa, sc))
+    pairs = [((_UPPER[0][(i + shift) % 3], _UPPER[1][(i + shift) % 3]), i) for i in range(3)]
+    rows = [a[p] ** 2 + a[q] ** 2 + sum(v * v for v in sb[i]) - S * S for (p, q), i in pairs]
+    cols = [c[p] ** 2 + c[q] ** 2 + sum(sb[m][i] ** 2 for m in range(3)) - S * S for (p, q), i in pairs]
+    return rows + cols
+
+
+def test_norm_equations_are_polynomial():
+    assert _norm_equations(0) == [R.zero] * 6
+    assert _norm_equations(1) != [R.zero] * 6  # negative control: each row with the next row's entries
+
+
+def test_transfer_identity_is_polynomial():
+    # |a|^2 = |c|^2, scaled by s^2
+    sa, sb, sc = _blocks()
+    a, b, c = ([m[i][j] for i, j in zip(*_UPPER)] for m in (sa, sb, sc))
+    assert sum(v * v for v in a) - sum(v * v for v in c) == R.zero
+    assert sum(v * v for v in a) - sum(v * v for v in b) != R.zero  # negative control: c read off B
+
+
+# --- the zgeom tables on exact elements -------------------------------------------
+#
+# Each closed form of zgeom is a table {(i, j): value} built with + - * / alone, so the shipped
+# tables run on elements of QQ(alpha, beta, gamma, delta, t).  The plus pole is the chart's
+# representative (alpha, 0, 0, beta) and the minus pole (0, gamma, delta, 0), with alpha and
+# gamma real, beta = b1 + i b2, delta = d1 + i d2 and the circle's phase t = t1 + i t2.
+
+QF, AL, B1, B2, GA, D1, D2, T1, T2 = field("al, b1, b2, ga, d1, d2, t1, t2", QQ)
+ZERO, ONE = QF(0), QF(1)
+#: |alpha|^2 + |beta|^2 = 1, |gamma|^2 + |delta|^2 = 1 and |t|^2 = 1; the leading terms al^2,
+#: ga^2 and t1^2 are coprime, so the three are a Groebner basis and ``rem`` is the normal form
+UNIT = [(AL**2 + B1**2 + B2**2 - 1).numer, (GA**2 + D1**2 + D2**2 - 1).numer, (T1**2 + T2**2 - 1).numer]
+
+#: the poles as (re, im) of their coordinates, and their (r, x, u) by the chart
+PLUS, PLUS_RXU = ([AL, ZERO, ZERO, B1], [ZERO, ZERO, ZERO, B2]), (AL**2 - B1**2 - B2**2, 2 * AL * B2, -2 * AL * B1)
+MINUS, MINUS_RXU = ([ZERO, GA, D1, ZERO], [ZERO, ZERO, D2, ZERO]), (GA**2 - D1**2 - D2**2, 2 * GA * D2, 2 * GA * D1)
+#: the degenerate representatives e3 (plus) and e2 (minus), both at (r, x, u) = (-1, 0, 0)
+PLUS_DEGENERATE, MINUS_DEGENERATE = ([ZERO, ZERO, ZERO, ONE], [ZERO] * 4), ([ZERO, ZERO, ONE, ZERO], [ZERO] * 4)
+DEGENERATE_RXU = (-ONE, ZERO, ZERO)
+
+
+def _vanishes(v, relations: list) -> bool:
+    """Whether the field element v is 0 wherever ``relations`` hold (and its denominator is not)."""
+    return QF(v).numer.rem(relations) == 0
+
+
+def _off(table: dict, re: list, im: list, relations: list = UNIT) -> list:
+    """The pairs on which ``table`` differs from omega at u = re + i im, modulo ``relations``,
+    under which s = |u|^2 is a nonzero constant: table s - s omega is tested for 0."""
+    k = _scaled_structure(re, im)
+    s = sum(v * v for v in re + im)
     # s omega has matrix (sJ)^T: its (i, j) coefficient is k[j][i]
-    return [k[j][i].compose(on_pole) - sum(c[n] * v for c, v in zip((f0, fr, fx, fu), scaled))
-            for n, (i, j) in enumerate(PAIRS)]
+    return [(i, j) for i, j in PAIRS if not _vanishes(table.get((i, j), 0) * s - k[j][i], relations)]
 
 
-#: the generators that vanish on the plus pole u = (alpha, 0, 0, beta1 + i beta2), and s (r, x, u) there
-PLUS_POLE = ([B[0], A[1], B[1], A[2], B[2]], (A[0] ** 2 - A[3] ** 2 - B[3] ** 2, 2 * A[0] * B[3], -2 * A[0] * A[3]))
-#: the same for the minus pole u = (0, gamma, delta1 + i delta2, 0)
-MINUS_POLE = ([A[0], B[0], B[1], A[3], B[3]], (A[1] ** 2 - A[2] ** 2 - B[2] ** 2, 2 * A[1] * B[2], 2 * A[1] * A[2]))
+def _circle(plus: tuple, minus: tuple, t1=T1, t2=T2) -> tuple:
+    """(re, im) of minus + t plus: sqrt(2) times the circle point of the two poles."""
+    (pr, pi), (mr, mi) = plus, minus
+    return ([m + t1 * a - t2 * b for m, a, b in zip(mr, pr, pi)],
+            [m + t1 * b + t2 * a for m, a, b in zip(mi, pr, pi)])
+
+
+def _branch_args(plus_rxu, minus_rxu, dp, dm, t1=T1, t2=T2, relations: list = UNIT) -> tuple:
+    """The arguments of a branch table: the poles' (r, x, u), the phase, p1 and m1 (each
+    pole's r + 1) and the roots, dp = sqrt(2 p1), dm = sqrt(2 m1) and q = sqrt(p1 m1) = dp dm / 2."""
+    p1, m1 = plus_rxu[0] + 1, minus_rxu[0] + 1
+    assert _vanishes(dp * dp - 2 * p1, relations) and _vanishes(dm * dm - 2 * m1, relations)
+    return (*plus_rxu, *minus_rxu, t1, t2, p1, m1, dp * dm / 2, dp, dm)
+
+
+#: the generic pole pair, its roots dp = 2 alpha, dm = 2 gamma, and its circle point
+GENERIC = _branch_args(PLUS_RXU, MINUS_RXU, 2 * AL, 2 * GA), _circle(PLUS, MINUS)
+
+
+def test_generic_branch_is_omega_at_the_circle_point():
+    args, point = GENERIC
+    assert _off(_branch_generic(*args), *point) == []
+    # negative control: the conjugate phase
+    assert _off(_branch_generic(*_branch_args(PLUS_RXU, MINUS_RXU, 2 * AL, 2 * GA, T1, -T2)), *point) != []
+
+
+@pytest.mark.parametrize("branch, plus, minus, plus_rxu, minus_rxu, dp, dm", [
+    (_branch_both_degenerate, PLUS_DEGENERATE, MINUS_DEGENERATE, DEGENERATE_RXU, DEGENERATE_RXU, ZERO, ZERO),
+    (_branch_minus_degenerate, PLUS, MINUS_DEGENERATE, PLUS_RXU, DEGENERATE_RXU, 2 * AL, ZERO),
+    (_branch_plus_degenerate, PLUS_DEGENERATE, MINUS, DEGENERATE_RXU, MINUS_RXU, ZERO, 2 * GA),
+], ids=["both_degenerate", "minus_degenerate", "plus_degenerate"])
+def test_degenerate_branch_is_omega_at_its_representatives(branch, plus, minus, plus_rxu, minus_rxu, dp, dm):
+    point = _circle(plus, minus)
+    assert _off(branch(*_branch_args(plus_rxu, minus_rxu, dp, dm)), *point) == []
+    # negative control: the conjugate phase
+    assert _off(branch(*_branch_args(plus_rxu, minus_rxu, dp, dm, T1, -T2)), *point) != []
+
+
+def test_printed_generic_display_is_twice_the_form():
+    args, point = GENERIC
+    printed = _printed_generic(*args)
+    assert _off({pair: v / 2 for pair, v in printed.items()}, *point) == []
+    assert len(_off(printed, *point)) == 14  # negative control: every nonzero entry misses at 1x
+
+
+def test_printed_minus_degenerate_display_differs_exactly_on_its_t2_cross_term():
+    args, point = _branch_args(PLUS_RXU, DEGENERATE_RXU, 2 * AL, ZERO), _circle(PLUS, MINUS_DEGENERATE)
+    printed = _printed_minus_degenerate(*args)
+    assert _off(printed, *point) == [(0, 4), (1, 5)]
+    # by -2 t2 s on e1^e5 and +2 t2 s on e2^e6, s = sqrt((r + 1) / 2) = alpha
+    mended = {**printed, (0, 4): printed[0, 4] + 2 * T2 * AL, (1, 5): printed[1, 5] - 2 * T2 * AL}
+    assert _off(mended, *point) == []
+    # negative control: half the difference mends neither pair
+    halfway = {**printed, (0, 4): printed[0, 4] + T2 * AL, (1, 5): printed[1, 5] - T2 * AL}
+    assert _off(halfway, *point) == [(0, 4), (1, 5)]
+
+
+def test_edge01_table_is_omega_on_the_edge():
+    # [s : c1 + i c2 : 0 : 0] with s^2 + c1^2 + c2^2 = 1, as (alpha, beta1, beta2)
+    point = [AL, B1, ZERO, ZERO], [ZERO, B2, ZERO, ZERO]
+    assert _off(_edge01_pairs(AL, B1, B2), *point) == []
+    assert _off(_edge01_pairs(AL, B1, -B2), *point) != []  # negative control: the conjugate point
 
 
 def test_pole_closed_forms_are_polynomial_identities():
-    # s omega = s pole_*_closed_form(r, x, u) at the unit triples of the two poles
-    assert _pole_residual(pole_plus_closed_form, *PLUS_POLE) == [R.zero] * 15
-    assert _pole_residual(pole_minus_closed_form, *MINUS_POLE) == [R.zero] * 15
+    # omega = the corrected pole displays at the unit triples of the two poles
+    assert _off(_pole_plus_pairs(*PLUS_RXU), *PLUS) == []
+    assert _off(_pole_minus_pairs(*MINUS_RXU), *MINUS) == []
 
 
 def test_a_flipped_u_breaks_the_minus_pole_identity():
     # the minus pole's u = +2 gamma delta1 has the opposite sign of the plus pole's -2 alpha beta1
-    zeros, (r, x, u) = MINUS_POLE
-    assert _pole_residual(pole_minus_closed_form, zeros, (r, x, -u)) != [R.zero] * 15
+    r, x, u = MINUS_RXU
+    assert _off(_pole_minus_pairs(r, x, -u), *MINUS) != []
+
+
+#: on the ANK circle the minus pole is [0 : conj(beta) : -alpha : 0], with gamma = |beta| as
+#: its chart's real coordinate: gamma^2 = |beta|^2 takes the place of the minus pole's unit
+#: relation, and the leading terms al^2, b1^2 and t1^2 are coprime again
+ANK = [UNIT[0], (GA**2 - B1**2 - B2**2).numer, UNIT[2]]
+
+
+def _ank_family_gaps(minus_rxu: tuple) -> list:
+    """Pairs on which the generic table at the pole pair (PLUS_RXU, minus_rxu) misses omega at
+    [p alpha : conj(beta) : -alpha : p beta], p = t1 + i t2 with p conj(p) = 1: that point is the
+    circle point of the ANK pole pair at the phase p beta / gamma."""
+    point = [T1 * AL, B1, -AL, T1 * B1 - T2 * B2], [T2 * AL, -B2, ZERO, T1 * B2 + T2 * B1]
+    args = _branch_args(PLUS_RXU, minus_rxu, 2 * AL, 2 * GA, (T1 * B1 - T2 * B2) / GA, (T1 * B2 + T2 * B1) / GA, ANK)
+    return _off(_branch_generic(*args), *point, ANK)
+
+
+def test_ank_circle_family_is_an_identity():
+    r, x, u = PLUS_RXU
+    assert _ank_family_gaps((-r, -x, u)) == []  # the pole constraint of ank_circle_params
+    assert _ank_family_gaps((-r, x, u)) != []  # negative control: x not opposite
 
 
 def _quadric(z: np.ndarray) -> np.ndarray:
@@ -309,7 +495,7 @@ def test_polar_set_of_e5e6_maps_to_a_plane():
 def _doubled_nabla(ct: list) -> tuple[list, list]:
     """(K, d) on K = sJ, d[i][j][l] = 2 (nabla_{e_i} w)(e_j, e_l), with nabla doubled
     to the bracket of structure constants ``ct``."""
-    k = _scaled_structure(_integral(_FORWARD))
+    k = _scaled_structure()
     # f[i][j][l] = -w([e_i, e_j], e_l) = -sum_m ct[m][i][j] K[l][m], as w has matrix K^T
     f = [[[sum((-ct[m][i][j] * k[l][m] for m in range(6) if ct[m][i][j]), R.zero) for l in range(6)]
           for j in range(6)] for i in range(6)]

@@ -1,4 +1,4 @@
-"""2-forms: coefficients, inner product, evaluation."""
+"""2-forms: coefficients, matrix, inner product."""
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ form_st = st.lists(
 @given(vector_st, vector_st, vector_st, vector_st)
 def test_eval_decomposable_form(a, b, x, y):
     # the form with matrix a b^T - b a^T is a ^ b: it evaluates to the determinant
-    lhs = TwoForm.from_matrix(np.outer(a, b) - np.outer(b, a)).evaluate(x, y)
+    lhs = float(x @ TwoForm.from_matrix(np.outer(a, b) - np.outer(b, a)).matrix() @ y)
     rhs = float(a @ x) * float(b @ y) - float(a @ y) * float(b @ x)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
@@ -47,16 +47,16 @@ def test_inner_positive_definite(w):
 
 
 def test_eval_form_examples():
-    w0 = _omega0()
-    e = np.eye(6)
-    assert w0.evaluate(e[0], e[1]) == 1.0
-    assert w0.evaluate(e[1], e[0]) == -1.0
-    assert TwoForm.basis(4, 5).evaluate(e[0], e[1]) == 0.0
+    m = _omega0().matrix()
+    assert m[0, 1] == 1.0
+    assert m[1, 0] == -1.0
+    assert TwoForm.basis(4, 5).matrix()[0, 1] == 0.0
 
 
 @given(form_st, vector_st, vector_st)
 def test_eval_antisymmetric(w, x, y):
-    assert abs(w.evaluate(x, y) + w.evaluate(y, x)) < 1e-10 * max(1.0, abs(w.evaluate(x, y)))
+    m = w.matrix()
+    assert abs(x @ m @ y + y @ m @ x) < 1e-10 * max(1.0, abs(x @ m @ y))
 
 
 def test_matrix_round_trip(rng):
@@ -66,11 +66,12 @@ def test_matrix_round_trip(rng):
     assert np.array_equal(back.coeffs, w.coeffs)
 
 
-def test_coeff_signs():
-    w = TwoForm.basis(0, 1)
-    assert w.coeff(0, 1) == 1.0
-    assert w.coeff(1, 0) == -1.0
-    assert w.coeff(2, 2) == 0.0
+def test_basis_signs():
+    # e^i ^ e^j is antisymmetric in its indices, and its matrix in its entries
+    m = TwoForm.basis(1, 0).matrix()
+    assert m[0, 1] == -1.0
+    assert m[1, 0] == 1.0
+    assert m[2, 2] == 0.0
 
 
 def test_index_arrays_match_loops(rng):
@@ -84,7 +85,7 @@ def test_index_arrays_match_loops(rng):
         assert np.array_equal(TwoForm.from_matrix(m).coeffs, a.coeffs)
         u, v = rng.standard_normal((2, 6))
         loop = sum(a.coeffs[k] * (u[i] * v[j] - u[j] * v[i]) for k, (i, j) in enumerate(PAIRS))
-        assert abs(a.evaluate(u, v) - loop) <= 1e-14 * max(1.0, abs(loop))
+        assert abs(u @ a.matrix() @ v - loop) <= 1e-14 * max(1.0, abs(loop))
 
 
 @pytest.mark.parametrize("call, message", [

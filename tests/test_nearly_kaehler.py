@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_bracket, random_rotation3, unit3
+from conftest import oracle_bracket, oracle_form_value, random_rotation3, unit3
 from twistorz.acs import DEFAULT_TOL, ACS, ank_reference_acs, blocks, fundamental_form, hopf_acs, random_acs
 from twistorz.algebra import basis_vector, nabla
 from twistorz.exceptions import NotInZError, WrongOrientationError
@@ -21,9 +21,9 @@ MIXED_NABLA_MEASURED = -0.5
 
 
 def _oracle_nabla_omega(acs, x, y, z):
-    """Route through the 2-form evaluation instead of matrix contractions."""
+    """Route through the 2-form's coefficient pairs instead of matrix contractions."""
     w = fundamental_form(acs)
-    return -0.5 * w.evaluate(oracle_bracket(x, y), z) - 0.5 * w.evaluate(y, oracle_bracket(x, z))
+    return -0.5 * oracle_form_value(w, oracle_bracket(x, y), z) - 0.5 * oracle_form_value(w, y, oracle_bracket(x, z))
 
 
 def test_basis_identity_for_swap_structure():
@@ -163,7 +163,7 @@ def test_ank_form_random_rotations(rng):
         w = fundamental_form(acs)
         for i in range(3):
             for k in range(3):
-                assert w.evaluate(e[3 + i], e[k]) == pytest.approx(o[k, i], abs=1e-15)
+                assert oracle_form_value(w, e[3 + i], e[k]) == pytest.approx(o[k, i], abs=1e-15)
 
 
 def test_ank_form_rejects_degenerate_triples():

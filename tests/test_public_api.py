@@ -185,7 +185,6 @@ _OFF_PATH = {
     "random_acs": "library API: perfbench's traced pass draws its structures with it",
     "is_integrable": "library API: perfbench's traced pass times it",
     "nijenhuis_tensor": "the paper's tensor on an ACS; the subcommands need only its norm",
-    "polar_pair_points": "the constructive side of the pole closed forms, which the tests compare",
 }
 
 
@@ -208,3 +207,43 @@ def test_every_exported_function_runs_on_a_subcommand(tmp_path):
             "fns = [(name, inspect.unwrap(getattr(twistorz, name))) for name in twistorz.__all__]\n"
             "print(*[name for name, fn in fns if inspect.isfunction(fn) and fn.__code__ not in called])")
     assert set(_child(code).split()) == set(_OFF_PATH)
+
+
+#: definitions in ``src/`` that no ``src/`` code calls, each with the reason it ships
+_UNCALLED = {
+    **_OFF_PATH,
+    "__getattr__": "the package's lazy export hook (PEP 562), called by attribute access",
+    "__dir__": "the package's export listing (PEP 562), called by dir()",
+    "__post_init__": "the dataclasses' validation hook, called by their generated __init__",
+    "haar_rotation": "library API: perfbench times it, and it defines what _haar_rotations draws",
+}
+
+
+def _uncalled_definitions() -> set:
+    """Names of the module-level functions and classes and the methods in ``src/`` that no
+    ``src/`` code refers to, as a loaded name or an attribute not rooted at an imported module."""
+    defined, used = set(), set()
+    for path in Path(twistorz.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined |= {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        # numpy.linalg.norm is no caller of TwoForm.norm
+        modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not (isinstance(root, ast.Name) and root.id in modules):
+                    used.add(node.attr)
+    return defined - used
+
+
+def test_every_definition_has_a_caller_in_src():
+    assert _uncalled_definitions() == set(_UNCALLED)

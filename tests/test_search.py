@@ -234,18 +234,23 @@ def test_restarts_must_be_positive():
 
 
 def test_converged_is_the_best_restarts_own_flag(capsys):
-    # at 14 iterations restart 3 holds the best value without having met
-    # the gradient test, while restart 1 did meet it
-    report = maximize(seed=37, restarts=5, max_iters=14)
-    values = [stop.value for stop in report.stops]
-    best = values.index(max(values))
-    assert report.stops[best].reason != "gradient"
-    assert any(stop.reason == "gradient" for stop in report.stops)
-    assert report.converged is False
+    # at 14 iterations the restart with the best value has often not met the gradient
+    # test while another one has; converged is the best restart's own flag at every seed
+    premise = []
+    for seed in range(200):
+        report = maximize(seed=seed, restarts=5, max_iters=14)
+        values = [stop.value for stop in report.stops]
+        best = report.stops[values.index(max(values))]
+        assert report.converged == (best.reason == "gradient"), seed
+        if best.reason != "gradient" and any(stop.reason == "gradient" for stop in report.stops):
+            premise.append(seed)
+    # 53 seeds of 0-199 (measured); at some the best leads a converged restart by only 7.1e-14
+    # in |N|^2, so a summation order may move single seeds, but not most of them
+    assert len(premise) >= 10
 
     from twistorz.cli import main
 
-    code = main(["optimize", "--seed", "37", "--restarts", "5", "--max-iters", "14", "--json"])
+    code = main(["optimize", "--seed", str(premise[0]), "--restarts", "5", "--max-iters", "14", "--json"])
     assert code == 3
     assert '"converged": false' in capsys.readouterr().out
 

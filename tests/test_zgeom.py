@@ -67,15 +67,15 @@ def test_edge_points_lie_in_z(rng):
 
 
 def test_edge01_vertex_endpoints():
-    assert edge01_form(1.0, 0.0, 0.0).allclose(OMEGA0)
-    assert edge01_form(0.0, 1.0, 0.0).allclose(OMEGA1)
+    assert np.allclose(edge01_form(1.0, 0.0, 0.0).coeffs, OMEGA0.coeffs, rtol=0, atol=1e-12)
+    assert np.allclose(edge01_form(0.0, 1.0, 0.0).coeffs, OMEGA1.coeffs, rtol=0, atol=1e-12)
 
 
 def test_edge01_midpoint_example():
     s = 1.0 / np.sqrt(2.0)
     w = edge01_form(s, s, 0.0)
     expected = TwoForm.from_pairs({(0, 1): 1.0, (2, 5): -1.0, (3, 4): -1.0})
-    assert w.allclose(expected)
+    assert np.allclose(w.coeffs, expected.coeffs, rtol=0, atol=1e-12)
 
 
 def test_edge01_constructive_matches_closed(rng):
@@ -116,7 +116,7 @@ def test_polar_examples(rng):
     assert not polar_contains(SIGMA56, OMEGA0)
     assert not polar_contains(SIGMA56, OMEGA1)
     with pytest.raises(ZeroFormError):
-        polar_contains(0.0 * SIGMA56, OMEGA0)
+        polar_contains(TwoForm(np.zeros(15)), OMEGA0)
 
 
 # --- poles -------------------------------------------------------------------
