@@ -35,9 +35,15 @@ the integer bracket (2 nabla = [ , ]), the symmetrization that
 nk_defect^2 = 6 + 2 |c|^2 = 8 - |N|^2 / 24: sqrt(6) exactly on the ANK set.
 Its basis terms alone are |c| too: sum_{i,j} ((nabla_{e_i} w)(e_i, e_j))^2 =
 |c|^2, so the basis identity holds exactly on the ANK set and nowhere else.
-The corrected pole displays are identities on the two poles: s omega is s times
-``pole_plus_closed_form`` on (alpha, 0, 0, beta) and ``pole_minus_closed_form``
-on (0, gamma, delta, 0), at (r, x, u) homogeneous in the coordinates.  In floats,
+The constraint system of the blocks of sJ = s (A B; -B^T C) holds over ZZ: B^T B =
+1 + C^2, AB + BC = 0, |cof B|^2 = e2(1 + C^2), the six norm equations and |a|^2 =
+|c|^2, each scaled by a power of s.
+The closed forms of ``zgeom`` are tables that only add, subtract, multiply and divide,
+so the shipped tables run on elements of QQ(alpha, beta, gamma, delta, t), the poles
+(alpha, 0, 0, beta) and (0, gamma, delta, 0) and the phase t: each equals omega modulo
+the unit relations of the poles and the phase (the corrected branches, the edge-01
+family, the pole displays, the ANK circle family), the printed generic display is twice
+the form and the printed minus-degenerate display misses it on exactly two pairs.  In floats,
 every integrable structure is ``integrable_acs`` of the frames of its blocks'
 axial vectors (the converse of its docstring), Q maps to the saddle
 b0 b2 = b1 b3 of the tetrahedron and the polar set of e5^e6 to the plane
@@ -199,6 +205,11 @@ def _mul(x: list, y: list) -> list:
     return [[sum(x[i][m] * y[m][j] for m in range(3)) for j in range(3)] for i in range(3)]
 
 
+def _add(x: list, y: list, sign: int = 1) -> list:
+    """x + sign y for 3x3 x and y."""
+    return [[u + sign * v for u, v in zip(row_x, row_y)] for row_x, row_y in zip(x, y)]
+
+
 def _plus_s_squared(m: list) -> list:
     """s^2 + m for a 3x3 m: s^2 added on the diagonal."""
     return [[v + S * S if i == j else v for j, v in enumerate(row)] for i, row in enumerate(m)]
@@ -212,17 +223,16 @@ def test_b_block_identity_is_polynomial():
     # J^2 = -1, lower right block: B^T B = 1 + C^2, scaled by s^2
     _, sb, sc = _blocks()
     btb, cc = _mul([list(col) for col in zip(*sb)], sb), _mul(sc, sc)
-    assert _is_zero([[u - v for u, v in zip(*rows)] for rows in zip(btb, _plus_s_squared(cc))])
-    # negative control: 1 - C^2
-    assert not _is_zero([[u - v for u, v in zip(*rows)] for rows in zip(btb, _plus_s_squared([[-v for v in row] for row in cc]))])
+    assert _is_zero(_add(btb, _plus_s_squared(cc), -1))
+    assert not _is_zero(_add(_add(btb, _plus_s_squared(cc), -1), cc, 2))  # negative control: 1 - C^2
 
 
 def test_off_diagonal_block_identity_is_polynomial():
     # J^2 = -1, upper right block: AB + BC = 0, scaled by s^2
     sa, sb, sc = _blocks()
     ab, bc = _mul(sa, sb), _mul(sb, sc)
-    assert _is_zero([[u + v for u, v in zip(*rows)] for rows in zip(ab, bc)])
-    assert not _is_zero([[u - v for u, v in zip(*rows)] for rows in zip(ab, bc)])  # negative control: AB - BC
+    assert _is_zero(_add(ab, bc))
+    assert not _is_zero(_add(ab, bc, -1))  # negative control: AB - BC
 
 
 def _cofactor(m: list) -> list:
