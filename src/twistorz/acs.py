@@ -27,10 +27,9 @@ from .exceptions import (
     NotOrthogonalError,
     WrongOrientationError,
     ZeroFormError,
-    at_member,
 )
 from .exterior import TwoForm
-from .kernels import _first_failure, _Normals, _scalar
+from .kernels import _Normals, _require, _scalar
 
 #: the package's one exactness tolerance, for J^2 = -1, orthogonality, the
 #: integrable (N = 0), ANK (A = C = 0) and polar predicates: far above the
@@ -61,19 +60,17 @@ class ACS:
     def validate(cls, matrix) -> "ACS":
         """Check J^2 = -1, orthogonality and orientation; raise otherwise.
 
-        Takes one matrix or a stack (..., 6, 6) and checks every member; the
-        error names the first member that fails and its residual.
+        Takes one matrix or a stack (..., 6, 6) and checks every member.  The
+        checks run in order (finite entries, entries of modulus at most 1,
+        J^2 = -1, J^T J = 1, orientation), and the error reports the first
+        check that any member fails, at its first such member, with its
+        residual: for one matrix, the first check it fails.
         """
         m = np.asarray(matrix, dtype=float)
         if m.shape[-2:] != (DIM, DIM):
             raise NotComplexError("expected a finite 6x6 matrix")
-        residuals = _residuals(m)
-        failure = _first_failure(*_failed(residuals))
-        if failure is not None:
-            check, member = failure
-            error, message, reports_residual = _FAILURES[check]
-            residual = float(residuals[check][member]) if reports_residual else None
-            raise error(at_member(message, member), residual)
+        for check in _checks(m):
+            _require(*check)
         # project onto exact antisymmetry (members of Z satisfy J^T = -J);
         # this makes the block decomposition reassemble bit-for-bit
         return cls(0.5 * (m - m.mT))
@@ -84,42 +81,33 @@ class ACS:
         return ACS(q @ self.matrix @ q.mT)
 
 
-#: error, message and whether the residual is reported, per check of
-#: :func:`_residuals`, in check order
-_FAILURES = (
-    (NotComplexError, "expected a finite 6x6 matrix", False),
-    (NotOrthogonalError, "J has an entry of modulus above 1, so J^T J != identity", True),
-    (NotComplexError, "J^2 != -identity", True),
-    (NotOrthogonalError, "J^T J != identity", True),
-    (WrongOrientationError, "J induces the opposite orientation from the reference structure", False),
-)
-
-
-def _residuals(m: np.ndarray):
-    """(finite, max |J_ij| - 1, J^2 + 1, J^T J - 1, orientation) per matrix of a stack (..., 6, 6)."""
+def _checks(m: np.ndarray):
+    """The arguments of :func:`kernels._require` (ok, error, message[, residual]) per check
+    of :meth:`ACS.validate`, in check order, over a stack (..., 6, 6)."""
     finite = np.isfinite(m).all(axis=(-2, -1))
     m = np.where(finite[..., None, None], m, 0.0)  # a non-finite member fails as finite only
     # every entry of an orthogonal matrix has modulus at most 1: a larger one
     # fails on this finite residual and is zeroed before the products, which
     # would overflow for entries near 1e308
     r_bound = np.abs(m).max(axis=(-2, -1)) - 1.0
-    m = np.where((r_bound > DEFAULT_TOL)[..., None, None], 0.0, m)
+    bounded = r_bound <= DEFAULT_TOL
+    m = np.where(bounded[..., None, None], m, 0.0)
     r_complex = np.abs(m @ m + _EYE).max(axis=(-2, -1))
     r_orth = np.abs(m.mT @ m - _EYE).max(axis=(-2, -1))
-    return finite, r_bound, r_complex, r_orth, orientation_sign(m)
-
-
-def _failed(residuals):
-    """Failure masks of the checks of :meth:`ACS.validate`, in check order."""
-    finite, r_bound, r_complex, r_orth, orientation = residuals
-    wrong_orientation = np.asarray(orientation) != REFERENCE_ORIENTATION
-    return ~finite, r_bound > DEFAULT_TOL, r_complex > DEFAULT_TOL, r_orth > DEFAULT_TOL, wrong_orientation
+    return (
+        (finite, NotComplexError, "expected a finite 6x6 matrix"),
+        (bounded, NotOrthogonalError, "J has an entry of modulus above 1, so J^T J != identity", r_bound),
+        (r_complex <= DEFAULT_TOL, NotComplexError, "J^2 != -identity", r_complex),
+        (r_orth <= DEFAULT_TOL, NotOrthogonalError, "J^T J != identity", r_orth),
+        (orientation_sign(m) == REFERENCE_ORIENTATION, WrongOrientationError,
+         "J induces the opposite orientation from the reference structure"),
+    )
 
 
 def _in_z(matrix):
     """Whether each matrix of a stack (..., 6, 6) passes :meth:`ACS.validate`."""
     m = np.asarray(matrix, dtype=float)
-    return _scalar(~np.any(_failed(_residuals(m)), axis=0))
+    return _scalar(np.all([ok for ok, *_ in _checks(m)], axis=0))
 
 
 def _perfect_matchings(idx: tuple[int, ...]):

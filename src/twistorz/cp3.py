@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acs import ACS
-from .exceptions import at_member
-from .kernels import _first_failure, _scalar
+from .kernels import _require, _scalar
 
 #: ordered bivector index pairs
 BIVECTOR_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -57,7 +56,9 @@ class CP3Point:
     (and raises ``ValueError`` unless both sides are one object), and a
     point is not hashable.
 
-    Every point of a stack is checked; the error names the first bad one.
+    Every point of a stack is checked, coordinates finite first, then not
+    all zero; the error reports the first check that any point fails, at
+    its first such point.
     """
 
     coords: np.ndarray
@@ -66,13 +67,8 @@ class CP3Point:
         c = np.asarray(self.coords, dtype=complex).copy()
         if c.shape[-1:] != (4,):
             raise ValueError("expected 4 finite complex coordinates")
-        finite = np.isfinite(c).all(axis=-1)
-        failure = _first_failure(~finite, finite & (np.abs(c).max(axis=-1) == 0.0))
-        if failure is not None:
-            check, member = failure
-            message = ("expected 4 finite complex coordinates",
-                       "homogeneous coordinates cannot all vanish")[check]
-            raise ValueError(at_member(message, member))
+        _require(np.isfinite(c).all(axis=-1), ValueError, "expected 4 finite complex coordinates")
+        _require(np.abs(c).max(axis=-1) > 0.0, ValueError, "homogeneous coordinates cannot all vanish")
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 

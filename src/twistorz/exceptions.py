@@ -54,10 +54,3 @@ class NotRotationError(TwistorError):
 
 class ParseError(TwistorError):
     """Command-line or file input could not be parsed."""
-
-
-def at_member(message: str, member: tuple[int, ...]) -> str:
-    """``message`` naming the failing member of a stack; unchanged for a single one."""
-    if not member:
-        return message
-    return f"{message} at member {member[0] if len(member) == 1 else member}"

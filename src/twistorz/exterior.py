@@ -23,8 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import DIM
-from .exceptions import at_member
-from .kernels import _first_failure, _scalar
+from .kernels import _require, _scalar
 
 #: ordered index pairs (i, j), i < j, for the 15 basis 2-forms
 PAIRS: tuple[tuple[int, int], ...] = tuple(combinations(range(DIM), 2))
@@ -43,8 +42,9 @@ class TwoForm:
 
     def __post_init__(self):
         a = np.asarray(self.coeffs, dtype=float)
-        if a.shape[-1:] != (len(PAIRS),) or not np.all(np.isfinite(a)):
+        if a.shape[-1:] != (len(PAIRS),):
             raise ValueError("TwoForm needs 15 finite coefficients")
+        _require(np.isfinite(a).all(axis=-1), ValueError, "TwoForm needs 15 finite coefficients")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "coeffs", a)
@@ -74,13 +74,13 @@ class TwoForm:
         m = np.asarray(m, dtype=float)
         if m.shape[-2:] != (DIM, DIM):
             raise ValueError("expected a 6x6 matrix")
+        form = cls(m[..., _ROWS, _COLS])  # finite coefficients are checked first
         # m + m^T of a computed antisymmetric matrix is rounding, far below
         # 1e-12 of its largest entry; a matrix that is not one misses by O(1)
-        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-        failure = _first_failure(np.abs(m + m.mT).max(axis=(-2, -1)) > 1e-12 * scale)
-        if failure is not None:
-            raise ValueError(at_member("matrix is not antisymmetric", failure[1]))
-        return cls(m[..., _ROWS, _COLS])
+        scale = np.maximum(1.0, np.abs(form.coeffs).max(axis=-1))
+        _require(np.abs(m + m.mT).max(axis=(-2, -1)) <= 1e-12 * scale, ValueError,
+                 "matrix is not antisymmetric")
+        return form
 
     def matrix(self) -> np.ndarray:
         m = np.zeros(self.coeffs.shape[:-1] + (DIM, DIM))

@@ -5,8 +5,8 @@ per matrix; a single 6x6 input gives a Python float where a scalar is
 returned.  The public functions never call each other through their
 public names, so patching or wrapping one of them leaves the others
 unchanged.  The private stack helpers beside them (chunk sizes, the
-seeded stream of normals, the scalar of a 0-d result, the first failing
-member) serve every numerical module.
+seeded stream of normals, the scalar of a 0-d result, the check that
+names a stack's first failing member) serve every numerical module.
 """
 
 from __future__ import annotations
@@ -84,24 +84,26 @@ def _scalar(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
-def _first_failure(*failed):
-    """(check, member) of the first member of a stack that fails a check.
+def _require(ok, error, message, residual=None) -> None:
+    """Raise ``error`` for the first member of a stack where ``ok`` does not hold.
 
-    Each argument is a bool array over the stack's members (0-d for one
-    member), one per check in check order.  Members are taken in row-major
-    order; ``check`` is the position of the first check that member fails
-    and ``member`` its index tuple (``()`` for a single member).  None when
-    every member passes.
+    ``ok`` is a bool array over the stack's members (0-d for one member),
+    the condition that must hold, so a NaN member fails it.  Members are
+    taken in row-major order.  ``message`` is a str, or a function of the
+    member's index tuple that words that member's own value; for a stack
+    ``at member k`` is appended.  ``residual``, an array over the members,
+    gives the member's value to a ``ValidationError``.  A validator with
+    several checks calls this once per check, in check order, so it reports
+    the first check that any member fails, at its first such member.
     """
-    anything = failed[0]
-    for f in failed[1:]:
-        anything = anything | f
-    if not np.asarray(anything).any():
-        return None
-    failed = np.stack(np.broadcast_arrays(*failed))
-    any_failed = failed.any(axis=0)
-    member = tuple(int(i) for i in np.unravel_index(any_failed.argmax(), any_failed.shape))
-    return int(failed[(slice(None),) + member].argmax()), member
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    member = tuple(int(i) for i in np.unravel_index(ok.argmin(), ok.shape))
+    text = message(member) if callable(message) else message
+    if member:
+        text = f"{text} at member {member[0] if len(member) == 1 else member}"
+    raise error(text) if residual is None else error(text, float(residual[member]))
 
 
 def nijenhuis_components(j: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ diagonal block:  |N|^2 = kappa (1 - c1^2 - c2^2 - c3^2),  with the
 calibration constant kappa fixed once as |N|^2 of the factor-swapping
 reference structure.  Under the conventions of this package the measured
 value is kappa = 48 exactly (see the verification report for the
-comparison against the literature normalization).
+comparison against the literature normalization).  At the point [z] of
+CP^3 the norm is one complex quadric, |N|^2 = 192 |q|^2 / |z|^4 with
+q = z0 z2 - z1 z3, so the integrable set is the quadric Q = {q = 0}.
 
 The tensor, the norm, the integrability test, the norm law, the cofactor
 checks and the integrable family are batched: given a stack of structures
@@ -21,8 +23,8 @@ import numpy as np
 
 from . import kernels
 from .acs import ACS, Blocks, DEFAULT_TOL, _haar_rotations, ank_reference_acs, blocks, hopf_acs
-from .exceptions import DomainError, NotRotationError, at_member
-from .kernels import _first_failure, _scalar
+from .exceptions import DomainError, NotRotationError
+from .kernels import _require, _scalar
 
 
 def nijenhuis_tensor(acs: ACS) -> np.ndarray:
@@ -53,14 +55,15 @@ def closed_form_norm(b: Blocks):
     """The norm law: sqrt(kappa (1 - |c|^2)) from the block decomposition.
 
     Batched over stacked blocks, a float per member.  Raises ``DomainError``
-    for blocks with |c| > 1, naming the first such member of a stack.
+    for blocks with |c| > 1 or a NaN entry of c, naming the first such
+    member of a stack.
     """
     rest = 1.0 - np.vecdot(b.c, b.c)
-    failure = _first_failure(rest < -DEFAULT_TOL)  # the blocks of a structure valid to DEFAULT_TOL
-    if failure is not None:
-        member = failure[1]
-        message = f"1 - |c|^2 = {rest[member]:.3e} < 0: not blocks of a valid structure"
-        raise DomainError(at_member(message, member))
+    # 1 - |c|^2 >= 0 holds for the blocks of a structure valid to DEFAULT_TOL;
+    # a NaN fails it, and is not worded as below 0
+    _require(rest >= -DEFAULT_TOL, DomainError,
+             lambda k: f"1 - |c|^2 = {rest[k]:.3e}{' < 0' if rest[k] < 0 else ''}"
+                       ": not blocks of a valid structure")
     return _scalar(np.sqrt(calibration_constant() * np.maximum(rest, 0.0)))
 
 
@@ -105,7 +108,8 @@ def integrable_acs(o1, o2) -> ACS:
 
     Every integrable member of Z arises this way, so the family doubles as
     a sampler for the zero set of the norm functional.  Batched over stacks
-    of rotation pairs; every block is validated.
+    of rotation pairs; every block is validated, and an error names the
+    first failing pair of a stack.
     """
     q = _block_rotation(o1, o2)
     return hopf_acs().conjugate(q)
@@ -125,10 +129,9 @@ def _block_rotation(o1, o2) -> np.ndarray:
         raise NotRotationError("blocks must be 3x3")
     q = np.zeros(o1.shape[:-2] + (6, 6))
     for off, o in ((0, o1), (3, o2)):
-        if np.max(np.abs(o.mT @ o - np.eye(3))) > DEFAULT_TOL:
-            raise NotRotationError("block is not orthogonal")
-        if np.any(np.linalg.det(o) < 0):
-            raise NotRotationError("block has determinant -1")
+        _require(np.abs(o.mT @ o - np.eye(3)).max(axis=(-2, -1)) <= DEFAULT_TOL, NotRotationError,
+                 "block is not orthogonal")
+        _require(np.linalg.det(o) > 0.0, NotRotationError, "block has determinant -1")
         q[..., off : off + 3, off : off + 3] = o
     return q
 

@@ -80,7 +80,7 @@ def _worst(rng, count: int, residuals) -> float:
     """Largest residual over ``count`` samples drawn in chunks from ``rng``.
 
     ``rng`` is a seeded stream ``_Normals([seed, tag])``, the tag (101-115)
-    used by no other draw.  ``residuals(rng, n)`` draws n samples and returns their residual arrays
+    used by no other check.  ``residuals(rng, n)`` draws n samples and returns their residual arrays
     (one or several, in a sequence); a NaN among them makes the result NaN,
     which fails the check.
     """

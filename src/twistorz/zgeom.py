@@ -52,9 +52,9 @@ import numpy as np
 
 from .acs import ACS, DEFAULT_TOL, fundamental_form
 from .cp3 import CP3Point, _product, _unit, acs_to_cp3, cp3_to_acs, identify, wedge4
-from .exceptions import ParamDomainError, at_member
+from .exceptions import ParamDomainError
 from .exterior import TwoForm
-from .kernels import _first_failure, _scalar
+from .kernels import _require, _scalar
 
 # ---------------------------------------------------------------------------
 # edge through vertices 0 and 1
@@ -94,11 +94,8 @@ def _check_unit_sphere(*vals) -> None:
     non-finite triple is off it too.
     """
     s = sum(np.asarray(v, dtype=float) ** 2 for v in vals)
-    failure = _first_failure(~(np.abs(s - 1.0) <= DEFAULT_TOL))
-    if failure is not None:
-        member = failure[1]
-        message = f"parameters must lie on the unit sphere (|.|^2 = {s[member]})"
-        raise ParamDomainError(at_member(message, member))
+    _require(np.abs(s - 1.0) <= DEFAULT_TOL, ParamDomainError,
+             lambda k: f"parameters must lie on the unit sphere (|.|^2 = {s[k]})")
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +410,8 @@ def invert_circle(point: CP3Point) -> tuple[PolarPairParams, float]:
     z = _unit(point.scaled())
     z0, z1, z2, z3 = np.moveaxis(z, -1, 0)
     gap = _mass(z0) + _mass(z3) - (_mass(z1) + _mass(z2))
-    failure = _first_failure(np.abs(gap) > DEFAULT_TOL)
-    if failure is not None:
-        member = failure[1]
-        message = f"point is not polar: mass gap {gap[member]:.3e} between coordinates {{0, 3}} and {{1, 2}}"
-        raise ValueError(at_member(message, member))
+    _require(np.abs(gap) <= DEFAULT_TOL, ValueError,
+             lambda k: f"point is not polar: mass gap {gap[k]:.3e} between coordinates {{0, 3}} and {{1, 2}}")
     plus_params, minus_params = _hopf_pole(z0, z3, -1.0), _hopf_pole(z1, z2, 1.0)
     plus, minus = _pole_coords(*plus_params, plus=True), _pole_coords(*minus_params, plus=False)
     params = PolarPairParams(*(_scalar(v) for v in (*plus_params, *minus_params)))

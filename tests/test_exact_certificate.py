@@ -27,8 +27,10 @@ s^2 - |c~|^2 = 4 |q|^2 with q = z0 z2 - z1 z3, so with the law the norm
 is one complex quadric, |N|^2 = 4 kappa |q|^2 / |z|^4 = 192 |q|^2 / |z|^4.
 Its consequences are checked in floats on the shipped route: the integrable
 set lies on the quadric Q = {q = 0}, the ANK set on {|q| = |z|^2 / 2}, Q
-holds the tetrahedron edges 01, 12, 23 and 30, and edge 02 meets the ANK set
-in its circle |z0| = |z2|.
+holds the tetrahedron edges 01, 12, 23 and 30, edges 02 and 13 meet the ANK set
+in the circles |z0| = |z2| and |z1| = |z3|, which are the whole ANK set on the
+tetrahedron's boundary, and over each point b of the tetrahedron the phases move
+|N| over exactly [sqrt(192) |sqrt(b0 b2) - sqrt(b1 b3)|, sqrt(192) (sqrt(b0 b2) + sqrt(b1 b3))].
 The nearly-Kaehler defect is the law again: with the connection doubled to
 the integer bracket (2 nabla = [ , ]), the symmetrization that
 ``nk_defect`` norms satisfies sum (2 S(sJ))^2 = 4 (6 s^2 + 2 |c~|^2), so
@@ -56,7 +58,7 @@ import numpy as np
 import pytest
 from sympy import QQ, ZZ, field, ring
 
-from twistorz import kernels
+from twistorz import kernels, zgeom
 from twistorz.acs import _UPPER, _random_structures, ank_reference_acs, blocks, fundamental_form, polar_contains
 from twistorz.algebra import STRUCTURE_CONSTANTS
 from twistorz.cp3 import CP3Point, _FORWARD, acs_to_cp3, cp3_to_acs, tetra_coords
@@ -406,9 +408,14 @@ def _ank_family_gaps(minus_rxu: tuple) -> list:
     return _off(_branch_generic(*args), *point, ANK)
 
 
-def test_ank_circle_family_is_an_identity():
+def test_ank_circle_family_is_an_identity(monkeypatch):
+    # the shipped ank_circle_params on the field triple: its unit-sphere check, which converts
+    # to floats, is the one step that is not ring arithmetic
+    monkeypatch.setattr(zgeom, "_check_unit_sphere", lambda *vals: None)
+    params = ank_circle_params(*PLUS_RXU)
+    assert (params.r_plus, params.x_plus, params.u_plus) == PLUS_RXU
+    assert _ank_family_gaps((params.r_minus, params.x_minus, params.u_minus)) == []
     r, x, u = PLUS_RXU
-    assert _ank_family_gaps((-r, -x, u)) == []  # the pole constraint of ank_circle_params
     assert _ank_family_gaps((-r, x, u)) != []  # negative control: x not opposite
 
 
@@ -453,12 +460,53 @@ def test_four_tetrahedron_edges_lie_on_the_quadric(edge):
     assert np.max(nijenhuis_norm(cp3_to_acs(z))) <= 1e-13
 
 
-def test_edge02_meets_the_ank_set_in_its_circle():
-    # on [1 : 0 : lambda : 0] with |lambda| = 1, |q| = |z|^2 / 2, so |N| = sqrt(48)
-    # (measured 2.7e-15)
+@pytest.mark.parametrize("edge", [(0, 2), (1, 3)], ids=["02", "13"])
+def test_edges_02_and_13_meet_the_ank_set_in_circles(edge):
+    # on [1 : 0 : lambda : 0] and [0 : 1 : 0 : lambda] with |lambda| = 1, |q| = |z|^2 / 2,
+    # so |N| = sqrt(48) (measured 2.7e-15)
     lam = np.exp(1j * np.random.default_rng(23).uniform(0.0, 2.0 * np.pi, 200))
-    z = np.stack([np.ones(200), np.zeros(200), lam, np.zeros(200)], axis=-1)
+    z = np.zeros((200, 4), dtype=complex)
+    z[:, edge] = np.stack([np.ones(200), lam], axis=-1)
     assert np.max(np.abs(nijenhuis_norm(cp3_to_acs(z)) - np.sqrt(48.0))) <= 1e-13
+
+
+@pytest.mark.parametrize("face", range(4))
+def test_the_edge_circles_are_the_ank_set_on_the_boundary(face):
+    # on the face z_k = 0, q is the one product z_i z_j of the edge ij among 02 and 13 that
+    # avoids k, so |N|^2 = 192 b_i b_j and, with t the fourth coordinate,
+    # 1 - |N|^2 / 48 = (b_i - b_j)^2 + t (2 - t): |N|^2 = 48 only where t = 0 and b_i = b_j,
+    # the circle on edge ij (measured 7.2e-16)
+    i, j = (0, 2) if face % 2 else (1, 3)
+    (other,) = {0, 1, 2, 3} - {i, j, face}
+    rng = np.random.default_rng(28)
+    z = rng.standard_normal((300, 4)) + 1j * rng.standard_normal((300, 4))
+    z[:, face] = 0.0
+    b = tetra_coords(CP3Point(z))
+    t = b[:, other]
+    rest = 1.0 - kernels.nijenhuis_norm_sq(cp3_to_acs(z).matrix) / 48.0
+    assert np.max(np.abs(rest - ((b[:, i] - b[:, j]) ** 2 + t * (2.0 - t)))) <= 1e-13
+
+
+def test_the_phases_move_the_norm_over_the_fibre_envelope():
+    # |q| / |z|^2 = |w0 - w1| with |w0| = sqrt(b0 b2) and |w1| = sqrt(b1 b3) for w0 = z0 z2 and
+    # w1 = z1 z3 of the unit representative, so over each b the phases move |N| over
+    # [sqrt(192) |sqrt(b0 b2) - sqrt(b1 b3)|, sqrt(192) (sqrt(b0 b2) + sqrt(b1 b3))]
+    acs = _random_structures([[27, k] for k in range(2000)])
+    point = acs_to_cp3(acs)
+    b = tetra_coords(point)
+    w0, w1 = np.sqrt(b[:, 0] * b[:, 2]), np.sqrt(b[:, 1] * b[:, 3])
+    low, high = np.sqrt(192.0) * np.abs(w0 - w1), np.sqrt(192.0) * (w0 + w1)
+    norm = nijenhuis_norm(acs)
+    assert np.all((low - 1e-13 <= norm) & (norm <= high + 1e-13))
+    # turning z1's phase aligns z1 z3 with z0 z2 (the low end) or with -z0 z2 (the high end)
+    # (measured 4.4e-15)
+    z = point.coords
+    p0, p1 = z[:, 0] * z[:, 2], z[:, 1] * z[:, 3]
+    turn = (p0 / np.abs(p0)) / (p1 / np.abs(p1))
+    for sign, end in ((1.0, low), (-1.0, high)):
+        turned = z.copy()
+        turned[:, 1] *= sign * turn
+        assert np.max(np.abs(nijenhuis_norm(cp3_to_acs(turned)) - end)) <= 1e-13
 
 
 def _axial(m: np.ndarray) -> np.ndarray:

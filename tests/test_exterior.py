@@ -9,6 +9,9 @@ from twistorz.exterior import PAIRS, TwoForm
 
 #: a stack of two 6x6 matrices whose second member is not antisymmetric
 _SECOND_SYMMETRIC = np.stack([np.zeros((6, 6)), np.eye(6)])
+#: finite coefficients above the diagonal, an infinite entry below it
+_INF_BELOW = np.zeros((6, 6))
+_INF_BELOW[1, 0] = np.inf
 
 
 def _omega0():
@@ -95,7 +98,11 @@ def test_index_arrays_match_loops(rng):
     (lambda: TwoForm.from_matrix(np.zeros((5, 5))), "expected a 6x6 matrix"),
     (lambda: TwoForm.from_matrix(np.eye(6)), "matrix is not antisymmetric"),
     (lambda: TwoForm.from_matrix(_SECOND_SYMMETRIC), "matrix is not antisymmetric at member 1"),
-], ids=["14-coefficients", "nan", "basis-2-2", "5x5", "symmetric", "stack"])
+    (lambda: TwoForm(np.array([np.zeros(15), np.full(15, np.inf), np.zeros(15)])),
+     "TwoForm needs 15 finite coefficients at member 1"),
+    (lambda: TwoForm.from_matrix(np.full((6, 6), np.nan)), "TwoForm needs 15 finite coefficients"),
+    (lambda: TwoForm.from_matrix(_INF_BELOW), "matrix is not antisymmetric"),
+], ids=["14-coefficients", "nan", "basis-2-2", "5x5", "symmetric", "stack", "stack-inf", "nan-matrix", "inf-below"])
 def test_malformed_input_raises_its_message(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()

@@ -157,6 +157,8 @@ def test_integrable_family_rejects_bad_blocks(rng):
     reflect = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(NotRotationError):
         integrable_acs(reflect, np.eye(3))
+    with pytest.raises(NotRotationError, match="^block is not orthogonal$"):
+        integrable_acs(np.eye(3), np.full((3, 3), np.nan))
 
 
 @pytest.mark.parametrize("o1, o2", [(np.eye(2), np.eye(2)), (np.eye(3), np.stack([np.eye(3)] * 2))],

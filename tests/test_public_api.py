@@ -247,3 +247,32 @@ def _uncalled_definitions() -> set:
 
 def test_every_definition_has_a_caller_in_src():
     assert _uncalled_definitions() == set(_UNCALLED)
+
+
+def _member_naming_sites() -> set:
+    """(module, function) of every place in ``src/`` that writes ``at member`` into a string
+    or calls ``unravel_index``; docstrings are skipped.  A lambda counts as its function."""
+    sites = set()
+
+    def visit(node, module, function):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return  # a docstring
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "at member" in node.value:
+            sites.add((module, function))
+        if isinstance(node, (ast.Name, ast.Attribute)) and "unravel_index" in (getattr(node, "id", None),
+                                                                                getattr(node, "attr", None)):
+            sites.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in Path(twistorz.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return sites
+
+
+def test_one_place_names_a_failing_member():
+    # every validator of a stack finds, words and raises its first failing member
+    # through kernels._require
+    assert _member_naming_sites() == {("kernels", "_require")}

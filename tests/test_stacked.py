@@ -420,6 +420,16 @@ def test_stack_with_one_bad_member_names_its_index():
     with pytest.raises(NotComplexError) as single:
         ACS.validate(1.01 * m[4])
     assert "member" not in str(single.value)
+    # the first check that any member fails, at its first such member, not
+    # the first member that fails some check
+    bad = m.copy()
+    bad[1] = -m[1]  # wrong orientation, the last check
+    bad[3] = 1.01 * m[3]  # J^2 != -1, the third
+    with pytest.raises(NotComplexError, match=r"^J\^2 != -identity at member 3 \(max residual"):
+        ACS.validate(bad)
+    bad[5, 0, 0] = 2.0  # an entry of modulus above 1, the second
+    with pytest.raises(NotOrthogonalError, match=r"^J has an entry of modulus above 1, .* at member 5 \("):
+        ACS.validate(bad)
 
     raw = _points(7)
     raw[3] = 0.0
@@ -438,6 +448,14 @@ def test_stack_with_one_bad_member_names_its_index():
     c[5] = 2.0 * c[0]  # |c| = 2: the vertex structure has |c| = 1
     with pytest.raises(DomainError, match=r"^1 - \|c\|\^2 = -3\.000e\+00 < 0: .* at member 5$"):
         closed_form_norm(Blocks(A=b.A, B=b.B, C=c))
+    c[3, 0, 1] = np.nan  # an earlier member, and NaN is no number below 0
+    with pytest.raises(DomainError, match=r"^1 - \|c\|\^2 = nan: not blocks of a valid structure at member 3$"):
+        closed_form_norm(Blocks(A=b.A, B=b.B, C=c))
+
+    rots = _haar_rotations(8, 3, np.random.default_rng(1))
+    rots[5] *= -1.0  # the second block of pair 2 has determinant -1
+    with pytest.raises(NotRotationError, match="^block has determinant -1 at member 2$"):
+        integrable_acs(rots[0::2], rots[1::2])
 
 
 # --- chunked checks and sample rows against their per-structure loops

@@ -135,16 +135,19 @@ def test_pole_degenerate_case():
 
 
 def test_pole_forms_match_correspondence(rng):
-    for _ in range(50):
-        r, x, u = (float(v) for v in unit3(rng))
-        if abs(r + 1.0) < 1e-6:
-            continue
-        params = PolarPairParams(r, x, u, r, x, u)
-        plus, minus = polar_pair_points(params)
-        w_plus = fundamental_form(cp3_to_acs(plus))
-        w_minus = fundamental_form(cp3_to_acs(minus))
-        assert np.max(np.abs(w_plus.coeffs - pole_plus_closed_form(r, x, u).coeffs)) < 1e-9
-        assert np.max(np.abs(w_minus.coeffs - pole_minus_closed_form(r, x, u).coeffs)) < 1e-9
+    triples = [unit3(rng) for _ in range(50)]
+    # poles at r + 1 = 10^-k, k = 1, 8, ..., 295, at five phases of (x, u) each: x^2 + u^2 =
+    # (2 - 10^-k) 10^-k, from which the chart forms r + 1; then the degenerate pole
+    for k in range(1, 300, 7):
+        rho = np.sqrt((2.0 - 10.0**-k) * 10.0**-k)
+        phases = rng.uniform(0.0, 2.0 * np.pi, 5)
+        triples += [(10.0**-k - 1.0, rho * np.cos(phi), rho * np.sin(phi)) for phi in phases]
+    triples.append((-1.0, 0.0, 0.0))
+    r, x, u = np.array(triples).T
+    plus, minus = polar_pair_points(PolarPairParams(r, x, u, r, x, u))
+    # measured 2.8e-16
+    for point, closed in ((plus, pole_plus_closed_form(r, x, u)), (minus, pole_minus_closed_form(r, x, u))):
+        assert np.max(np.abs(fundamental_form(cp3_to_acs(point)).coeffs - closed.coeffs)) <= 1e-12
 
 
 # --- circles -----------------------------------------------------------------
