@@ -260,8 +260,8 @@ def constraint_residuals(b: Blocks) -> np.ndarray:
     cols = b.B.mT
     # row i of B pairs with the two a-entries of row i of A (likewise columns and C)
     norms = [
-        a_sq[..., _UPPER[0]] + a_sq[..., _UPPER[1]] + np.vecdot(b.B, b.B) - 1.0,
-        c_sq[..., _UPPER[0]] + c_sq[..., _UPPER[1]] + np.vecdot(cols, cols) - 1.0,
+        a_sq[..., _UPPER[0]] + a_sq[..., _UPPER[1]] + np.vecdot(b.B, b.B) - 1,
+        c_sq[..., _UPPER[0]] + c_sq[..., _UPPER[1]] + np.vecdot(cols, cols) - 1,
     ]
     ortho = (b.A @ b.B + b.B @ b.C).reshape(b.B.shape[:-2] + (9,))
     transfer = (a_sq[..., 0] + a_sq[..., 1] + a_sq[..., 2]

@@ -17,6 +17,7 @@ A :class:`TwoForm` may also hold a stack of forms, coefficients
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -93,4 +94,6 @@ class TwoForm:
         return _scalar(np.vecdot(self.coeffs, other.coeffs))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        """Euclidean norm of the coefficients, summed as Python floats: inf, with no warning,
+        where the squares overflow, and 0 wherever ``inner`` of the form with itself is."""
+        return math.sqrt(sum(x * x for x in self.coeffs.ravel().tolist()))

@@ -80,7 +80,7 @@ def cofactor_checks(b: Blocks) -> np.ndarray:
     cofactor route itself; the evidence about Z lies in (i) and (iii).
     """
     bt_b = b.B.mT @ b.B
-    target = np.eye(3) + b.C @ b.C
+    target = np.eye(3, dtype=int) + b.C @ b.C
     r1 = np.max(np.abs(bt_b - target), axis=(-2, -1))
     cof = _cofactor_matrix(b.B)
     cof_sq = np.sum(cof * cof, axis=(-2, -1))
@@ -90,7 +90,7 @@ def cofactor_checks(b: Blocks) -> np.ndarray:
 def _e2(m: np.ndarray) -> np.ndarray:
     """((tr M)^2 - tr M^2) / 2 per matrix of a stack (..., 3, 3)."""
     tr = np.trace(m, axis1=-2, axis2=-1)
-    return 0.5 * (tr * tr - np.sum(m * m.mT, axis=(-2, -1)))
+    return (tr * tr - np.sum(m * m.mT, axis=(-2, -1))) / 2
 
 
 def _cofactor_matrix(m: np.ndarray) -> np.ndarray:
@@ -129,7 +129,10 @@ def _block_rotation(o1, o2) -> np.ndarray:
         raise NotRotationError("blocks must be 3x3")
     q = np.zeros(o1.shape[:-2] + (6, 6))
     for off, o in ((0, o1), (3, o2)):
-        _require(np.abs(o.mT @ o - np.eye(3)).max(axis=(-2, -1)) <= DEFAULT_TOL, NotRotationError,
+        # no entry of a rotation exceeds 1: a member with a larger one (or a NaN) is
+        # zeroed, so it fails below, before O^T O could overflow
+        bounded = np.where((np.abs(o) <= 1.0 + DEFAULT_TOL).all(axis=(-2, -1))[..., None, None], o, 0.0)
+        _require(np.abs(bounded.mT @ bounded - np.eye(3)).max(axis=(-2, -1)) <= DEFAULT_TOL, NotRotationError,
                  "block is not orthogonal")
         _require(np.linalg.det(o) > 0.0, NotRotationError, "block has determinant -1")
         q[..., off : off + 3, off : off + 3] = o

@@ -5,22 +5,16 @@ Steepest ascent/descent of the squared norm |N|^2 moves Q along the orbit
 by the Cayley retraction Q -> Q (I - t W/2)^{-1} (I + t W/2) of a skew
 direction W (Absil, Mahony and Sepulchre, *Optimization Algorithms on
 Matrix Manifolds*, 2008, sections 3.6 and 4.1).  The squared norm is
-smooth everywhere, its zero set included.  Its gradient comes from the
-tensor definition by the adjoint: with N_k = (n_k - n_k^T)/2 - C_k and
-n_k = J^T C_k J - 2 sum_m J[k, m] C_m J, the Euclidean gradient is
-
-    G = 4 (sum_m C_m M_m - sum_k C_k J N_k - [<N_k, C_m J>]_{k, m}),
-    M_m = sum_k J[k, m] N_k,
-
-one Nijenhuis kernel call and three contractions with the structure
-constants.  It is pulled back to so(6) as the skew matrix D = S - S^T,
-with H = Q^T G Q and S = H J_ref^T - J_ref^T H, whose entry D[p, r] is
-the derivative along the plane rotation Q exp(t E_pr), so that
-|grad| = |D|_F / sqrt(2).  Each trial rotation takes one Newton-Schulz
-step Q -> Q (3 I - Q^T Q) / 2 before it is evaluated: a product of
-hundreds of Cayley factors drifts off SO(6), where rounding alone can
-"improve" |N|^2 past its maximum.  The search never touches the
-closed-form norm law, so its outcome is an independent confirmation of it.
+smooth everywhere, its zero set included; ``kernels._norm_sq_gradient``
+derives and computes its Euclidean gradient G.  G is pulled back to so(6)
+as the skew matrix D = S - S^T, with H = Q^T G Q and S = H J_ref^T -
+J_ref^T H, whose entry D[p, r] is the derivative along the plane rotation
+Q exp(t E_pr), so that |grad| = |D|_F / sqrt(2).  Each trial rotation
+takes one Newton-Schulz step Q -> Q (3 I - Q^T Q) / 2 before it is
+evaluated: a product of hundreds of Cayley factors drifts off SO(6),
+where rounding alone can "improve" |N|^2 past its maximum.  The search
+never touches the closed-form norm law, so its outcome is an independent
+confirmation of it.
 
 Restart k starts from the seeded rotation that ``random_acs([seed, k])``
 draws, and all restarts advance in lockstep as one (R, 6, 6) stack of
@@ -44,7 +38,6 @@ import numpy as np
 
 from . import kernels
 from .acs import ACS, _J_REF, _seeded_rotations
-from .algebra import STRUCTURE_CONSTANTS as _CT
 
 INITIAL_STEP = 0.1
 #: a restart whose step must halve about 30 times below INITIAL_STEP to
@@ -54,12 +47,12 @@ MIN_STEP = 1e-10
 #: every restart of seeds 100-139 x 20 runs until no step improves |N|^2
 #: in rounding, and stops at |grad| up to 2.6e-6 near the maximum
 #: (|N|^2 = 48) and up to 1.8e-8 near the zero set.  5e-6 clears that
-#: rounding floor: a restart whose step collapses first has stalled
+#: rounding floor: a restart whose step collapses first has stalled.  By the
+#: law |grad|^2 = 8 F (48 - F), F = |N|^2, a rounding error e in F near 48
+#: leaves |grad| ~ sqrt(384 e): that floor is e ~ 1.8e-14, 2.5 ulp of 48
 GRAD_TOL = 5e-6
 
 _EYE = np.eye(6)
-#: the structure constants as one (6, 36) matrix, [p, (m, s)] = C_m[p, s]
-_CT_ROWS = _CT.transpose(1, 0, 2).reshape(6, 36)
 
 
 @dataclass(frozen=True)
@@ -96,16 +89,7 @@ def _gradient(q: np.ndarray, j_ref: np.ndarray) -> np.ndarray:
 
     Takes stacks (..., 6, 6) of Q and J_ref and returns (..., 6, 6).
     """
-    j = q @ j_ref @ q.mT
-    lead = j.shape[:-2]
-    n = kernels.nijenhuis_components(j)
-    cj = _CT @ j[..., None, :, :]  # cj[m] = C_m J
-    rows_n = n.reshape(lead + (36, 6))  # [(k, s), q] = N_k[s, q]
-    c_j_n = np.swapaxes(cj, -3, -2).reshape(lead + (6, 36)) @ rows_n  # sum_k C_k J N_k
-    pair = n.reshape(lead + (6, 36)) @ cj.reshape(lead + (6, 36)).mT  # [<N_k, C_m J>]_{k, m}
-    m = (j.mT @ n.reshape(lead + (6, 36))).reshape(lead + (36, 6))  # M_m = sum_k J[k, m] N_k
-    g = 4.0 * (_CT_ROWS @ m - c_j_n - pair)
-    h = q.mT @ g @ q
+    h = q.mT @ kernels._norm_sq_gradient(q @ j_ref @ q.mT) @ q
     s = h @ j_ref.mT - j_ref.mT @ h
     return s - s.mT
 

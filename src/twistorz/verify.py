@@ -14,29 +14,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import search, zgeom
-from .acs import (
-    ACS,
-    _haar_rotations,
-    ank_reference_acs,
-    blocks,
-    constraint_residuals,
-    fundamental_form,
-    hopf_acs,
-    polar_contains,
-    vertex_acs,
-)
+from .acs import (ACS, _haar_rotations, ank_reference_acs, blocks, constraint_residuals, fundamental_form, hopf_acs,
+                  polar_contains, vertex_acs)
 from .algebra import basis_vector
 from .cp3 import CP3Point, acs_to_cp3, cp3_to_acs
 from .exterior import TwoForm
 from .kernels import _chunk_sizes, _Normals
 from .nearly_kaehler import _nabla_tensor, ank_form, nabla_omega, nk_defect
-from .nijenhuis import (
-    _random_integrable,
-    cofactor_checks,
-    max_norm,
-    nijenhuis_norm,
-    norm_law_residual,
-)
+from .nijenhuis import _random_integrable, cofactor_checks, max_norm, nijenhuis_norm, norm_law_residual
 from .zgeom import _draw, _random_ank, _random_circle
 
 #: literature values reported alongside measurements
@@ -66,8 +51,7 @@ class CheckResult:
         return out
 
 
-def _result(name: str, residual: float, threshold: float,
-            paper_value: float | None = None,
+def _result(name: str, residual: float, threshold: float, paper_value: float | None = None,
             measured_value: float | None = None) -> CheckResult:
     """Pass below ``threshold``.  Most checks use 1e-9, for the reason of ``acs.DEFAULT_TOL``:
     an exact identity in order-1 quantities fails by rounding, ~1e-15 (at most 6.3e-15
@@ -139,9 +123,7 @@ def check_circle_degenerate(seed: int) -> CheckResult:
     # degenerate display is also compared verbatim
     theta = params(_Normals([seed, 103]), 10)[1]
     printed, _ = zgeom.printed_circle_form(_BOTH_DEGENERATE, theta)
-    worst = max(
-        worst, float(np.max(np.abs(zgeom.circle_form(_BOTH_DEGENERATE, theta).coeffs - printed.coeffs)))
-    )
+    worst = max(worst, float(np.max(np.abs(zgeom.circle_form(_BOTH_DEGENERATE, theta).coeffs - printed.coeffs))))
     return _result("circle_branch_degenerate", worst, 1e-9)
 
 
@@ -216,13 +198,8 @@ def check_proportionality(seed: int) -> CheckResult:
     def residuals(rng, n):
         return [norm_law_residual(vertex_acs(0).conjugate(_haar_rotations(n, 6, rng)))]
 
-    return _result(
-        "norm_proportionality",
-        _worst(_Normals([seed, 109]), 1000, residuals),
-        1e-9,
-        paper_value=PAPER_MAX_NORM,
-        measured_value=max_norm(),
-    )
+    return _result("norm_proportionality", _worst(_Normals([seed, 109]), 1000, residuals), 1e-9,
+                   paper_value=PAPER_MAX_NORM, measured_value=max_norm())
 
 
 def check_maximum(seed: int) -> CheckResult:
@@ -234,13 +211,8 @@ def check_maximum(seed: int) -> CheckResult:
     # <= 3.0e-8 over seeds 0-29, the ratio gap second order in it); the bounds reject
     # every point with |c| > 0.015, which the norm law puts over 1e-4 below the maximum
     ok = ratio_gap < 1e-4 and block_gap < 1e-3
-    return CheckResult(
-        "norm_maximum",
-        "pass" if ok else "fail",
-        float(max(ratio_gap, block_gap)),
-        paper_value=PAPER_MAX_NORM,
-        measured_value=report.best_value,
-    )
+    return CheckResult("norm_maximum", "pass" if ok else "fail", float(max(ratio_gap, block_gap)),
+                       paper_value=PAPER_MAX_NORM, measured_value=report.best_value)
 
 
 def check_ank_cover(seed: int) -> CheckResult:
@@ -305,13 +277,8 @@ def check_nk_mixed_direction() -> CheckResult:
     # pass = a mixed direction genuinely breaks the nearly Kaehler identity: 0.1
     # splits its -0.5 (the paper's -1) from rounding; 0.5 splits the flag 0 or 1
     residual = 0.0 if abs(measured) > 0.1 else 1.0
-    return _result(
-        "nk_mixed_direction",
-        residual,
-        0.5,
-        paper_value=PAPER_MIXED_NABLA,
-        measured_value=float(measured),
-    )
+    return _result("nk_mixed_direction", residual, 0.5, paper_value=PAPER_MIXED_NABLA,
+                   measured_value=float(measured))
 
 
 def check_nk_defect_floor(seed: int) -> CheckResult:

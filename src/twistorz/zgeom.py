@@ -91,11 +91,22 @@ def _check_unit_sphere(*vals) -> None:
 
     A triple off the sphere by d gives closed forms off Z by about d, so the
     sphere is held to the tolerance at which structures validate; a
-    non-finite triple is off it too.
+    non-finite triple is off it too.  No entry of a unit triple exceeds 1, so
+    entries are clipped to 2 before they are squared, and cannot overflow;
+    the message squares the member's entries as Python floats, which
+    overflow to inf without a warning.
     """
-    s = sum(np.asarray(v, dtype=float) ** 2 for v in vals)
-    _require(np.abs(s - 1.0) <= DEFAULT_TOL, ParamDomainError,
-             lambda k: f"parameters must lie on the unit sphere (|.|^2 = {s[k]})")
+    vals = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in vals))
+    s = sum(np.minimum(np.abs(v), 2.0) ** 2 for v in vals)
+    _require(np.abs(s - 1.0) <= DEFAULT_TOL, ParamDomainError, lambda k: "parameters must lie on the unit "
+             f"sphere (|.|^2 = {sum(x * x for x in (float(v[k]) for v in vals))})")
+
+
+def _angle(theta) -> np.ndarray:
+    """theta as a float array, each angle checked finite before its cosine is taken."""
+    theta = np.asarray(theta, dtype=float)
+    _require(np.isfinite(theta), ParamDomainError, lambda k: f"the angle must be finite (theta = {theta[k]})")
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +199,7 @@ def circle_point(p: PolarPairParams, theta) -> CP3Point:
     """Equatorial point (p_minus + e^{i theta} p_plus) / sqrt(2)."""
     plus = _pole_coords(p.r_plus, p.x_plus, p.u_plus, plus=True)
     minus = _pole_coords(p.r_minus, p.x_minus, p.u_minus, plus=False)
-    theta = np.asarray(theta, dtype=float)[..., None]
+    theta = _angle(theta)[..., None]
     phase = np.cos(theta) + 1j * np.sin(theta)
     return CP3Point((minus + _product(phase, plus)) / np.sqrt(2.0))
 
@@ -237,7 +248,7 @@ def _by_branch(p: PolarPairParams, theta, branches) -> tuple[TwoForm, str]:
     is 0; each table is evaluated on the elements of its branch only.
     Returns the forms and the labels (a str for one element).
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _angle(theta)
     *params, t1, t2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in vars(p).values()),
                                           np.cos(theta), np.sin(theta))
     p1, m1 = _r_plus_one(*params[:3]), _r_plus_one(*params[3:])

@@ -51,20 +51,26 @@ axial vectors (the converse of its docstring), Q maps to the saddle
 b0 b2 = b1 b3 of the tetrahedron and the polar set of e5^e6 to the plane
 b0 + b3 = 1/2.
 The float checks of the norm law stay: they exercise the shipped kernel, this
-module the algebra it implements.
+module the algebra it implements.  The shipped code runs here too: the kernel on the
+polynomial entries of sJ (the norm law's second route), and the kernel, the gradient of
+|N|^2 and the block checks on Fraction points of Z (the gradient law
+|grad|N|^2|^2 = 8 |N|^2 (48 - |N|^2) and the constraint system, point by point).
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from sympy import QQ, ZZ, field, ring
 
-from twistorz import kernels, zgeom
-from twistorz.acs import _UPPER, _random_structures, ank_reference_acs, blocks, fundamental_form, polar_contains
+from twistorz import kernels, search, zgeom
+from twistorz.acs import (_UPPER, Blocks, _random_structures, ank_reference_acs, blocks, constraint_residuals,
+                          fundamental_form, polar_contains)
 from twistorz.algebra import STRUCTURE_CONSTANTS
 from twistorz.cp3 import CP3Point, _FORWARD, acs_to_cp3, cp3_to_acs, tetra_coords
 from twistorz.exterior import PAIRS, TwoForm
 from twistorz.nearly_kaehler import _nabla_tensor, nk_defect
-from twistorz.nijenhuis import _random_integrable, integrable_acs, nijenhuis_norm
+from twistorz.nijenhuis import _random_integrable, cofactor_checks, integrable_acs, nijenhuis_norm
 from twistorz.zgeom import (
     _branch_both_degenerate,
     _branch_generic,
@@ -136,22 +142,40 @@ def _doubled_tensor(k: list, s_sq, ct: list) -> list:
             for m in range(6) for i in range(6) for j in range(6)]
 
 
+def _doubled_by_kernel(k: list, s_sq, ct: list) -> list:
+    """2 s^2 N of J = K / s, flattened, from the shipped kernel run on K with ``kernels._CT``
+    swapped for ``ct``: n is quadratic in J, so on K it returns s^2 (N + C) - C, and
+    s^2 N = result + (1 - s^2) C."""
+    c = np.array(ct, dtype=object)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_CT", c)
+        result = kernels.nijenhuis_components(np.array(k, dtype=object))
+    return list((2 * (result + c * (1 - s_sq))).ravel())
+
+
+#: the two routes to 2 s^2 N: the tests' transcription of the formula and the shipped kernel
+TENSOR_ROUTES = pytest.mark.parametrize("tensor", [_doubled_tensor, _doubled_by_kernel],
+                                        ids=["transcription", "kernel"])
+
+
 def _c_tilde(k: list) -> list:
     """s c: the upper entries (0, 1), (0, 2), (1, 2) of the C block of sJ."""
     return [k[3][4], k[3][5], k[4][5]]
 
 
-def _law(ct: list):
-    """|2 s^2 N|^2 - 4 kappa (s^4 - s^2 |c~|^2), kappa from the integer ANK reference."""
-    kappa = sum(v * v for v in _doubled_tensor(_integral(ank_reference_acs().matrix), 1, ct)) // 4
+def _law(ct: list, tensor=_doubled_tensor):
+    """|2 s^2 N|^2 - 4 kappa (s^4 - s^2 |c~|^2), kappa from the integer ANK reference, with
+    2 s^2 N from ``tensor``."""
+    kappa = sum(v * v for v in tensor(_integral(ank_reference_acs().matrix), 1, ct)) // 4
     k = _scaled_structure()
     c = _c_tilde(k)
-    n = _doubled_tensor(k, S * S, ct)
+    n = tensor(k, S * S, ct)
     return kappa, sum(v * v for v in n) - 4 * kappa * (S**4 - S**2 * sum(v * v for v in c))
 
 
-def test_norm_law_is_a_polynomial_identity():
-    kappa, law = _law(_integral(STRUCTURE_CONSTANTS))
+@TENSOR_ROUTES
+def test_norm_law_is_a_polynomial_identity(tensor):
+    kappa, law = _law(_integral(STRUCTURE_CONSTANTS), tensor)
     assert kappa == 48
     assert law == R.zero
 
@@ -164,10 +188,11 @@ def test_c_block_is_a_triple_of_quadrics():
     assert _c_tilde(_scaled_structure()) == quadrics
 
 
-def test_a_corrupted_structure_constant_breaks_the_identity():
+@TENSOR_ROUTES
+def test_a_corrupted_structure_constant_breaks_the_identity(tensor):
     ct = _integral(STRUCTURE_CONSTANTS)
     ct[2][0][1] = -ct[2][0][1]  # [e1, e2] = -e3, [e2, e1] = -e3 as before
-    _, law = _law(ct)
+    _, law = _law(ct, tensor)
     assert law != R.zero
 
 
@@ -280,6 +305,53 @@ def test_transfer_identity_is_polynomial():
     a, b, c = ([m[i][j] for i, j in zip(*_UPPER)] for m in (sa, sb, sc))
     assert sum(v * v for v in a) - sum(v * v for v in c) == R.zero
     assert sum(v * v for v in a) - sum(v * v for v in b) != R.zero  # negative control: c read off B
+
+
+# --- the shipped kernel, gradient and block checks at rational points of Z --------
+#
+# J = sJ / s at an integer point u has rational entries, on which the shipped functions run
+# in Fraction arithmetic.  An identity that holds at every point of Z becomes, once its
+# denominator (a power of s) is cleared, a polynomial identity in u of known degree d.  By
+# Schwartz-Zippel a nonzero polynomial of degree d vanishes at a uniform random point of
+# [-1000, 1000]^8 with probability at most d / 2001, independently at each point drawn.
+
+
+def _rational_points(count: int = 12) -> np.ndarray:
+    """J = sJ / s as a (count, 6, 6) object array of Fractions, at seeded integer points u of
+    [-1000, 1000]^8."""
+    points = []
+    for u in np.random.default_rng(29).integers(-1000, 1001, (count, 8)).tolist():
+        s = sum(v * v for v in u)
+        points.append([[Fraction(v, s) for v in row] for row in _scaled_structure(u[:4], u[4:])])
+    return np.array(points, dtype=object)
+
+
+def test_gradient_law_holds_exactly_at_rational_points(monkeypatch):
+    # |grad F|^2 = |D|^2 / 2 = 8 F (48 - F), F = |N|^2, through the shipped search._gradient
+    # and kernel with the integer structure constants.  N is s^-2 times a quartic in u and D
+    # s^-4 times an octic, so cleared of s^8 the identity has degree at most 16 in u: a false
+    # one survives each point with probability at most 16/2001, all 12 with (16/2001)^12
+    monkeypatch.setattr(kernels, "_CT", np.array(_integral(STRUCTURE_CONSTANTS), dtype=object))
+    j = _rational_points()
+    n = kernels.nijenhuis_components(j)
+    f = np.sum(n * n, axis=(-3, -2, -1))
+    d = search._gradient(np.eye(6, dtype=int), j)
+    grad_sq = np.sum(d * d, axis=(-2, -1)) / 2
+    assert all(isinstance(v, Fraction) for v in [*f, *grad_sq])
+    assert all(g == 8 * v * (48 - v) for g, v in zip(grad_sq, f))
+    assert not any(g == 8 * v * (47 - v) for g, v in zip(grad_sq, f))  # negative control
+
+
+def test_block_constraints_vanish_exactly_on_the_shipped_checks():
+    # constraint_residuals and cofactor_checks run on Fractions as they ship; each residual
+    # is s^-2 or s^-4 times a polynomial of degree at most 8 in u
+    for scale in (1, 2):  # 2J, the negative control, is off Z
+        j = scale * _rational_points()
+        b = Blocks(j[..., :3, :3], j[..., :3, 3:], j[..., 3:, 3:])
+        residuals = np.concatenate([constraint_residuals(b), cofactor_checks(b)], axis=-1)
+        assert residuals.shape == (12, 19)
+        assert all(isinstance(v, Fraction) for v in residuals.ravel())
+        assert np.all(residuals == 0) == (scale == 1)
 
 
 # --- the zgeom tables on exact elements -------------------------------------------

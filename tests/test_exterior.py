@@ -49,6 +49,15 @@ def test_inner_positive_definite(w):
         assert w.norm() == 0.0
 
 
+def test_norm_overflows_to_inf_and_underflows_to_zero_without_warnings():
+    # squares that overflow give inf, and squares that underflow 0, as inner does (a
+    # RuntimeWarning fails the run)
+    assert TwoForm(np.full(15, 1e308)).norm() == np.inf
+    tiny = TwoForm(np.full(15, 1e-200))
+    assert tiny.norm() == tiny.inner(tiny) == 0.0
+    assert TwoForm(np.arange(15.0)).norm() == np.sqrt(1015.0)
+
+
 def test_eval_form_examples():
     m = _omega0().matrix()
     assert m[0, 1] == 1.0

@@ -159,6 +159,9 @@ def test_integrable_family_rejects_bad_blocks(rng):
         integrable_acs(reflect, np.eye(3))
     with pytest.raises(NotRotationError, match="^block is not orthogonal$"):
         integrable_acs(np.eye(3), np.full((3, 3), np.nan))
+    # entries are bounded before O^T O is formed, which would overflow (a RuntimeWarning fails the run)
+    with pytest.raises(NotRotationError, match="^block is not orthogonal$"):
+        integrable_acs(1e200 * np.ones((3, 3)), np.eye(3))
 
 
 @pytest.mark.parametrize("o1, o2", [(np.eye(2), np.eye(2)), (np.eye(3), np.stack([np.eye(3)] * 2))],

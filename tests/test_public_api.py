@@ -219,12 +219,17 @@ _UNCALLED = {
 }
 
 
+def _modules() -> dict:
+    """The parsed modules of ``src/``, by name."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in Path(twistorz.__file__).parent.glob("*.py")}
+
+
 def _uncalled_definitions() -> set:
     """Names of the module-level functions and classes and the methods in ``src/`` that no
     ``src/`` code refers to, as a loaded name or an attribute not rooted at an imported module."""
     defined, used = set(), set()
-    for path in Path(twistorz.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for tree in _modules().values():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(node.name)
@@ -249,6 +254,42 @@ def test_every_definition_has_a_caller_in_src():
     assert _uncalled_definitions() == set(_UNCALLED)
 
 
+#: the functions whose arithmetic keeps its input's number type, so that the exact tests run
+#: them on Fractions and polynomials as they ship, by module
+_RING_GENERIC = {
+    "kernels": {"nijenhuis_components", "_norm_sq_gradient"},
+    "acs": {"constraint_residuals"},
+    "nijenhuis": {"cofactor_checks", "_e2"},
+}
+
+
+def _float_spellings() -> dict:
+    """For each function of ``_RING_GENERIC``, the float constants and the uses of the name
+    ``float`` (``dtype=float``, ``astype(float)``, ``float(x)``) in its body, docstring skipped."""
+    found = {}
+    for module, tree in _modules().items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in _RING_GENERIC.get(module, ()):
+                body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+                found[module, node.name] = sorted(
+                    ast.unparse(sub) for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Constant) and isinstance(sub.value, float)
+                    or isinstance(sub, ast.Name) and sub.id == "float")
+    return found
+
+
+def test_the_nijenhuis_algebra_is_written_once_in_plain_arithmetic():
+    # the structure constants are read in algebra, which tabulates them, and in kernels,
+    # which holds the tensor and the gradient of |N|^2: nothing else restates that algebra
+    readers = {module for module, tree in _modules().items() for node in ast.walk(tree)
+               if "STRUCTURE_CONSTANTS" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                            getattr(node, "name", None))}
+    assert readers == {"algebra", "kernels"}
+    # a float literal or cast would turn an exact input into floats
+    expected = {(module, name): [] for module, names in _RING_GENERIC.items() for name in names}
+    assert _float_spellings() == expected
+
+
 def _member_naming_sites() -> set:
     """(module, function) of every place in ``src/`` that writes ``at member`` into a string
     or calls ``unravel_index``; docstrings are skipped.  A lambda counts as its function."""
@@ -267,8 +308,8 @@ def _member_naming_sites() -> set:
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
 
-    for path in Path(twistorz.__file__).parent.glob("*.py"):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    for module, tree in _modules().items():
+        visit(tree, module, None)
     return sites
 
 

@@ -91,12 +91,16 @@ def test_edge01_rejects_off_sphere():
         edge01_form(1.0, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("family", [
+#: every public function that checks a unit triple
+TRIPLE_FAMILIES = pytest.mark.parametrize("family", [
     lambda s, x, u: PolarPairParams(s, x, u, 1.0, 0.0, 0.0),
     edge01_form,
     edge01_closed_form,
     lambda s, x, u: ank_circle_acs(s, x, u, 0.0),
 ], ids=["PolarPairParams", "edge01_form", "edge01_closed_form", "ank_circle_acs"])
+
+
+@TRIPLE_FAMILIES
 def test_non_finite_triples_are_off_the_sphere(family):
     # |nan|^2 - 1 compares false against any tolerance, so the test is "not within it"
     with pytest.raises(ParamDomainError, match=r"unit sphere \(\|\.\|\^2 = nan\)$"):
@@ -104,6 +108,16 @@ def test_non_finite_triples_are_off_the_sphere(family):
     r = np.array([1.0, 0.0, np.nan, 0.6])
     with pytest.raises(ParamDomainError, match="at member 2$"):
         family(r, np.array([0.0, 1.0, 0.0, 0.8]), np.zeros(4))
+
+
+@TRIPLE_FAMILIES
+def test_huge_triples_are_off_the_sphere_without_overflow(family):
+    # 1e200 is bounded before it is squared, and the message's square is inf (a RuntimeWarning
+    # fails the run)
+    with pytest.raises(ParamDomainError, match=r"unit sphere \(\|\.\|\^2 = inf\)$"):
+        family(1e200, 0.0, 0.0)
+    with pytest.raises(ParamDomainError, match=r"\(\|\.\|\^2 = 4\.0\) at member 1$"):
+        family(np.array([1.0, 2.0, 1e308]), np.zeros(3), np.zeros(3))
 
 
 # --- polar sets ----------------------------------------------------------------
@@ -157,6 +171,17 @@ def _random_params(rng):
     rp, xp, up = (float(v) for v in unit3(rng))
     rm, xm, um = (float(v) for v in unit3(rng))
     return PolarPairParams(rp, xp, up, rm, xm, um)
+
+
+@pytest.mark.parametrize("circle", [circle_point, circle_form, circle_closed_form, printed_circle_form],
+                         ids=["circle_point", "circle_form", "circle_closed_form", "printed_circle_form"])
+def test_a_non_finite_angle_is_named(circle):
+    # the angle is checked before its cosine is taken, and the error names it
+    params = PolarPairParams(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    with pytest.raises(ParamDomainError, match=r"^the angle must be finite \(theta = inf\)$"):
+        circle(params, np.inf)
+    with pytest.raises(ParamDomainError, match=r"^the angle must be finite \(theta = nan\) at member 1$"):
+        circle(params, np.array([0.5, np.nan, -np.inf]))
 
 
 def test_circle_periodicity(rng):
